@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus import PaperRecord
 from .textnorm import fold, surname_key, tokenize
@@ -65,13 +66,46 @@ DEFAULT_SURNAME_WEIGHT = 0.3
 
 @dataclass
 class BibliographyEntry:
-    """One parsed reference-list entry."""
+    """One parsed reference-list entry.
+
+    The folded match keys are computed on first use and then kept, so an entry
+    shared by many pairs is tokenized and folded once.
+    """
 
     index: int
     raw: str
     surname_tokens: list[str] = field(default_factory=list)
     year: int | None = None
     numeric_key: int | None = None
+
+    @cached_property
+    def raw_tokens(self) -> frozenset[str]:
+        return frozenset(tokenize(self.raw))
+
+    @cached_property
+    def surnames(self) -> frozenset[str]:
+        """Folded surname tokens, the keys author-year markers link on."""
+        return frozenset(fold(t) for t in self.surname_tokens)
+
+    @cached_property
+    def name_keys(self) -> frozenset[str]:
+        """Folded surnames plus folded raw tokens: what cited surnames match against."""
+        return self.surnames | {fold(t) for t in self.raw_tokens}
+
+
+@dataclass(frozen=True)
+class CitedKeys:
+    """Match keys of a cited paper: its title tokens and folded author surnames."""
+
+    title_tokens: frozenset[str]
+    surnames: frozenset[str]
+
+
+def cited_keys(cited: PaperRecord) -> CitedKeys:
+    return CitedKeys(
+        frozenset(tokenize(cited.title)),
+        frozenset(surname_key(a) for a in cited.authors) - {""},
+    )
 
 
 @dataclass
@@ -90,6 +124,20 @@ class UnresolvedMarker:
     offset: int
     marker: str
     detail: str
+
+
+@dataclass
+class CitingIndex:
+    """One citing paper's parsed bibliography and linked markers.
+
+    Built once per citing paper and shared by every pair it is the citing side
+    of. It keeps no body text. An empty entry list means the bibliography could
+    not be located, and then no markers were scanned.
+    """
+
+    entries: list[BibliographyEntry]
+    citations: list[InTextCitation]
+    unresolved: list[UnresolvedMarker]
 
 
 @dataclass
@@ -190,22 +238,25 @@ def parse_bib_entry(raw: str, index: int) -> BibliographyEntry:
     Entries with no detectable authors or year come back with empty
     surname_tokens and year None; they stay linkable by numeric key only.
     """
-    entry = BibliographyEntry(index=index, raw=raw)
-
-    rest = raw
+    rest, numeric_key = raw, None
     key_match = _BRACKET_KEY_RE.match(raw) or _DOTTED_KEY_RE.match(raw)
     if key_match:
-        entry.numeric_key = int(key_match.group(1))
+        numeric_key = int(key_match.group(1))
         rest = raw[key_match.end() :]
 
     year_match = _YEAR_RE.search(rest)
-    if year_match:
-        entry.year = int(year_match.group(1))
-
-    for token in re.findall(_NAME, _author_segment(rest)):
-        if token[0].isupper() and fold(token) not in _SURNAME_STOP:
-            entry.surname_tokens.append(token)
-    return entry
+    surnames = [
+        token
+        for token in re.findall(_NAME, _author_segment(rest))
+        if token[0].isupper() and fold(token) not in _SURNAME_STOP
+    ]
+    return BibliographyEntry(
+        index=index,
+        raw=raw,
+        surname_tokens=surnames,
+        year=int(year_match.group(1)) if year_match else None,
+        numeric_key=numeric_key,
+    )
 
 
 def match_entry_to_paper(
@@ -220,17 +271,15 @@ def match_entry_to_paper(
     entry and the fraction of the cited authors' surnames found among the
     entry's surnames (folded; the raw entry text is a fallback source).
     """
-    title_tokens = set(tokenize(cited.title))
-    raw_tokens = set(tokenize(entry.raw))
-    title_score = len(title_tokens & raw_tokens) / len(title_tokens) if title_tokens else 0.0
+    return _entry_score(entry, cited_keys(cited), title_weight, surname_weight)
 
-    cited_surnames = {surname_key(a) for a in cited.authors} - {""}
-    if cited_surnames:
-        entry_surnames = {fold(t) for t in entry.surname_tokens} | {fold(t) for t in raw_tokens}
-        surname_score = len(cited_surnames & entry_surnames) / len(cited_surnames)
-    else:
-        surname_score = 0.0
 
+def _entry_score(
+    entry: BibliographyEntry, keys: CitedKeys, title_weight: float, surname_weight: float
+) -> float:
+    title, surnames = keys.title_tokens, keys.surnames
+    title_score = len(title & entry.raw_tokens) / len(title) if title else 0.0
+    surname_score = len(surnames & entry.name_keys) / len(surnames) if surnames else 0.0
     return title_weight * title_score + surname_weight * surname_score
 
 
@@ -238,12 +287,10 @@ def _link_author_year(
     entries: list[BibliographyEntry], name1: str, name2: str | None, year: int
 ) -> BibliographyEntry | None:
     first = fold(name1)
-    candidates = [
-        e for e in entries if e.year == year and first in {fold(s) for s in e.surname_tokens}
-    ]
+    candidates = [e for e in entries if e.year == year and first in e.surnames]
     if name2:
         second = fold(name2)
-        narrowed = [e for e in candidates if second in {fold(s) for s in e.surname_tokens}]
+        narrowed = [e for e in candidates if second in e.surnames]
         candidates = narrowed or candidates
     if not candidates:
         return None
@@ -339,30 +386,42 @@ def paper_bibliography(record: PaperRecord) -> tuple[str, list[BibliographyEntry
     return main_text, [parse_bib_entry(raw, i) for i, raw in enumerate(raws, start=1)]
 
 
+def index_citing_paper(citing: PaperRecord) -> CitingIndex:
+    """Parse a citing paper's bibliography and link its in-text markers, once."""
+    main_text, entries = paper_bibliography(citing)
+    if not entries:
+        return CitingIndex([], [], [])
+    citations, unresolved = find_in_text_citations(main_text, entries)
+    return CitingIndex(entries, citations, unresolved)
+
+
 def analyze_citations(
     citing: PaperRecord,
     cited: PaperRecord,
     threshold: float = DEFAULT_MATCH_THRESHOLD,
     title_weight: float = DEFAULT_TITLE_WEIGHT,
     surname_weight: float = DEFAULT_SURNAME_WEIGHT,
+    index: CitingIndex | None = None,
+    keys: CitedKeys | None = None,
 ) -> CitationAnalysis:
     """Count in-text citations of ``cited`` within ``citing`` with full diagnostics.
 
     The target entry is the bibliography entry with the best match score; every
     detected marker linked to a best-scoring entry counts, provided the best
     score reaches the threshold. Failures degrade to count 0 with a warning.
+    ``index`` (``citing``'s) and ``keys`` (``cited``'s) may be passed prebuilt
+    by a caller that scores many pairs; each is built here when absent.
     """
-    main_text, entries = paper_bibliography(citing)
-    if not entries:
+    if index is None:
+        index = index_citing_paper(citing)
+    if not index.entries:
         warning = f"{citing.id}: bibliography unparseable, direct-citation count forced to 0"
         logger.warning(warning)
         return CitationAnalysis(0, 0.0, [], [], [], False, [warning])
 
-    detections, unresolved = find_in_text_citations(main_text, entries)
-
-    scores = {
-        e.index: match_entry_to_paper(e, cited, title_weight, surname_weight) for e in entries
-    }
+    if keys is None:
+        keys = cited_keys(cited)
+    scores = {e.index: _entry_score(e, keys, title_weight, surname_weight) for e in index.entries}
     best_score = max(scores.values())
     if best_score < threshold:
         warning = (
@@ -370,12 +429,14 @@ def analyze_citations(
             f"(best score {best_score:.3f})"
         )
         logger.warning(warning)
-        return CitationAnalysis(0, best_score, [], detections, unresolved, True, [warning])
+        return CitationAnalysis(
+            0, best_score, [], index.citations, index.unresolved, True, [warning]
+        )
 
     matched = sorted(idx for idx, s in scores.items() if s == best_score)
     matched_set = set(matched)
-    count = sum(1 for c in detections if c.entry_index in matched_set)
-    return CitationAnalysis(count, best_score, matched, detections, unresolved, True)
+    count = sum(1 for c in index.citations if c.entry_index in matched_set)
+    return CitationAnalysis(count, best_score, matched, index.citations, index.unresolved, True)
 
 
 def count_direct_citations(

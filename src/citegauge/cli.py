@@ -167,13 +167,11 @@ def cmd_ingest(config: RunConfig) -> int:
     unresolved_by_paper = {}
     unparseable = []
     for citing_id in sorted({p.citing_id for p in pairs}):
-        main_text, entries = citeparse.paper_bibliography(corpus[citing_id])
-        if not entries:
+        index = citeparse.index_citing_paper(corpus[citing_id])
+        if not index.entries:
             unparseable.append(citing_id)
-            continue
-        _, unresolved = citeparse.find_in_text_citations(main_text, entries)
-        if unresolved:
-            unresolved_by_paper[citing_id] = len(unresolved)
+        elif index.unresolved:
+            unresolved_by_paper[citing_id] = len(index.unresolved)
 
     out = _out_dir(config)
     _write_json(
@@ -208,12 +206,9 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _feature_rows(config: RunConfig, corpus, valid_pairs):
-    return features_mod.compute_feature_matrix(
-        corpus,
-        valid_pairs,
-        f4_mode=config.f4_mode,
-        threads=config.threads,
-    )
+    # config.threads is validated and echoed but not used: features run in one
+    # thread, holding one citing paper's index at a time.
+    return features_mod.compute_feature_matrix(corpus, valid_pairs, f4_mode=config.f4_mode)
 
 
 def cmd_features(config: RunConfig) -> int:

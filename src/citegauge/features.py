@@ -6,11 +6,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from . import citeparse
 from .citeparse import DEFAULT_MATCH_THRESHOLD, analyze_citations
 from .corpus import CitationPair, Corpus
 from .errors import ConfigurationError, DataError
@@ -35,7 +35,7 @@ class FeatureVector:
 class TfidfModel:
     """Vocabulary, document frequencies, and document count fitted on a collection.
 
-    Immutable after fitting; shared read-only across threads.
+    Immutable after fitting.
     """
 
     vocabulary: dict[str, int]
@@ -126,17 +126,13 @@ def extract_features(
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> FeatureVector:
     """Compute the full feature vector for one citation pair. Deterministic."""
-    citing = corpus.get(pair.citing_id)
-    cited = corpus.get(pair.cited_id)
-    if citing is None or cited is None:
-        missing = pair.citing_id if citing is None else pair.cited_id
-        raise DataError(f"pair {pair.citing_id} -> {pair.cited_id}: missing record {missing}")
-    f1 = analyze_citations(citing, cited, threshold=match_threshold).count
-    f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
-    f9 = cosine_similarity(
-        vectorize(tfidf, citing.abstract or ""), vectorize(tfidf, cited.abstract or "")
-    )
-    return FeatureVector(f1, f4, f9)
+    for paper_id in (pair.citing_id, pair.cited_id):
+        if paper_id not in corpus:
+            raise DataError(
+                f"pair {pair.citing_id} -> {pair.cited_id}: missing record {paper_id}"
+            )
+    rows, _ = compute_feature_matrix(corpus, [pair], tfidf, f4_mode, match_threshold)
+    return rows[0][1]
 
 
 def fit_corpus_tfidf(corpus: Corpus) -> TfidfModel:
@@ -151,71 +147,74 @@ def compute_feature_matrix(
     tfidf: TfidfModel | None = None,
     f4_mode: str = "jaccard",
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-    threads: int = 1,
 ) -> tuple[list[tuple[CitationPair, FeatureVector]], list[dict]]:
     """Extract features for every pair, collecting per-pair warnings.
 
-    Per-pair extraction is read-only over shared state, so it parallelizes
-    freely; results are identical for any thread count. Pairs that fail
-    extraction are excluded and reported in the warnings list.
+    Pairs are grouped by citing paper. Each citing paper is indexed once
+    (bibliography parsed, markers linked), all of its pairs are scored against
+    that index, and the index is dropped before the next paper is indexed, so
+    memory holds one index at a time. Rows and warnings keep the input pair
+    order. Pairs that fail extraction are excluded and reported in the
+    warnings list.
     """
     if tfidf is None:
         tfidf = fit_corpus_tfidf(corpus)
-    abstract_vectors = {
-        r.id: vectorize(tfidf, r.abstract) for r in corpus.records() if r.abstract is not None
-    }
+    abstract_vectors: dict[str, dict[int, float]] = {}
+    keys: dict[str, citeparse.CitedKeys] = {}
 
-    warnings: list[dict] = []
+    def vector_of(record) -> dict[int, float]:
+        if record.id not in abstract_vectors:
+            abstract_vectors[record.id] = vectorize(tfidf, record.abstract or "")
+        return abstract_vectors[record.id]
 
-    def one(pair: CitationPair):
-        citing = corpus.get(pair.citing_id)
+    def one(pair: CitationPair, citing, index):
         cited = corpus.get(pair.cited_id)
         if citing is None or cited is None:
-            return pair, None, [
-                {
-                    "citing_id": pair.citing_id,
-                    "cited_id": pair.cited_id,
-                    "type": "extraction-error",
-                    "detail": "missing record",
-                }
-            ]
-        analysis = analyze_citations(citing, cited, threshold=match_threshold)
-        notes = [
-            {
-                "citing_id": pair.citing_id,
-                "cited_id": pair.cited_id,
-                "type": "warning",
-                "detail": w,
-            }
-            for w in analysis.warnings
-        ]
+            return None, [_note(pair, "extraction-error", "missing record")]
+        if cited.id not in keys:
+            keys[cited.id] = citeparse.cited_keys(cited)
+        analysis = analyze_citations(
+            citing, cited, threshold=match_threshold, index=index, keys=keys[cited.id]
+        )
+        notes = [_note(pair, "warning", w) for w in analysis.warnings]
         if analysis.unresolved:
             notes.append(
-                {
-                    "citing_id": pair.citing_id,
-                    "cited_id": pair.cited_id,
-                    "type": "unresolved-markers",
-                    "detail": f"{len(analysis.unresolved)} marker(s) could not be linked",
-                }
+                _note(
+                    pair,
+                    "unresolved-markers",
+                    f"{len(analysis.unresolved)} marker(s) could not be linked",
+                )
             )
         f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
-        f9 = cosine_similarity(
-            abstract_vectors.get(pair.citing_id, {}), abstract_vectors.get(pair.cited_id, {})
-        )
-        return pair, FeatureVector(analysis.count, f4, f9), notes
+        f9 = cosine_similarity(vector_of(citing), vector_of(cited))
+        return FeatureVector(analysis.count, f4, f9), notes
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, pairs))
-    else:
-        results = [one(p) for p in pairs]
+    results: list = [None] * len(pairs)
+
+    def score_citing_paper(citing_id: str, positions: list[int]) -> None:
+        # The index lives in this frame only, so it is freed on return.
+        citing = corpus.get(citing_id)
+        index = citeparse.index_citing_paper(citing) if citing is not None else None
+        for position in positions:
+            results[position] = one(pairs[position], citing, index)
+
+    by_citing: dict[str, list[int]] = {}
+    for position, pair in enumerate(pairs):
+        by_citing.setdefault(pair.citing_id, []).append(position)
+    for citing_id, positions in by_citing.items():
+        score_citing_paper(citing_id, positions)
 
     rows: list[tuple[CitationPair, FeatureVector]] = []
-    for pair, vector, notes in results:
+    warnings: list[dict] = []
+    for pair, (vector, notes) in zip(pairs, results):
         warnings.extend(notes)
         if vector is not None:
             rows.append((pair, vector))
     return rows, warnings
+
+
+def _note(pair: CitationPair, kind: str, detail: str) -> dict:
+    return {"citing_id": pair.citing_id, "cited_id": pair.cited_id, "type": kind, "detail": detail}
 
 
 def write_feature_matrix(

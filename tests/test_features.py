@@ -2,14 +2,19 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from citegauge import citeparse
+from citegauge.citeparse import analyze_citations
 from citegauge.corpus import CitationPair
 from citegauge.errors import ConfigurationError, DataError
 from citegauge.features import (
+    FeatureVector,
     author_overlap,
     compute_feature_matrix,
     cosine_similarity,
     extract_features,
+    fit_corpus_tfidf,
     fit_tfidf,
     tokenize,
     vectorize,
@@ -255,10 +260,9 @@ class TestFeatureMatrixOracle:
     def test_reproducible_across_runs_and_threads(self):
         corpus = make_corpus(*all_papers())
         pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
-        rows_a, _ = compute_feature_matrix(corpus, pairs, threads=1)
-        rows_b, _ = compute_feature_matrix(corpus, pairs, threads=4)
-        rows_c, _ = compute_feature_matrix(corpus, pairs, threads=1)
-        assert rows_a == rows_b == rows_c
+        rows_a, _ = compute_feature_matrix(corpus, pairs)
+        rows_c, _ = compute_feature_matrix(corpus, pairs)
+        assert rows_a == rows_c
 
     def test_missing_record_collects_warning(self):
         corpus = make_corpus(*all_papers())
@@ -266,3 +270,60 @@ class TestFeatureMatrixOracle:
         rows, warnings = compute_feature_matrix(corpus, pairs)
         assert len(rows) == 1
         assert any(w["type"] == "extraction-error" for w in warnings)
+
+
+def _per_pair_reference(corpus, pairs):
+    """Rows and warnings built pair by pair, each pair parsing its citing paper afresh."""
+    tfidf = fit_corpus_tfidf(corpus)
+    rows, warnings = [], []
+    for pair in pairs:
+        ids = {"citing_id": pair.citing_id, "cited_id": pair.cited_id}
+        citing, cited = corpus.get(pair.citing_id), corpus.get(pair.cited_id)
+        if citing is None or cited is None:
+            warnings.append({**ids, "type": "extraction-error", "detail": "missing record"})
+            continue
+        analysis = analyze_citations(citing, cited)
+        warnings += [{**ids, "type": "warning", "detail": w} for w in analysis.warnings]
+        if analysis.unresolved:
+            detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
+            warnings.append({**ids, "type": "unresolved-markers", "detail": detail})
+        f4 = author_overlap(citing.authors, cited.authors)
+        f9 = cosine_similarity(
+            vectorize(tfidf, citing.abstract or ""), vectorize(tfidf, cited.abstract or "")
+        )
+        rows.append((pair, FeatureVector(analysis.count, f4, f9)))
+    return rows, warnings
+
+
+_FIXTURE_CORPUS = make_corpus(*all_papers())
+_PAIR_IDS = sorted(_FIXTURE_CORPUS) + ["ghost"]
+
+
+class TestStreamedFeatureMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(_PAIR_IDS), st.sampled_from(_PAIR_IDS), st.integers(0, 1)),
+            max_size=25,
+        )
+    )
+    def test_equals_per_pair_analysis_in_input_order(self, rows):
+        pairs = [CitationPair(c, t, label) for c, t, label in rows]
+        assert compute_feature_matrix(_FIXTURE_CORPUS, pairs) == _per_pair_reference(
+            _FIXTURE_CORPUS, pairs
+        )
+
+    def test_each_citing_paper_parsed_once(self, monkeypatch):
+        parsed = []
+        original = citeparse.paper_bibliography
+
+        def counting(record):
+            parsed.append(record.id)
+            return original(record)
+
+        monkeypatch.setattr(citeparse, "paper_bibliography", counting)
+        forward = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        pairs = forward + forward[::-1]
+        rows, _ = compute_feature_matrix(_FIXTURE_CORPUS, pairs)
+        assert len(rows) == len(pairs)
+        assert sorted(parsed) == sorted({p.citing_id for p in pairs})
