@@ -18,8 +18,9 @@ from .textnorm import fold, surname_key, tokenize
 logger = logging.getLogger(__name__)
 
 # Reference-section heading on a line of its own; the *last* occurrence wins.
+# "$" matches only before "\n", so a CRLF line end needs the optional "\r".
 _HEADING_RE = re.compile(
-    r"^[ \t]*(?:References|REFERENCES|Bibliography|BIBLIOGRAPHY)[ \t]*:?[ \t]*$",
+    r"^[ \t]*(?:References|REFERENCES|Bibliography|BIBLIOGRAPHY)[ \t]*:?[ \t]*\r?$",
     re.MULTILINE,
 )
 

@@ -107,7 +107,7 @@ class Corpus:
 
 def has_abstract(record: PaperRecord | None) -> bool:
     """True when the record exists and carries a non-blank abstract."""
-    return record is not None and record.abstract is not None
+    return record is not None and bool(record.abstract and record.abstract.strip())
 
 
 def paper_from_dict(data: dict, source: str = "<dict>") -> PaperRecord:

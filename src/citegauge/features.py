@@ -12,7 +12,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import citeparse
 from .citeparse import DEFAULT_MATCH_THRESHOLD, analyze_citations
-from .corpus import CitationPair, Corpus
+from .corpus import CitationPair, Corpus, has_abstract
 from .errors import ConfigurationError, DataError
 from .textnorm import normalize_author, tokenize
 
@@ -137,7 +137,7 @@ def extract_features(
 
 def fit_corpus_tfidf(corpus: Corpus) -> TfidfModel:
     """Fit tf-idf over every abstract present in the corpus (not just paired papers)."""
-    abstracts = [r.abstract for r in corpus.records() if r.abstract is not None]
+    abstracts = [r.abstract for r in corpus.records() if has_abstract(r)]
     return fit_tfidf(abstracts)
 
 

@@ -63,6 +63,12 @@ class TestSegmentReferences:
         _, entries = segment_references(body)
         assert entries == ["Alpha, A. 2001. One. Still entry one.", "Beta, B. 2002. Two."]
 
+    def test_crlf_line_endings(self):
+        body = "Main text cites [1].\r\n\r\nReferences\r\n[1] Smith 2010. A paper.\r\n[2] Jones 2012. Another."
+        main, entries = segment_references(body)
+        assert entries == ["[1] Smith 2010. A paper.", "[2] Jones 2012. Another."]
+        assert main == "Main text cites [1].\r\n\r\n"
+
     def test_explicit_list_passthrough(self):
         record = make_paper(
             "x", body="Body with no heading. Cites [1].", references=["[1] Given entry. 2001."]
@@ -237,6 +243,21 @@ class TestCountDirectCitations:
     def test_reference_block_markers_do_not_count(self):
         by_id = {p.id: p for p in citing_papers()}
         assert count_direct_citations(by_id["c08"], target_paper()) == 0
+
+    def test_count_invariant_under_crlf_line_endings(self):
+        target = target_paper()
+        for record in citing_papers():
+            crlf = make_paper(
+                record.id,
+                title=record.title,
+                authors=record.authors,
+                abstract=record.abstract,
+                body=record.body.replace("\n", "\r\n"),
+                references=record.references,
+            )
+            assert count_direct_citations(crlf, target) == EXPECTED_TARGET_COUNTS[record.id], (
+                record.id
+            )
 
     def test_count_invariant_under_text_after_references(self):
         target = target_paper()

@@ -6,6 +6,7 @@ import pytest
 from citegauge.corpus import (
     CitationPair,
     filter_valid_pairs,
+    has_abstract,
     load_corpus,
     load_pairs,
     paper_from_dict,
@@ -190,6 +191,12 @@ class TestFilterValidPairs:
         ]
         once = filter_valid_pairs(pairs, corpus)
         assert filter_valid_pairs(once, corpus) == once
+
+    def test_whitespace_only_abstract_is_absent(self):
+        blank = make_paper("W", abstract=" \t\n ")
+        assert not has_abstract(blank)
+        corpus = make_corpus(make_paper("A", abstract="alpha"), blank)
+        assert filter_valid_pairs([CitationPair("A", "W", 1)], corpus) == []
 
     def test_updates_stats(self, tmp_path):
         f = tmp_path / "p.tsv"
