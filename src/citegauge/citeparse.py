@@ -89,6 +89,11 @@ class BibliographyEntry:
         return frozenset(fold(t) for t in self.surname_tokens)
 
     @cached_property
+    def first_author(self) -> str | None:
+        """Folded first-author surname, or None when no surname was found."""
+        return fold(self.surname_tokens[0]) if self.surname_tokens else None
+
+    @cached_property
     def name_keys(self) -> frozenset[str]:
         """Folded surnames plus folded raw tokens: what cited surnames match against."""
         return self.surnames | {fold(t) for t in self.raw_tokens}
@@ -288,7 +293,10 @@ def _link_author_year(
     entries: list[BibliographyEntry], name1: str, name2: str | None, year: int
 ) -> BibliographyEntry | None:
     first = fold(name1)
-    candidates = [e for e in entries if e.year == year and first in e.surnames]
+    same_year = [e for e in entries if e.year == year]
+    candidates = [e for e in same_year if e.first_author == first] or [
+        e for e in same_year if first in e.surnames
+    ]
     if name2:
         second = fold(name2)
         narrowed = [e for e in candidates if second in e.surnames]
@@ -305,7 +313,9 @@ def find_in_text_citations(
 
     Numeric markers link via numeric_key, ranges expand inclusively, and each
     linked entry yields one InTextCitation. Author-year markers link via
-    first-author surname plus year (ties broken by lowest entry index).
+    first-author surname plus year, falling back to an entry with that surname
+    anywhere in its author list only when no entry has it first (ties broken by
+    lowest entry index).
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []

@@ -212,6 +212,23 @@ class TestFindInTextCitations:
         cites, _ = find_in_text_citations("Smith and Jones (2011) report gains.", entries)
         assert [c.entry_index for c in cites] == [1]
 
+    def test_author_year_prefers_first_author(self):
+        entries = _entries(
+            "Jones, A., Smith, J. 2010. Smith as second author.",
+            "Smith, J. 2010. Smith as first author.",
+        )
+        cites, _ = find_in_text_citations("As shown (Smith, 2010) and by Smith (2010).", entries)
+        assert [c.entry_index for c in cites] == [2, 2]
+
+    def test_author_year_falls_back_to_any_author(self):
+        entries = _entries(
+            "Brown, B. 2010. Unrelated work.",
+            "Jones, A., Smith, J. 2010. Smith only as second author.",
+        )
+        cites, unresolved = find_in_text_citations("As shown (Smith, 2010).", entries)
+        assert [c.entry_index for c in cites] == [2]
+        assert unresolved == []
+
     def test_offsets_are_positions_in_text(self):
         text = "Start. See [3] here."
         cites, _ = find_in_text_citations(text, FIVE)
