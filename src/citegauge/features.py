@@ -7,6 +7,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -159,35 +160,14 @@ def compute_feature_matrix(
     """
     if tfidf is None:
         tfidf = fit_corpus_tfidf(corpus)
-    abstract_vectors: dict[str, dict[int, float]] = {}
-    keys: dict[str, citeparse.CitedKeys] = {}
 
-    def vector_of(record) -> dict[int, float]:
-        if record.id not in abstract_vectors:
-            abstract_vectors[record.id] = vectorize(tfidf, record.abstract or "")
-        return abstract_vectors[record.id]
+    @cache
+    def abstract_vector(paper_id: str) -> dict[int, float]:
+        return vectorize(tfidf, corpus[paper_id].abstract or "")
 
-    def one(pair: CitationPair, citing, index):
-        cited = corpus.get(pair.cited_id)
-        if citing is None or cited is None:
-            return None, [_note(pair, "extraction-error", "missing record")]
-        if cited.id not in keys:
-            keys[cited.id] = citeparse.cited_keys(cited)
-        analysis = analyze_citations(
-            citing, cited, threshold=match_threshold, index=index, keys=keys[cited.id]
-        )
-        notes = [_note(pair, "warning", w) for w in analysis.warnings]
-        if analysis.unresolved:
-            notes.append(
-                _note(
-                    pair,
-                    "unresolved-markers",
-                    f"{len(analysis.unresolved)} marker(s) could not be linked",
-                )
-            )
-        f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
-        f9 = cosine_similarity(vector_of(citing), vector_of(cited))
-        return FeatureVector(analysis.count, f4, f9), notes
+    @cache
+    def match_keys(paper_id: str) -> citeparse.CitedKeys:
+        return citeparse.cited_keys(corpus[paper_id])
 
     results: list = [None] * len(pairs)
 
@@ -196,7 +176,21 @@ def compute_feature_matrix(
         citing = corpus.get(citing_id)
         index = citeparse.index_citing_paper(citing) if citing is not None else None
         for position in positions:
-            results[position] = one(pairs[position], citing, index)
+            pair = pairs[position]
+            cited = corpus.get(pair.cited_id)
+            if citing is None or cited is None:
+                results[position] = None, [_note(pair, "extraction-error", "missing record")]
+                continue
+            analysis = analyze_citations(
+                citing, cited, threshold=match_threshold, index=index, keys=match_keys(cited.id)
+            )
+            notes = [_note(pair, "warning", w) for w in analysis.warnings]
+            if analysis.unresolved:
+                detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
+                notes.append(_note(pair, "unresolved-markers", detail))
+            f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
+            f9 = cosine_similarity(abstract_vector(citing.id), abstract_vector(cited.id))
+            results[position] = FeatureVector(analysis.count, f4, f9), notes
 
     by_citing: dict[str, list[int]] = {}
     for position, pair in enumerate(pairs):
