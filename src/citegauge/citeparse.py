@@ -108,6 +108,7 @@ class CitedKeys:
 
 
 def cited_keys(cited: PaperRecord) -> CitedKeys:
+    """Compute a cited paper's match keys; callers scoring many pairs compute them once."""
     return CitedKeys(
         frozenset(tokenize(cited.title)),
         frozenset(surname_key(a) for a in cited.authors) - {""},
