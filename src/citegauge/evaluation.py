@@ -127,8 +127,9 @@ def cross_validate(
             fold_log.append(
                 (fold, [pair_key(p) for p in train_pairs], [pair_key(p) for p in test_pairs])
             )
-        for pair in test_pairs:
-            scores[pair_key(pair)] = predict_proba(model, features[pair_key(pair)])
+        fold_scores = predict_proba(model, [features[pair_key(p)] for p in test_pairs])
+        for pair, score in zip(test_pairs, fold_scores.tolist()):
+            scores[pair_key(pair)] = score
     return [ScoredPair(pair=p, score=scores[pair_key(p)]) for p in pairs]
 
 

@@ -20,7 +20,7 @@ order.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -74,6 +74,20 @@ class SplitMix64:
         return sorted(pool[:k])
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``_mix64`` over a uint64 array. Every operand is an explicit ``np.uint64``,
+    so the bits do not depend on numpy's integer promotion rules."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _stream(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)``, as a uint64 array."""
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _mix64_array(steps + np.uint64(seed & _MASK64))
+
+
 @dataclass
 class ForestConfig:
     tree_count: int = 100
@@ -96,12 +110,11 @@ class ForestConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
-    """Flat-arena tree node. feature == -1 marks a leaf; children are arena indices.
-
-    count0/count1 are the training-instance class counts reaching the node.
-    """
+    """One row of a tree's node table. feature == -1 marks a leaf; children are
+    row indices. count0/count1 are the training-instance class counts reaching
+    the node."""
 
     feature: int
     threshold: float
@@ -111,17 +124,45 @@ class TreeNode:
     count1: int
 
 
-@dataclass
-class DecisionTree:
-    nodes: list[TreeNode] = field(default_factory=list)
+_COLUMNS = ("feature", "threshold", "left", "right", "count0", "count1")
 
-    def leaf_fraction(self, x: Sequence[float]) -> float:
-        """Positive-class fraction of the leaf that x falls into."""
-        node = self.nodes[0]
-        while node.feature != -1:
-            node = self.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-        total = node.count0 + node.count1
-        return node.count1 / total if total else 0.0
+
+class DecisionTree:
+    """A tree stored as parallel node arrays; row 0 is the root."""
+
+    def __init__(self, feature, threshold, left, right, count0, count1):
+        self.feature = np.asarray(feature, dtype=np.int64)
+        self.threshold = np.asarray(threshold, dtype=np.float64)
+        self.left = np.asarray(left, dtype=np.int64)
+        self.right = np.asarray(right, dtype=np.int64)
+        self.count0 = np.asarray(count0, dtype=np.int64)
+        self.count1 = np.asarray(count1, dtype=np.int64)
+
+    @classmethod
+    def from_nodes(cls, nodes: Sequence) -> DecisionTree:
+        """Build from TreeNodes or rows of (feature, threshold, left, right, count0, count1)."""
+        rows = [astuple(n) if isinstance(n, TreeNode) else n for n in nodes]
+        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
+
+    @property
+    def nodes(self) -> list[TreeNode]:
+        """The node table as read-only rows."""
+        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _COLUMNS))]
+
+    def leaf_fractions(self, X: np.ndarray) -> np.ndarray:
+        """Positive-class fraction of the leaf each row of X falls into."""
+        node = np.zeros(len(X), dtype=np.int64)
+        rows = np.arange(len(X))
+        while True:
+            feature = self.feature[node]
+            inner = feature != -1
+            if not inner.any():
+                break
+            go_left = X[rows, np.where(inner, feature, 0)] <= self.threshold[node]
+            node = np.where(inner, np.where(go_left, self.left[node], self.right[node]), node)
+        count1 = self.count1[node]
+        total = self.count0[node] + count1
+        return np.divide(count1, total, out=np.zeros(len(X)), where=total > 0)
 
 
 @dataclass
@@ -184,14 +225,14 @@ def _best_split(X: np.ndarray, y: np.ndarray, feats: list[int], min_leaf: int):
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, rng: SplitMix64, config: ForestConfig) -> DecisionTree:
-    tree = DecisionTree()
+    nodes: list[list] = []  # rows of (feature, threshold, left, right, count0, count1)
 
     def grow(index_set: np.ndarray, depth: int) -> int:
         ys = y[index_set]
         count1 = int(ys.sum())
         count0 = len(ys) - count1
-        node_id = len(tree.nodes)
-        tree.nodes.append(TreeNode(-1, 0.0, -1, -1, count0, count1))
+        node_id = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, count0, count1])
 
         if count0 == 0 or count1 == 0:
             return node_id
@@ -207,15 +248,13 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, rng: SplitMix64, config: ForestConf
 
         _, feature, threshold = best
         mask = X[index_set, feature] <= threshold
-        node = tree.nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = grow(index_set[mask], depth + 1)
-        node.right = grow(index_set[~mask], depth + 1)
+        left = grow(index_set[mask], depth + 1)
+        right = grow(index_set[~mask], depth + 1)
+        nodes[node_id][:4] = [feature, threshold, left, right]
         return node_id
 
     grow(np.arange(len(y)), 0)
-    return tree
+    return DecisionTree.from_nodes(nodes)
 
 
 def _to_matrix(data, row_ids):
@@ -269,20 +308,41 @@ def train(
     n = len(y)
     trees = []
     for tree_index in range(config.tree_count):
-        rng = SplitMix64(derive_seed(config.seed, tree_index))
-        bootstrap = np.asarray([rng.randbelow(n) for _ in range(n)], dtype=np.int64)
+        tree_seed = derive_seed(config.seed, tree_index)
+        bootstrap = (_stream(tree_seed, n) % np.uint64(n)).astype(np.int64)
+        rng = SplitMix64(tree_seed + n * _GOLDEN)  # the stream after the n draws
         trees.append(_grow_tree(X[bootstrap], y[bootstrap], rng, config))
     return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
 
 
-def predict_proba(model: ForestModel, x) -> float:
-    """Positive-class probability: mean over trees of the leaf positive fraction."""
+def _as_rows(x) -> np.ndarray:
     if isinstance(x, FeatureVector):
-        x = x.as_row()
-    return sum(tree.leaf_fraction(x) for tree in model.trees) / len(model.trees)
+        return np.asarray([x.as_row()], dtype=np.float64)
+    rows = np.asarray(
+        [r.as_row() if isinstance(r, FeatureVector) else r for r in x], dtype=np.float64
+    )
+    return rows if rows.ndim == 2 else rows[None, :]
+
+
+def predict_proba(model: ForestModel, x):
+    """Positive-class probability: mean over trees of the leaf positive fraction.
+
+    ``x`` is one row (a FeatureVector or a sequence of values), which gives a
+    float, or a 2-D batch of rows, which gives one probability per row. The
+    fractions are summed in tree order, so a row's score does not depend on
+    the batch it is scored in.
+    """
+    rows = _as_rows(x)
+    total = np.zeros(len(rows))
+    for tree in model.trees:
+        total += tree.leaf_fractions(rows)
+    proba = total / len(model.trees)
+    single = isinstance(x, FeatureVector) or np.ndim(x) == 1
+    return float(proba[0]) if single else proba
 
 
 def predict(model: ForestModel, x) -> int:
+    """Class of one row: 1 when its positive-class probability is at least 0.5."""
     return 1 if predict_proba(model, x) >= 0.5 else 0
 
 
@@ -292,10 +352,7 @@ def model_to_dict(model: ForestModel) -> dict:
         "config": asdict(model.config),
         "feature_names": list(model.feature_names),
         "trees": [
-            [
-                [n.feature, n.threshold, n.left, n.right, n.count0, n.count1]
-                for n in tree.nodes
-            ]
+            [list(row) for row in zip(*(getattr(tree, c).tolist() for c in _COLUMNS))]
             for tree in model.trees
         ],
     }
@@ -303,10 +360,7 @@ def model_to_dict(model: ForestModel) -> dict:
 
 def model_from_dict(data: dict) -> ForestModel:
     config = ForestConfig(**data["config"])
-    trees = [
-        DecisionTree([TreeNode(f, t, l, r, c0, c1) for f, t, l, r, c0, c1 in nodes])
-        for nodes in data["trees"]
-    ]
+    trees = [DecisionTree.from_nodes(nodes) for nodes in data["trees"]]
     return ForestModel(trees=trees, config=config, feature_names=list(data["feature_names"]))
 
 

@@ -13,6 +13,7 @@ from citegauge.forest import (
     ForestModel,
     SplitMix64,
     TreeNode,
+    _stream,
     derive_seed,
     load_model,
     model_from_dict,
@@ -133,7 +134,7 @@ class TestRootSplitOracle:
 
 class TestPredictProba:
     def _leaf_tree(self, count0, count1):
-        return DecisionTree([TreeNode(-1, 0.0, -1, -1, count0, count1)])
+        return DecisionTree.from_nodes([TreeNode(-1, 0.0, -1, -1, count0, count1)])
 
     def test_pure_negative_leaf(self):
         model = ForestModel(
@@ -148,6 +149,26 @@ class TestPredictProba:
             feature_names=["f1"],
         )
         assert predict_proba(model, (0.0,)) == pytest.approx(0.5)
+
+    def test_batch_equals_per_row_leaf_walk(self):
+        model = train(SEPARABLE, ForestConfig(tree_count=40, seed=12))
+        rng = random.Random(4)
+        queries = [(rng.uniform(-1, 15), rng.random(), rng.random()) for _ in range(60)]
+        queries += [row for row, _ in SEPARABLE]
+
+        def walk(tree, row):
+            node = tree.nodes[0]
+            while node.feature != -1:
+                node = tree.nodes[node.left if row[node.feature] <= node.threshold else node.right]
+            return node.count1 / (node.count0 + node.count1)
+
+        batch = predict_proba(model, queries)
+        for row, got in zip(queries, batch.tolist()):
+            total = 0.0
+            for tree in model.trees:  # tree order, one addition at a time
+                total += walk(tree, row)
+            assert got == total / len(model.trees)
+            assert predict_proba(model, row) == got
 
     def test_training_point_consistency(self):
         model = train(SEPARABLE, ForestConfig(tree_count=50, seed=5))
@@ -257,6 +278,11 @@ class TestSplitMix64:
             picked = rng.choose(2, 3)
             assert picked == sorted(set(picked))
             assert len(picked) == 2
+
+    def test_vectorised_stream_matches_scalar(self):
+        for seed in (0, 1, 123, 2**63 - 1, 2**63, 2**64 - 1, derive_seed(42, 7)):
+            scalar = SplitMix64(seed)
+            assert _stream(seed, 50).tolist() == [scalar.next_u64() for _ in range(50)]
 
     def test_derive_seed_varies_by_index(self):
         seeds = {derive_seed(42, i) for i in range(100)}
