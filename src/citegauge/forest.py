@@ -10,11 +10,21 @@ exists:
     output  = z XOR (z >> 31)
 
 Bounded draws use plain modulo (bias is negligible for the tiny ranges used
-here and keeps the sequence portable). Each tree owns an independent stream
-seeded from the master seed and the tree index, so parallel training is
-bit-identical to sequential training. When row ids are supplied, training rows
-are canonicalized by sorting on them, making the model invariant to input row
-order.
+here and keeps the sequence portable). Tree t draws from
+``SplitMix64(tree_seed)`` with ``tree_seed = derive_seed(seed, t)``: its first
+n outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
+seeds the root. Every node has its own
+seed: its children's are ``derive_seed(node_seed, 0)`` (left) and
+``derive_seed(node_seed, 1)`` (right), and it scores the features
+``SplitMix64(node_seed).choose(k, d)``. No draw depends on the order nodes or
+trees are grown in, so trees grow level by level, a batch of trees at a time,
+with the frontier of every tree in the batch advanced by the same array
+operations. When row ids are supplied, training rows are canonicalized by
+sorting on them, making the model invariant to input row order.
+
+Each tree is a node table of parallel arrays, numbered breadth first from the
+root at row 0. Prediction walks all rows of a batch down one tree at a time
+and sums the leaf fractions in tree order.
 """
 
 from __future__ import annotations
@@ -34,6 +44,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 # Splits must strictly reduce Gini impurity; this guards against fp noise.
 _MIN_GAIN = 1e-12
+
+# Trees grown together. It bounds the grower's working memory; the trees do
+# not depend on it.
+_BATCH_TREES = 5
 
 
 def _mix64(z: int) -> int:
@@ -82,10 +96,22 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _stream(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` outputs of ``SplitMix64(seed)``, as a uint64 array."""
+def _streams(seeds: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed)`` for each uint64 seed,
+    one row per seed. Column i is also ``derive_seed(seed, i)``."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
-    return _mix64_array(steps + np.uint64(seed & _MASK64))
+    return _mix64_array(seeds[:, None] + steps)
+
+
+def _choose_many(seeds: np.ndarray, k: int, n: int) -> np.ndarray:
+    """``SplitMix64(seed).choose(k, n)`` for each seed, one sorted row per seed."""
+    draws = _streams(seeds, k)
+    rows = np.arange(len(seeds))
+    pool = np.zeros((len(seeds), 1), dtype=np.int64) + np.arange(n)
+    for i in range(k):
+        j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
+        pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
+    return np.sort(pool[:, :k], axis=1)
 
 
 @dataclass
@@ -172,89 +198,130 @@ class ForestModel:
     feature_names: list[str]
 
 
-def _gini(count0: int, count1: int) -> float:
+def _gini(count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
     n = count0 + count1
-    if n == 0:
-        return 0.0
-    p0, p1 = count0 / n, count1 / n
-    return 1.0 - (p0 * p0 + p1 * p1)
+    return 1.0 - ((count0 / n) ** 2 + (count1 / n) ** 2)
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feats: list[int], min_leaf: int):
-    """Best (gain, feature, threshold) over the sampled features.
+def _best_splits(Xb, yb, order, starts, sizes, count1, feats, min_leaf):
+    """Best (gain, feature, left size, threshold) of each node.
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values. Ties resolve to the lowest feature index, then lowest threshold:
-    features arrive sorted, candidates are scanned in ascending-threshold
-    order, and only strictly better gains replace the incumbent.
+    Node i owns positions ``starts[i]:starts[i] + sizes[i]`` of every row order
+    in ``order`` (one per feature, the node's rows sorted by that feature), and
+    only the features ``feats[i]`` (ascending) are scored. Candidate thresholds
+    are midpoints between consecutive distinct values. Ties resolve to the
+    lowest feature, then the lowest threshold. A node without a valid cut gets
+    gain -inf.
     """
-    n = len(y)
-    total1 = int(y.sum())
-    total0 = n - total1
-    parent = _gini(total0, total1)
+    nodes, k = feats.shape
+    positions = order.shape[1]
+    # Segment j * nodes + i holds node i's rows sorted by its j-th sampled feature.
+    segment = np.repeat(np.arange(k * nodes), sizes[np.arange(k * nodes) % nodes])
+    seg_starts = (starts + positions * np.arange(k)[:, None]).ravel()
+    node = segment % nodes
+    feature = feats.T.ravel()[segment]
+    at = np.arange(k * positions)
+    rows = order[feature, at % positions]
+    values = Xb[rows, feature]
+    labels = yb[rows]
 
-    best = None  # (gain, feature, threshold)
-    for feat in feats:
-        values = X[:, feat]
-        order = np.argsort(values, kind="mergesort")
-        sv = values[order]
-        sy = y[order]
-        cuts = np.nonzero(sv[:-1] < sv[1:])[0]
-        if cuts.size == 0:
-            continue
-        left_n = cuts + 1
-        right_n = n - left_n
-        keep = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not keep.any():
-            continue
-        cuts, left_n, right_n = cuts[keep], left_n[keep], right_n[keep]
-        left1 = np.cumsum(sy)[cuts]
-        left0 = left_n - left1
-        right1 = total1 - left1
-        right0 = right_n - right1
-        gini_left = 1.0 - ((left0 / left_n) ** 2 + (left1 / left_n) ** 2)
-        gini_right = 1.0 - ((right0 / right_n) ** 2 + (right1 / right_n) ** 2)
-        weighted = (left_n * gini_left + right_n * gini_right) / n
-        gains = parent - weighted
-        pick = int(np.argmax(gains))  # first max: lowest threshold among ties
-        gain = float(gains[pick])
-        if gain > _MIN_GAIN and (best is None or gain > best[0]):
-            cut = cuts[pick]
-            best = (gain, feat, float((sv[cut] + sv[cut + 1]) / 2.0))
-    return best
+    left_n = at - seg_starts[segment] + 1
+    right_n = sizes[node] - left_n
+    valid = (left_n >= min_leaf) & (right_n >= min_leaf)  # never a segment's last row
+    valid[:-1] &= values[:-1] < values[1:]
+    before = np.cumsum(labels) - labels  # positives before each position
+    left1 = before - before[seg_starts][segment] + labels
+
+    at, node = at[valid], node[valid]
+    ln, rn, l1 = left_n[valid], right_n[valid], left1[valid]
+    r1 = count1[node] - l1
+    weighted = (ln * _gini(ln - l1, l1) + rn * _gini(rn - r1, r1)) / sizes[node]
+    gains = np.full(k * positions, -np.inf)
+    gains[at] = _gini(sizes - count1, count1)[node] - weighted
+
+    top = np.maximum.reduceat(gains, seg_starts)
+    first = np.where(gains == top[segment], np.arange(k * positions), k * positions)
+    cut = np.minimum.reduceat(first, seg_starts)
+    pick = np.argmax(top.reshape(k, nodes), axis=0) * nodes + np.arange(nodes)
+    cut = cut[pick]
+    threshold = (values[cut] + values[cut + 1]) / 2.0  # a node has at least 2 rows
+    return top[pick], feats.T.ravel()[pick], cut - seg_starts[pick] + 1, threshold
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, rng: SplitMix64, config: ForestConfig) -> DecisionTree:
-    nodes: list[list] = []  # rows of (feature, threshold, left, right, count0, count1)
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int], config: ForestConfig
+) -> list[DecisionTree]:
+    """Grow one tree per seed, level by level, advancing all their frontiers at
+    once; the seeds are derived as the module docstring says. Nodes are
+    numbered breadth first within each tree."""
+    n, d = X.shape
+    trees = len(tree_seeds)
+    draws = _streams(np.asarray(tree_seeds, dtype=np.uint64), n + 1)
+    boot = (draws[:, :n] % np.uint64(n)).astype(np.int64).ravel()
+    Xb, yb = X[boot], y[boot]  # batch rows t*n ... t*n + n - 1 are tree t's
+    # order[f]: batch rows grouped by frontier node, sorted by feature f within each
+    offsets = (np.arange(trees) * n)[:, None]
+    order = np.stack([
+        (np.argsort(Xb[:, f].reshape(trees, n), axis=1, kind="stable") + offsets).ravel()
+        for f in range(d)
+    ])
+    go_right = np.zeros(len(boot), dtype=bool)
 
-    def grow(index_set: np.ndarray, depth: int) -> int:
-        ys = y[index_set]
-        count1 = int(ys.sum())
-        count0 = len(ys) - count1
-        node_id = len(nodes)
-        nodes.append([-1, 0.0, -1, -1, count0, count1])
+    tree_of, seeds, sizes = np.arange(trees), draws[:, n], np.full(trees, n)
+    levels = []  # per level: the node columns, with children as batch-wide ids
+    next_id, depth = 0, 0
+    while len(sizes):
+        starts = np.cumsum(sizes) - sizes
+        count1 = np.add.reduceat(yb[order[0]], starts)
+        split_feature, split_threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
+        left, right = np.full(len(sizes), -1), np.full(len(sizes), -1)
+        levels.append(
+            (tree_of, split_feature, split_threshold, left, right, sizes - count1, count1)
+        )
+        next_id += len(sizes)
 
-        if count0 == 0 or count1 == 0:
-            return node_id
+        grow = (count1 > 0) & (count1 < sizes) & (sizes >= 2 * config.min_leaf)
         if config.max_depth is not None and depth >= config.max_depth:
-            return node_id
-        if len(index_set) < 2 * config.min_leaf:
-            return node_id
+            grow[:] = False
+        order = order[:, np.repeat(grow, sizes)]
+        ids, tree_of, seeds, sizes = np.nonzero(grow)[0], tree_of[grow], seeds[grow], sizes[grow]
+        if not len(sizes):
+            break
+        starts = np.cumsum(sizes) - sizes
+        feats = _choose_many(seeds, config.features_per_split, d)
+        gain, feature, left_n, threshold = _best_splits(
+            Xb, yb, order, starts, sizes, count1[grow], feats, config.min_leaf
+        )
+        split = gain > _MIN_GAIN
+        children = next_id + 2 * np.arange(np.count_nonzero(split))
+        at = ids[split]
+        split_feature[at], split_threshold[at] = feature[split], threshold[split]
+        left[at], right[at] = children, children + 1
 
-        feats = rng.choose(config.features_per_split, X.shape[1])
-        best = _best_split(X[index_set], ys, feats, config.min_leaf)
-        if best is None:
-            return node_id
+        # Regroup every row order stably into the children: each split node's
+        # left rows, then its right rows.
+        node = np.repeat(np.arange(len(sizes)), sizes)
+        rows = order[0]
+        go_right[rows] = Xb[rows, feature[node]] > threshold[node]
+        keep = split[node]
+        kept = order[:, keep]
+        child = 2 * (np.cumsum(split) - 1)[node[keep]] + go_right[kept]
+        child += 2 * len(sizes) * np.arange(d)[:, None]  # keep the features apart
+        order = kept.ravel()[np.argsort(child.ravel(), kind="stable")].reshape(d, -1)
+        sizes = np.column_stack([left_n[split], sizes[split] - left_n[split]]).ravel()
+        seeds = _streams(seeds[split], 2).ravel()
+        tree_of = np.repeat(tree_of[split], 2)
+        depth += 1
 
-        _, feature, threshold = best
-        mask = X[index_set, feature] <= threshold
-        left = grow(index_set[mask], depth + 1)
-        right = grow(index_set[~mask], depth + 1)
-        nodes[node_id][:4] = [feature, threshold, left, right]
-        return node_id
-
-    grow(np.arange(len(y)), 0)
-    return DecisionTree.from_nodes(nodes)
+    tree, feature, threshold, left, right, count0, count1 = map(np.concatenate, zip(*levels))
+    by_tree = np.argsort(tree, kind="stable")  # breadth first within each tree
+    counts = np.bincount(tree, minlength=trees)
+    local = np.empty(len(tree), dtype=np.int64)
+    local[by_tree] = np.arange(len(tree)) - (np.cumsum(counts) - counts)[tree[by_tree]]
+    left, right = (np.where(c >= 0, local[c], -1) for c in (left, right))
+    columns = (np.split(c[by_tree], np.cumsum(counts)[:-1])
+               for c in (feature, threshold, left, right, count0, count1))
+    return [DecisionTree(*arrays) for arrays in zip(*columns)]
 
 
 def _to_matrix(data, row_ids):
@@ -285,9 +352,10 @@ def train(
 
     Each tree trains on an n-sized bootstrap sample drawn with replacement from
     its own splitmix64 stream (seeded from config.seed and the tree index);
-    node splits minimize Gini impurity over features_per_split randomly sampled
-    features. Fully deterministic given the seed; supplying row_ids makes the
-    model independent of input row order.
+    node splits minimize Gini impurity over features_per_split features sampled
+    with the node's own seed (see the module docstring). Fully deterministic
+    given the seed; supplying row_ids makes the model independent of input row
+    order.
     """
     if not data:
         raise TrainingError("training data is empty")
@@ -305,13 +373,10 @@ def train(
         order = sorted(range(len(data)), key=lambda i: row_ids[i])
         X, y = X[order], y[order]
 
-    n = len(y)
+    seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
     trees = []
-    for tree_index in range(config.tree_count):
-        tree_seed = derive_seed(config.seed, tree_index)
-        bootstrap = (_stream(tree_seed, n) % np.uint64(n)).astype(np.int64)
-        rng = SplitMix64(tree_seed + n * _GOLDEN)  # the stream after the n draws
-        trees.append(_grow_tree(X[bootstrap], y[bootstrap], rng, config))
+    for first in range(0, len(seeds), _BATCH_TREES):
+        trees += _grow_trees(X, y, seeds[first : first + _BATCH_TREES], config)
     return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
 
 

@@ -2,8 +2,10 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
+from citegauge import forest
 from citegauge.errors import ConfigurationError, TrainingError
 from citegauge.features import FeatureVector
 from oracles import brute_force_best_split
@@ -13,7 +15,8 @@ from citegauge.forest import (
     ForestModel,
     SplitMix64,
     TreeNode,
-    _stream,
+    _choose_many,
+    _streams,
     derive_seed,
     load_model,
     model_from_dict,
@@ -130,6 +133,89 @@ class TestRootSplitOracle:
         else:
             assert root.feature == want[1]
             assert root.threshold == pytest.approx(want[2], abs=1e-12)
+
+
+class TestEveryNodeOracle:
+    """Every node of every tree against exhaustive enumeration, with the node's
+    rows and sampled features recomputed from the documented seed derivation."""
+
+    def _data(self, seed, size=40):
+        rng = random.Random(seed)
+        data = []
+        for _ in range(size):
+            f1 = float(rng.randint(0, 6))
+            f4 = round(rng.random(), 2)
+            f9 = rng.random()
+            label = int((f1 >= 3) != (f9 > 0.75))
+            data.append(((f1, f4, f9), label))
+        if len({label for _, label in data}) < 2:
+            data[0] = (data[0][0], 1 - data[0][1])
+        return data
+
+    def _check_tree(self, tree, data, tree_seed, config):
+        n = len(data)
+        stream = SplitMix64(tree_seed)
+        boot = [stream.randbelow(n) for _ in range(n)]
+        X = [data[i][0] for i in boot]
+        y = [data[i][1] for i in boot]
+        nodes = tree.nodes
+        pending = [(0, list(range(n)), stream.next_u64(), 0)]  # node, rows, seed, depth
+        seen = 0
+        while pending:
+            index, rows, seed, depth = pending.pop()
+            node = nodes[index]
+            seen += 1
+            labels = [y[r] for r in rows]
+            assert (node.count0, node.count1) == (labels.count(0), labels.count(1))
+            feats = SplitMix64(seed).choose(config.features_per_split, len(X[0]))
+            splittable = (
+                0 < sum(labels) < len(labels)
+                and len(rows) >= 2 * config.min_leaf
+                and (config.max_depth is None or depth < config.max_depth)
+            )
+            want = None
+            if splittable:
+                want = brute_force_best_split(
+                    [[X[r][f] for f in feats] for r in rows], labels, config.min_leaf
+                )
+            if want is None:
+                assert node.feature == -1
+                continue
+            assert node.feature == feats[want[1]]
+            assert node.threshold == want[2]
+            left = [r for r in rows if X[r][node.feature] <= node.threshold]
+            right = [r for r in rows if X[r][node.feature] > node.threshold]
+            pending.append((node.left, left, derive_seed(seed, 0), depth + 1))
+            pending.append((node.right, right, derive_seed(seed, 1), depth + 1))
+        assert seen == len(nodes)
+
+    @pytest.mark.parametrize(
+        "seed, features_per_split, min_leaf, max_depth",
+        [(1, 2, 1, None), (2, 1, 1, None), (3, 2, 2, None), (4, 3, 1, 3), (5, 2, 3, 4)],
+    )
+    def test_every_node_matches_enumeration(self, seed, features_per_split, min_leaf, max_depth):
+        data = self._data(seed)
+        config = ForestConfig(
+            tree_count=7, features_per_split=features_per_split, min_leaf=min_leaf,
+            max_depth=max_depth, seed=seed,
+        )
+        model = train(data, config)
+        for index, tree in enumerate(model.trees):
+            self._check_tree(tree, data, derive_seed(seed, index), config)
+
+    @pytest.mark.parametrize("batch", [1, 3, 64])
+    def test_model_independent_of_batch_size(self, batch, monkeypatch):
+        data = self._data(9, size=60)
+        config = ForestConfig(tree_count=11, seed=9)
+        default = model_to_dict(train(data, config))
+        monkeypatch.setattr(forest, "_BATCH_TREES", batch)
+        assert model_to_dict(train(data, config)) == default
+
+    def test_vectorised_choose_matches_scalar(self):
+        seeds = [derive_seed(77, i) for i in range(40)] + [0, 2**64 - 1]
+        for k, d in [(1, 1), (1, 3), (2, 3), (3, 3), (3, 8), (5, 6)]:
+            got = _choose_many(np.array(seeds, dtype=np.uint64), k, d).tolist()
+            assert got == [SplitMix64(seed).choose(k, d) for seed in seeds]
 
 
 class TestPredictProba:
@@ -280,9 +366,11 @@ class TestSplitMix64:
             assert len(picked) == 2
 
     def test_vectorised_stream_matches_scalar(self):
-        for seed in (0, 1, 123, 2**63 - 1, 2**63, 2**64 - 1, derive_seed(42, 7)):
+        seeds = [0, 1, 123, 2**63 - 1, 2**63, 2**64 - 1, derive_seed(42, 7)]
+        rows = _streams(np.array(seeds, dtype=np.uint64), 50).tolist()
+        for seed, row in zip(seeds, rows):
             scalar = SplitMix64(seed)
-            assert _stream(seed, 50).tolist() == [scalar.next_u64() for _ in range(50)]
+            assert row == [scalar.next_u64() for _ in range(50)]
 
     def test_derive_seed_varies_by_index(self):
         seeds = {derive_seed(42, i) for i in range(100)}
