@@ -420,7 +420,8 @@ def analyze_citations(
 
     The target entry is the bibliography entry with the best match score; every
     detected marker linked to a best-scoring entry counts, provided the best
-    score reaches the threshold. Failures degrade to count 0 with a warning.
+    score reaches the threshold. Failures degrade to count 0 with a warning,
+    returned in the analysis and logged at DEBUG level.
     ``index`` (``citing``'s) and ``keys`` (``cited``'s) may be passed prebuilt
     by a caller that scores many pairs; each is built here when absent.
     """
@@ -428,7 +429,7 @@ def analyze_citations(
         index = index_citing_paper(citing)
     if not index.entries:
         warning = f"{citing.id}: bibliography unparseable, direct-citation count forced to 0"
-        logger.warning(warning)
+        logger.debug(warning)
         return CitationAnalysis(0, 0.0, [], [], [], False, [warning])
 
     if keys is None:
@@ -440,7 +441,7 @@ def analyze_citations(
             f"{citing.id} -> {cited.id}: no bibliography entry matches the cited paper "
             f"(best score {best_score:.3f})"
         )
-        logger.warning(warning)
+        logger.debug(warning)
         return CitationAnalysis(
             0, best_score, [], index.citations, index.unresolved, True, [warning]
         )

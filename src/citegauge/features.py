@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -156,7 +157,8 @@ def compute_feature_matrix(
     that index, and the index is dropped before the next paper is indexed, so
     memory holds one index at a time. Rows and warnings keep the input pair
     order. Pairs that fail extraction are excluded and reported in the
-    warnings list.
+    warnings list. One WARNING log line counts the pairs with problems by
+    reason; the per-pair detail is logged at DEBUG level.
     """
     if tfidf is None:
         tfidf = fit_corpus_tfidf(corpus)
@@ -170,6 +172,7 @@ def compute_feature_matrix(
         return citeparse.cited_keys(corpus[paper_id])
 
     results: list = [None] * len(pairs)
+    reasons: Counter[str] = Counter()  # pairs per problem
 
     def score_citing_paper(citing_id: str, positions: list[int]) -> None:
         # The index lives in this frame only, so it is freed on return.
@@ -179,13 +182,19 @@ def compute_feature_matrix(
             pair = pairs[position]
             cited = corpus.get(pair.cited_id)
             if citing is None or cited is None:
+                reasons["missing record"] += 1
                 results[position] = None, [_note(pair, "extraction-error", "missing record")]
                 continue
             analysis = analyze_citations(
                 citing, cited, threshold=match_threshold, index=index, keys=match_keys(cited.id)
             )
+            if not analysis.bibliography_parsed:
+                reasons["unparseable bibliography"] += 1
+            elif analysis.warnings:
+                reasons["no matching bibliography entry"] += 1
             notes = [_note(pair, "warning", w) for w in analysis.warnings]
             if analysis.unresolved:
+                reasons["unresolved markers"] += 1
                 detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
                 notes.append(_note(pair, "unresolved-markers", detail))
             f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
@@ -197,6 +206,9 @@ def compute_feature_matrix(
         by_citing.setdefault(pair.citing_id, []).append(position)
     for citing_id, positions in by_citing.items():
         score_citing_paper(citing_id, positions)
+    if reasons:
+        summary = ", ".join(f"{reason}: {count}" for reason, count in sorted(reasons.items()))
+        logger.warning("feature extraction problems by pair count (of %d): %s", len(pairs), summary)
 
     rows: list[tuple[CitationPair, FeatureVector]] = []
     warnings: list[dict] = []

@@ -1,3 +1,4 @@
+import logging
 import math
 import random
 
@@ -270,6 +271,35 @@ class TestFeatureMatrixOracle:
         rows, warnings = compute_feature_matrix(corpus, pairs)
         assert len(rows) == 1
         assert any(w["type"] == "extraction-error" for w in warnings)
+
+
+    def test_problems_logged_once_counted_by_reason(self, caplog):
+        corpus = make_corpus(*all_papers())
+        pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        pairs.append(CitationPair("c01", "ghost", 0))
+        with caplog.at_level(logging.DEBUG, logger="citegauge"):
+            _, warnings = compute_feature_matrix(corpus, pairs)
+
+        loud = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert [r.name for r in loud] == ["citegauge.features"]
+        message = loud[0].getMessage()
+        assert f"(of {len(pairs)})" in message
+        for reason, count in [
+            ("missing record", 1),
+            ("no matching bibliography entry", 2),  # c01 and c04 -> p-aux
+            ("unparseable bibliography", 2),  # c09's two pairs
+            ("unresolved markers", 1),  # c02 -> p-target
+        ]:
+            assert f"{reason}: {count}" in message
+        detail = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert sorted(detail) == sorted(w["detail"] for w in warnings if w["type"] == "warning")
+
+    def test_no_problem_no_warning_log(self, caplog):
+        corpus = make_corpus(*all_papers())
+        with caplog.at_level(logging.DEBUG, logger="citegauge"):
+            rows, warnings = compute_feature_matrix(corpus, [CitationPair("c01", TARGET_ID, 1)])
+        assert len(rows) == 1 and warnings == []
+        assert caplog.records == []
 
 
 def _per_pair_reference(corpus, pairs):
