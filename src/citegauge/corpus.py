@@ -225,15 +225,18 @@ def load_pairs(
     """Load labeled citation pairs from a TSV file against a loaded corpus.
 
     Rows referencing ids absent from the corpus, malformed rows, and rows with
-    labels outside {0, 1} are reported and dropped. The returned stats reflect
-    raw label counts of the kept pairs, before any abstract filtering.
+    labels outside {0, 1} are reported and dropped. A (citing, cited) pair on
+    more than one row keeps its first row when every row has the same label
+    and loses all its rows when the labels conflict; each dropped row is
+    reported. Issues come in line order. The returned stats reflect raw label
+    counts of the kept pairs, before any abstract filtering.
     """
     pairs_path = Path(path)
     if not pairs_path.is_file():
         raise DataError(f"pairs file not readable: {pairs_path}")
 
-    pairs: list[CitationPair] = []
-    issues: list[LoadIssue] = []
+    rows: list[tuple[int, CitationPair]] = []
+    problems: list[tuple[int, str]] = []  # (line number, message)
     first_data_row = True
     for lineno, line in enumerate(pairs_path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
@@ -244,22 +247,41 @@ def load_pairs(
             continue
         first_data_row = False
         if len(cols) != 3 or not cols[0] or not cols[1]:
-            issues.append(LoadIssue(f"line {lineno}", f"malformed row: {line!r}"))
+            problems.append((lineno, f"malformed row: {line!r}"))
             continue
         citing_id, cited_id, label_text = cols
         if not _looks_numeric(label_text) or int(label_text) not in (0, 1):
-            issues.append(LoadIssue(f"line {lineno}", f"label outside {{0,1}}: {label_text!r}"))
+            problems.append((lineno, f"label outside {{0,1}}: {label_text!r}"))
             continue
         if citing_id == cited_id:
-            issues.append(LoadIssue(f"line {lineno}", f"self-pair rejected: {citing_id}"))
+            problems.append((lineno, f"self-pair rejected: {citing_id}"))
             continue
         missing = [p for p in (citing_id, cited_id) if p not in corpus]
         if missing:
-            issues.append(
-                LoadIssue(f"line {lineno}", f"dropped pair with unknown id(s): {', '.join(missing)}")
-            )
+            problems.append((lineno, f"dropped pair with unknown id(s): {', '.join(missing)}"))
             continue
-        pairs.append(CitationPair(citing_id, cited_id, int(label_text)))
+        rows.append((lineno, CitationPair(citing_id, cited_id, int(label_text))))
+
+    lines: dict[tuple[str, str], list[int]] = {}
+    labels: dict[tuple[str, str], set[int]] = {}
+    for lineno, pair in rows:
+        lines.setdefault(pair_key(pair), []).append(lineno)
+        labels.setdefault(pair_key(pair), set()).add(pair.label)
+    pairs: list[CitationPair] = []
+    for lineno, pair in rows:
+        key = pair_key(pair)
+        where = ", ".join(str(n) for n in lines[key])
+        if len(labels[key]) > 1:
+            problems.append(
+                (lineno, f"conflicting labels for {key[0]} -> {key[1]} on lines {where}: dropped")
+            )
+        elif lineno != lines[key][0]:
+            problems.append(
+                (lineno, f"duplicate of line {lines[key][0]} dropped: {key[0]} -> {key[1]}")
+            )
+        else:
+            pairs.append(pair)
+    issues = [LoadIssue(f"line {lineno}", message) for lineno, message in sorted(problems)]
 
     influential = sum(p.label for p in pairs)
     stats = CorpusStats(

@@ -163,6 +163,25 @@ class TestLoadPairs:
         with pytest.raises(DataError):
             load_pairs(tmp_path / "nope.tsv", _pair_corpus())
 
+    def test_exact_repeat_kept_once_and_reported(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("A\tB\t1\nA\tD\t0\nA\tB\t1\nA\tB\t1\nB\tA\t1\n", encoding="utf-8")
+        pairs, stats, issues = load_pairs(f, _pair_corpus())
+        assert pairs == [CitationPair("A", "B", 1), CitationPair("A", "D", 0), CitationPair("B", "A", 1)]
+        assert (stats.total_pairs, stats.influential_count) == (3, 2)
+        assert [i.source for i in issues] == ["line 3", "line 4"]
+        assert all("duplicate" in i.message and "line 1" in i.message for i in issues)
+
+    def test_conflicting_labels_drop_every_row_of_the_key(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("A\tB\t1\nA\tD\t0\nA\tB\t0\nBAD\nA\tB\t1\n", encoding="utf-8")
+        pairs, stats, issues = load_pairs(f, _pair_corpus())
+        assert pairs == [CitationPair("A", "D", 0)]
+        assert (stats.total_pairs, stats.influential_count) == (1, 0)
+        assert [i.source for i in issues] == ["line 1", "line 3", "line 4", "line 5"]
+        conflicts = [i for i in issues if i.source != "line 4"]
+        assert all("conflicting labels" in i.message for i in conflicts)
+
     def test_stats_arithmetic(self, tmp_path):
         f = tmp_path / "p.tsv"
         f.write_text("A\tB\t1\nB\tA\t0\nA\tD\t0\nD\tB\t1\n", encoding="utf-8")
