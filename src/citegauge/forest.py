@@ -13,14 +13,14 @@ Bounded draws use plain modulo (bias is negligible for the tiny ranges used
 here and keeps the sequence portable). Tree t draws from
 ``SplitMix64(tree_seed)`` with ``tree_seed = derive_seed(seed, t)``: its first
 n outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
-seeds the root. Every node has its own
-seed: its children's are ``derive_seed(node_seed, 0)`` (left) and
-``derive_seed(node_seed, 1)`` (right), and it scores the features
-``SplitMix64(node_seed).choose(k, d)``. No draw depends on the order nodes or
-trees are grown in, so trees grow level by level, a batch of trees at a time,
-with the frontier of every tree in the batch advanced by the same array
-operations. When row ids are supplied, training rows are canonicalized by
-sorting on them, making the model invariant to input row order.
+seeds the root. Every node has its own seed: its children's are
+``derive_seed(node_seed, 0)`` (left) and ``derive_seed(node_seed, 1)``
+(right), and it scores the features ``SplitMix64(node_seed).choose(k, d)``.
+No draw depends on the order nodes or trees are grown in, so trees grow level
+by level, a batch of trees at a time, with the frontier of every tree in the
+batch advanced by the same array operations. When row ids are supplied,
+training rows are canonicalized by sorting on them, making the model invariant
+to input row order.
 
 Each tree is a node table of parallel arrays, numbered breadth first from the
 root at row 0. Prediction walks all rows of a batch down one tree at a time
@@ -150,30 +150,33 @@ class TreeNode:
     count1: int
 
 
-_COLUMNS = ("feature", "threshold", "left", "right", "count0", "count1")
+_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+           "right": np.int64, "count0": np.int64, "count1": np.int64}
 
 
+@dataclass(eq=False)
 class DecisionTree:
-    """A tree stored as parallel node arrays; row 0 is the root."""
+    """A tree stored as parallel node arrays, one per TreeNode field; row 0 is
+    the root."""
 
-    def __init__(self, feature, threshold, left, right, count0, count1):
-        self.feature = np.asarray(feature, dtype=np.int64)
-        self.threshold = np.asarray(threshold, dtype=np.float64)
-        self.left = np.asarray(left, dtype=np.int64)
-        self.right = np.asarray(right, dtype=np.int64)
-        self.count0 = np.asarray(count0, dtype=np.int64)
-        self.count1 = np.asarray(count1, dtype=np.int64)
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    count0: np.ndarray
+    count1: np.ndarray
 
     @classmethod
     def from_nodes(cls, nodes: Sequence) -> DecisionTree:
         """Build from TreeNodes or rows of (feature, threshold, left, right, count0, count1)."""
         rows = [astuple(n) if isinstance(n, TreeNode) else n for n in nodes]
-        return cls(*(zip(*rows) if rows else [()] * len(_COLUMNS)))
+        columns = zip(*rows) if rows else [()] * len(_DTYPES)
+        return cls(*(np.asarray(c, dtype=t) for c, t in zip(columns, _DTYPES.values())))
 
     @property
     def nodes(self) -> list[TreeNode]:
         """The node table as read-only rows."""
-        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _COLUMNS))]
+        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _DTYPES))]
 
     def leaf_fractions(self, X: np.ndarray) -> np.ndarray:
         """Positive-class fraction of the leaf each row of X falls into."""
@@ -380,15 +383,6 @@ def train(
     return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
 
 
-def _as_rows(x) -> np.ndarray:
-    if isinstance(x, FeatureVector):
-        return np.asarray([x.as_row()], dtype=np.float64)
-    rows = np.asarray(
-        [r.as_row() if isinstance(r, FeatureVector) else r for r in x], dtype=np.float64
-    )
-    return rows if rows.ndim == 2 else rows[None, :]
-
-
 def predict_proba(model: ForestModel, x):
     """Positive-class probability: mean over trees of the leaf positive fraction.
 
@@ -397,13 +391,15 @@ def predict_proba(model: ForestModel, x):
     fractions are summed in tree order, so a row's score does not depend on
     the batch it is scored in.
     """
-    rows = _as_rows(x)
-    total = np.zeros(len(rows))
+    if isinstance(x, FeatureVector):
+        x = x.as_row()
+    rows = np.asarray(x, dtype=np.float64)
+    batch = np.atleast_2d(rows)
+    total = np.zeros(len(batch))
     for tree in model.trees:
-        total += tree.leaf_fractions(rows)
+        total += tree.leaf_fractions(batch)
     proba = total / len(model.trees)
-    single = isinstance(x, FeatureVector) or np.ndim(x) == 1
-    return float(proba[0]) if single else proba
+    return float(proba[0]) if rows.ndim == 1 else proba
 
 
 def predict(model: ForestModel, x) -> int:
@@ -417,7 +413,10 @@ def model_to_dict(model: ForestModel) -> dict:
         "config": asdict(model.config),
         "feature_names": list(model.feature_names),
         "trees": [
-            [list(row) for row in zip(*(getattr(tree, c).tolist() for c in _COLUMNS))]
+            [
+                [n.feature, n.threshold, n.left, n.right, n.count0, n.count1]
+                for n in tree.nodes
+            ]
             for tree in model.trees
         ],
     }
