@@ -270,8 +270,8 @@ def load_pairs(
     pairs: list[CitationPair] = []
     for lineno, pair in rows:
         key = pair_key(pair)
-        where = ", ".join(str(n) for n in lines[key])
         if len(labels[key]) > 1:
+            where = ", ".join(str(n) for n in lines[key])
             problems.append(
                 (lineno, f"conflicting labels for {key[0]} -> {key[1]} on lines {where}: dropped")
             )
