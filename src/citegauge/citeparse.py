@@ -50,11 +50,19 @@ _PAREN_SEG_RE = re.compile(
 )
 
 # Narrative author-year: "Smith (2010)", "Smith and Lee (2011)", "Smith et al. (2012)".
-_NARRATIVE_RE = re.compile(
-    rf"\b({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
-    rf"(?:,?\s+et\s+al\.?)?"
-    rf"\s*\(\s*((?:1[89]|20)\d{{2}})[a-z]?\s*\)",
-    re.DOTALL,
+# The names contain no parenthesis, so a marker ends at the first "(year)"
+# after its start. The scan finds those year anchors first, then matches the
+# names backwards from each anchor's "(" over the reversed text, where a name
+# reads "[\w'’\-]+" then a letter with no word character after it (the
+# forward "\b"). Trying "et al.", then the second name, then the longest first
+# name finds the longest reversed match, which is the regex's leftmost start.
+# No pattern part can cross a parenthesis, and each of the few alternatives
+# walks each character a bounded number of times, so the scan is linear.
+_YEAR_ANCHOR_RE = re.compile(r"\(\s*((?:1[89]|20)\d{2})[a-z]?\s*\)")
+_NARRATIVE_NAMES_REVERSED_RE = re.compile(
+    r"\s*(?:\.?la\s+te\s+,?)?"
+    r"(?:([\w'’\-]+[^\W\d_])\s+(?:dna|&)(?:\s*,\s*|\s+))?"
+    r"([\w'’\-]+[^\W\d_])(?!\w)"
 )
 
 # Capitalized tokens that are never surnames in author position.
@@ -176,10 +184,8 @@ def segment_references(body: str) -> tuple[str, list[str]]:
 
 def _split_entries(block: str) -> list[str]:
     lines = block.splitlines()
-    while lines and not lines[0].strip():
-        lines.pop(0)
-    while lines and not lines[-1].strip():
-        lines.pop()
+    filled = [i for i, ln in enumerate(lines) if ln.strip()]
+    lines = lines[filled[0] : filled[-1] + 1] if filled else []
     bracket_starts = [i for i, ln in enumerate(lines) if _BRACKET_KEY_RE.match(ln)]
     dotted_starts = [i for i, ln in enumerate(lines) if _DOTTED_KEY_RE.match(ln)]
 
@@ -231,9 +237,11 @@ def _author_segment(text: str) -> str:
     if year:
         return text[: year.start()]
     for match in re.finditer(r"\.", text):
-        before = text[: match.start()].rstrip()
-        last_word = before.split()[-1] if before.split() else ""
-        if len(last_word) == 1 and last_word.isalpha():
+        # Step back over the whitespace before this period to the word before it.
+        end = match.start()
+        while end and text[end - 1].isspace():
+            end -= 1
+        if end and text[end - 1].isalpha() and (end == 1 or text[end - 2].isspace()):
             continue  # initial like "J."
         return text[: match.start()]
     return ""
@@ -291,10 +299,9 @@ def _entry_score(
 
 
 def _link_author_year(
-    entries: list[BibliographyEntry], name1: str, name2: str | None, year: int
+    same_year: list[BibliographyEntry], name1: str, name2: str | None
 ) -> BibliographyEntry | None:
     first = fold(name1)
-    same_year = [e for e in entries if e.year == year]
     candidates = [e for e in same_year if e.first_author == first] or [
         e for e in same_year if first in e.surnames
     ]
@@ -305,6 +312,28 @@ def _link_author_year(
     if not candidates:
         return None
     return min(candidates, key=lambda e: e.index)
+
+
+def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
+    """Narrative author-year markers as (offset, marker, name1, name2, year), in
+    text order; name2 is None for a one-name marker. Names are not case-checked."""
+    reversed_text = text[::-1]
+    markers = []
+    for anchor in _YEAR_ANCHOR_RE.finditer(text):
+        names = _NARRATIVE_NAMES_REVERSED_RE.match(reversed_text, len(text) - anchor.start())
+        if names:
+            start = len(text) - names.end()
+            name2 = names.group(1)
+            markers.append(
+                (
+                    start,
+                    text[start : anchor.end()],
+                    names.group(2)[::-1],
+                    name2[::-1] if name2 else None,
+                    anchor.group(1),
+                )
+            )
+    return markers
 
 
 def find_in_text_citations(
@@ -353,10 +382,19 @@ def find_in_text_citations(
                 )
             )
 
+    by_year: dict[int, list[BibliographyEntry]] = {}
+    for entry in entries:
+        if entry.year is not None:
+            by_year.setdefault(entry.year, []).append(entry)
+    links: dict[tuple[str, str | None, int], BibliographyEntry | None] = {}
+
     def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, year: str):
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
-        entry = _link_author_year(entries, name1, name2, int(year))
+        key = (name1, name2, int(year))
+        if key not in links:
+            links[key] = _link_author_year(by_year.get(key[2], []), name1, name2)
+        entry = links[key]
         if entry is None:
             unresolved.append(
                 UnresolvedMarker(offset, marker, f"no entry for {name1} {year}")
@@ -377,10 +415,8 @@ def find_in_text_citations(
                 )
             seg_start += len(segment) + 1
 
-    for match in _NARRATIVE_RE.finditer(main_text):
-        handle_author_year(
-            match.start(), match.group(0), match.group(1), match.group(2), match.group(3)
-        )
+    for marker in narrative_markers(main_text):
+        handle_author_year(*marker)
 
     citations.sort(key=lambda c: (c.offset, c.entry_index))
     unresolved.sort(key=lambda u: (u.offset, u.marker))

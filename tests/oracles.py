@@ -5,6 +5,7 @@ unicodedata) so a shared bug cannot hide.
 """
 
 import math
+import re
 import unicodedata
 from collections import Counter
 
@@ -78,3 +79,64 @@ def brute_force_best_split(X, y, min_leaf=1):
             if gain > 1e-12 and (best is None or gain > best[0]):
                 best = (gain, feature, threshold)
     return best
+
+
+# The narrative author-year regex the package used before its year-anchored
+# scan. It tries a name match at every word boundary, so it takes quadratic
+# time on long runs of name-like text: keep its inputs short.
+_NAME = r"[^\W\d_][\w'’\-]+"
+_NARRATIVE_RE = re.compile(
+    rf"\b({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
+    rf"(?:,?\s+et\s+al\.?)?"
+    rf"\s*\(\s*((?:1[89]|20)\d{{2}})[a-z]?\s*\)",
+    re.DOTALL,
+)
+
+
+def oracle_narrative_markers(text):
+    """(offset, marker, name1, name2, year) of every narrative marker, by regex."""
+    return [
+        (m.start(), m.group(0), m.group(1), m.group(2), m.group(3))
+        for m in _NARRATIVE_RE.finditer(text)
+    ]
+
+
+_YEAR_RE = re.compile(r"(?<!\d)(1[89]\d{2}|20\d{2}|2100)(?!\d)")
+
+
+def oracle_author_segment(text):
+    """Author prefix of a bibliography entry: before the year, else before the
+    first period not ending a one-letter word. Re-splits the prefix per period."""
+    year = _YEAR_RE.search(text)
+    if year:
+        return text[: year.start()]
+    for match in re.finditer(r"\.", text):
+        before = text[: match.start()].rstrip()
+        last_word = before.split()[-1] if before.split() else ""
+        if len(last_word) == 1 and last_word.isalpha():
+            continue
+        return text[: match.start()]
+    return ""
+
+
+def oracle_link_author_year(entries, name1, name2, year):
+    """Entry an author-year marker links to, by a scan of every entry.
+
+    Same-year entries whose first surname folds to name1 win; failing those,
+    entries with name1 anywhere among their surnames. name2, when given,
+    narrows the candidates if any of them has it. The lowest index wins.
+    """
+
+    def fold(text):
+        decomposed = unicodedata.normalize("NFKD", text)
+        return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
+
+    first = fold(name1)
+    same_year = [e for e in entries if e.year == year]
+    candidates = [
+        e for e in same_year if e.surname_tokens and fold(e.surname_tokens[0]) == first
+    ] or [e for e in same_year if first in {fold(t) for t in e.surname_tokens}]
+    if name2:
+        narrowed = [e for e in candidates if fold(name2) in {fold(t) for t in e.surname_tokens}]
+        candidates = narrowed or candidates
+    return min(candidates, key=lambda e: e.index) if candidates else None

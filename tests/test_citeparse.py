@@ -1,19 +1,24 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from citegauge import citeparse
 from citegauge.citeparse import (
     BibliographyEntry,
     analyze_citations,
     count_direct_citations,
     find_in_text_citations,
     match_entry_to_paper,
+    narrative_markers,
     parse_bib_entry,
     paper_bibliography,
     segment_references,
 )
 
 from conftest import make_paper
+from oracles import oracle_author_segment, oracle_link_author_year, oracle_narrative_markers
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
     aux_paper,
@@ -334,3 +339,146 @@ class TestParsingProperties:
             hi = rng.randint(lo, n)
             cites, _ = find_in_text_citations(f"Ranges [{lo}-{hi}] expand.", entries)
             assert [c.entry_index for c in cites] == list(range(lo, hi + 1))
+
+
+# Pieces of narrative-marker text: names in both cases, joiners, "et al.",
+# hyphen, apostrophe, underscore and digit prefixes, whitespace, and year
+# parentheses (with suffix letters, inner whitespace and newlines, out of range).
+_NARRATIVE_PIECES = (
+    "Smith", "smith", "Lee", "Wong", "O'Neil", "D’Arcy", "Zoë", "Ab", "a", "X",
+    "and", "&", "et", "al", "al.", "et al.", ", et al.", "and Lee",
+    " ", "  ", "\n", "\t", ",", ".", ";", "-", "'", "’", "_", "3",
+    "3-Smith", "'Smith", "_Smith", "2Smith", "Ab-Ab-",
+    "(", ")", "[1]", "2010", "(2010)", "( 2011a )", "(\n1999\n)", "(2010b)", "(1850)",
+    "(2100)", "(2010) (2011)",
+)  # fmt: skip
+_narrative_text = st.lists(
+    st.sampled_from(_NARRATIVE_PIECES) | st.text(max_size=2), max_size=30
+).map("".join)
+
+
+class TestNarrativeScan:
+    @settings(max_examples=400, deadline=None)
+    @given(_narrative_text)
+    def test_same_markers_as_regex_oracle(self, text):
+        assert narrative_markers(text) == oracle_narrative_markers(text)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            # A lowercase name still consumes the anchor; no later start is tried.
+            ("smith and Lee (2010)", [(0, "smith and Lee (2010)", "smith", "Lee", "2010")]),
+            ("x a-Smith (2010)", [(2, "a-Smith (2010)", "a-Smith", None, "2010")]),
+            # Starts inside a hyphen or apostrophe run.
+            ("see 3-Smith (2010)", [(6, "Smith (2010)", "Smith", None, "2010")]),
+            ("'Smith (2010)", [(1, "Smith (2010)", "Smith", None, "2010")]),
+            # "_" or a digit right before a letter leaves no word boundary.
+            ("_Smith (2010)", []),
+            ("2Smith (2010)", []),
+            ("Smith and Lee and Wong (2011)", [(10, "Lee and Wong (2011)", "Lee", "Wong", "2011")]),
+            ("Smith, et al. (2012)", [(0, "Smith, et al. (2012)", "Smith", None, "2012")]),
+            ("Smith ( \n2010b\n )", [(0, "Smith ( \n2010b\n )", "Smith", None, "2010")]),
+            ("Smith (2010) (2011)", [(0, "Smith (2010)", "Smith", None, "2010")]),
+        ],
+    )
+    def test_marker_shapes(self, text, expected):
+        assert narrative_markers(text) == expected == oracle_narrative_markers(text)
+
+    def test_lowercase_name_links_nothing(self):
+        entries = _entries("Lee, K. 2010. A paper.", "Smith, J. 2010. Another.")
+        for text in ("smith and Lee (2010)", "x a-Smith (2010)"):
+            assert find_in_text_citations(text, entries) == ([], [])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(st.sampled_from(["Smith", "Lee", "Wong", "Zoë", "Ab"]), max_size=3),
+                st.sampled_from([2010, 2011, 2012]),
+            ),
+            max_size=6,
+        ),
+        st.randoms(use_true_random=False),
+        _narrative_text,
+    )
+    def test_links_match_a_scan_of_every_entry(self, bib, rng, text):
+        entries = [
+            parse_bib_entry(f"{', '.join(names)}. {year}. Work.", i)
+            for i, (names, year) in enumerate(bib, start=1)
+        ]
+        rng.shuffle(entries)  # the tie-break is the lowest index, not list order
+        expected_cites, expected_unresolved = [], []
+        for offset, marker, name1, name2, year in oracle_narrative_markers(text):
+            if not name1[0].isupper() or (name2 and not name2[0].isupper()):
+                continue
+            entry = oracle_link_author_year(entries, name1, name2, int(year))
+            if entry is None:
+                expected_unresolved.append((offset, marker))
+            else:
+                expected_cites.append((offset, marker, entry.index))
+        # Only narrative markers end in ")"; numeric and parenthetical ones do not.
+        cites, unresolved = find_in_text_citations(text, entries)
+        narrative = [(c.offset, c.marker, c.entry_index) for c in cites if c.marker.endswith(")")]
+        assert narrative == expected_cites
+        assert [(u.offset, u.marker) for u in unresolved if u.marker.endswith(")")] == (
+            expected_unresolved
+        )
+
+
+_AUTHOR_PIECES = (
+    "A.", "J.", "Smith", "ab", "x", "é", "3", "_", ",", ".", " ", "  ", "\t", "\n",
+    "\u2003", "\x1c", "2010", "1999.", "A. B.", "et al.",
+)  # fmt: skip
+
+
+class TestAuthorSegment:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(_AUTHOR_PIECES) | st.text(max_size=2), max_size=25).map("".join))
+    def test_same_as_resplitting_oracle(self, text):
+        assert citeparse._author_segment(text) == oracle_author_segment(text)
+
+    def test_initials_are_skipped(self):
+        assert citeparse._author_segment("Smith, J. K. Lee. A title") == "Smith, J. K. Lee"
+
+
+# Parsing must run in time linear in the input. Each case times one input and
+# one four times as long (best of three calls each): quadratic time would take
+# 16 times as long, and the absolute ceiling catches a blow-up on a slow runner.
+_CEILING_S = 0.5
+
+
+def _best_seconds(call, arg):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        call(arg)
+        best = min(best, time.perf_counter() - start)
+        if best > _CEILING_S:
+            break
+    return best
+
+
+def _assert_linear(call, make_input, n):
+    small = _best_seconds(call, make_input(n))
+    assert small < _CEILING_S
+    large = _best_seconds(call, make_input(4 * n))
+    assert large < _CEILING_S
+    assert large < 8 * small + 0.005, (small, large)
+
+
+class TestLinearTime:
+    @pytest.mark.parametrize("tail", ["", " (2010)", ". (2010)"])
+    def test_marker_scan_on_hyphenated_run(self, tail):
+        # 24 KB and 96 KB of "Ab-Ab-...": a word boundary after every hyphen.
+        _assert_linear(lambda text: find_in_text_citations(text, FIVE), lambda n: "Ab-" * n + tail, 8_000)
+
+    def test_yearless_entry_of_initials(self):
+        # 6 KB and 24 KB entries of "A. A. ...": no year, and every period follows an initial.
+        _assert_linear(lambda raw: parse_bib_entry(raw, 1), lambda n: "A. " * n, 2_000)
+
+    def test_blank_lines_after_heading(self):
+        _assert_linear(
+            segment_references,
+            lambda n: "Body.\nReferences\n" + "\n" * n + "[1] Smith 2010. A paper.\n",
+            50_000,
+        )
