@@ -235,10 +235,15 @@ def load_pairs(
     if not pairs_path.is_file():
         raise DataError(f"pairs file not readable: {pairs_path}")
 
+    try:
+        text = pairs_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"pairs file is not UTF-8 text: {pairs_path}: {exc}") from exc
+
     rows: list[tuple[int, CitationPair]] = []
     problems: list[tuple[int, str]] = []  # (line number, message)
     first_data_row = True
-    for lineno, line in enumerate(pairs_path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         cols = [c.strip() for c in line.split("\t")]

@@ -163,6 +163,12 @@ class TestLoadPairs:
         with pytest.raises(DataError):
             load_pairs(tmp_path / "nope.tsv", _pair_corpus())
 
+    def test_non_utf8_file_is_a_data_error(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_bytes("A\tB\t1\nA\tD\t0\n".encode("utf-16"))
+        with pytest.raises(DataError, match="UTF-8"):
+            load_pairs(f, _pair_corpus())
+
     def test_exact_repeat_kept_once_and_reported(self, tmp_path):
         f = tmp_path / "p.tsv"
         f.write_text("A\tB\t1\nA\tD\t0\nA\tB\t1\nA\tB\t1\nB\tA\t1\n", encoding="utf-8")
