@@ -314,6 +314,31 @@ def _link_author_year(
     return min(candidates, key=lambda e: e.index)
 
 
+def _numeric_links(
+    marker: str, by_key: dict[int, BibliographyEntry]
+) -> tuple[list[int], list[int]]:
+    """(linked entry indices, keys with no entry) of one numeric marker, in marker
+    order; a descending range "[5-2]" counts as its first key, missing."""
+    linked: list[int] = []
+    missing: list[int] = []
+    for item in _RANGE_ITEM_RE.finditer(marker):
+        if item.group(3) is not None:
+            keys = [int(item.group(3))]
+        else:
+            lo, hi = int(item.group(1)), int(item.group(2))
+            if lo > hi:
+                missing.append(lo)
+                continue
+            keys = range(lo, hi + 1)
+        for key in keys:
+            entry = by_key.get(key)
+            if entry is None:
+                missing.append(key)
+            else:
+                linked.append(entry.index)
+    return linked, missing
+
+
 def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
     """Narrative author-year markers as (offset, marker, name1, name2, year), in
     text order; name2 is None for a one-name marker. Names are not case-checked."""
@@ -356,29 +381,17 @@ def find_in_text_citations(
         if entry.numeric_key is not None:
             by_key.setdefault(entry.numeric_key, entry)
 
+    numeric: dict[str, tuple[list[int], list[int]]] = {}
     for match in _NUM_MARKER_RE.finditer(main_text):
-        missing: list[int] = []
-        for item in _RANGE_ITEM_RE.finditer(match.group(0)):
-            if item.group(3) is not None:
-                keys = [int(item.group(3))]
-            else:
-                lo, hi = int(item.group(1)), int(item.group(2))
-                if lo > hi:
-                    missing.append(lo)
-                    continue
-                keys = list(range(lo, hi + 1))
-            for key in keys:
-                entry = by_key.get(key)
-                if entry is None:
-                    missing.append(key)
-                else:
-                    citations.append(InTextCitation(match.start(), match.group(0), entry.index))
+        offset, marker = match.start(), match.group(0)
+        if marker not in numeric:
+            numeric[marker] = _numeric_links(marker, by_key)
+        linked, missing = numeric[marker]
+        citations += [InTextCitation(offset, marker, index) for index in linked]
         if missing:
             unresolved.append(
                 UnresolvedMarker(
-                    match.start(),
-                    match.group(0),
-                    f"no entry for key(s) {', '.join(map(str, missing))}",
+                    offset, marker, f"no entry for key(s) {', '.join(map(str, missing))}"
                 )
             )
 

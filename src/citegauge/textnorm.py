@@ -16,6 +16,8 @@ _PARTICLES = frozenset(
 
 def fold(text: str) -> str:
     """Lowercase and strip diacritics (NFKD decomposition, combining marks removed)."""
+    if text.isascii():
+        return text.lower()  # ASCII has no decompositions and no combining marks
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
 

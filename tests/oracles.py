@@ -119,6 +119,12 @@ def oracle_author_segment(text):
     return ""
 
 
+def oracle_fold(text):
+    """Lowercase with diacritics stripped, by NFKD decomposition for every input."""
+    decomposed = unicodedata.normalize("NFKD", text)
+    return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
+
+
 def oracle_link_author_year(entries, name1, name2, year):
     """Entry an author-year marker links to, by a scan of every entry.
 
@@ -127,16 +133,15 @@ def oracle_link_author_year(entries, name1, name2, year):
     narrows the candidates if any of them has it. The lowest index wins.
     """
 
-    def fold(text):
-        decomposed = unicodedata.normalize("NFKD", text)
-        return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
+    def surnames(entry):
+        return [oracle_fold(t) for t in entry.surname_tokens]
 
-    first = fold(name1)
+    first = oracle_fold(name1)
     same_year = [e for e in entries if e.year == year]
-    candidates = [
-        e for e in same_year if e.surname_tokens and fold(e.surname_tokens[0]) == first
-    ] or [e for e in same_year if first in {fold(t) for t in e.surname_tokens}]
+    candidates = [e for e in same_year if surnames(e)[:1] == [first]] or [
+        e for e in same_year if first in surnames(e)
+    ]
     if name2:
-        narrowed = [e for e in candidates if fold(name2) in {fold(t) for t in e.surname_tokens}]
+        narrowed = [e for e in candidates if oracle_fold(name2) in surnames(e)]
         candidates = narrowed or candidates
     return min(candidates, key=lambda e: e.index) if candidates else None

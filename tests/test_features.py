@@ -9,6 +9,7 @@ from citegauge import citeparse
 from citegauge.citeparse import analyze_citations
 from citegauge.corpus import CitationPair
 from citegauge.errors import ConfigurationError, DataError
+from citegauge.textnorm import fold
 from citegauge.features import (
     FeatureVector,
     author_overlap,
@@ -22,7 +23,7 @@ from citegauge.features import (
 )
 
 from conftest import make_corpus, make_paper
-from oracles import oracle_author_jaccard, oracle_tfidf_vector
+from oracles import oracle_author_jaccard, oracle_fold, oracle_tfidf_vector
 from fixture_corpus import EXPECTED_TARGET_COUNTS, all_papers, PAIR_ROWS, TARGET_ID
 
 
@@ -38,6 +39,16 @@ class TestTokenize:
 
     def test_no_stopword_removal(self):
         assert "the" in tokenize("the model")
+
+
+class TestFold:
+    def test_examples(self):
+        assert [fold(s) for s in ("Smith", "Zoë", "MUÑOZ", "ﬁne")] == ["smith", "zoe", "munoz", "fine"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=12) | st.text(st.characters(max_codepoint=127), max_size=12))
+    def test_same_as_nfkd_oracle(self, text):
+        assert fold(text) == oracle_fold(text)
 
 
 class TestFitTfidf:
