@@ -348,16 +348,9 @@ def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
         names = _NARRATIVE_NAMES_REVERSED_RE.match(reversed_text, len(text) - anchor.start())
         if names:
             start = len(text) - names.end()
-            name2 = names.group(1)
-            markers.append(
-                (
-                    start,
-                    text[start : anchor.end()],
-                    names.group(2)[::-1],
-                    name2[::-1] if name2 else None,
-                    anchor.group(1),
-                )
-            )
+            marker = text[start : anchor.end()]
+            name2 = names.group(1)[::-1] if names.group(1) else None
+            markers.append((start, marker, names.group(2)[::-1], name2, anchor.group(1)))
     return markers
 
 

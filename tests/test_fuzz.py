@@ -63,7 +63,7 @@ _cell = st.sampled_from(_IDS + ("0", "1", "2", "-1", "label", "", " 1 ", "1.0", 
 _line = st.lists(_cell, max_size=4).map("\t".join)
 _pairs_bytes = st.lists(_line, max_size=8).flatmap(
     lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(lambda end: end.join(lines))
-).map(lambda text: text.encode("utf-8", "surrogatepass")) | st.binary(max_size=40)
+).map(str.encode) | st.binary(max_size=40)
 
 
 @_FUZZ
