@@ -206,8 +206,8 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def _feature_rows(config: RunConfig, corpus, valid_pairs):
-    # config.threads is validated and echoed but not used: features run in one
-    # thread, holding one citing paper's index at a time.
+    # Features run in one process, holding one citing paper's index at a time;
+    # config.threads only sets the training workers of evaluate.
     return features_mod.compute_feature_matrix(corpus, valid_pairs, f4_mode=config.f4_mode)
 
 
@@ -249,6 +249,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         single_feature_mode=config.single_feature_mode,
         stats=stats,
         config_echo={name: getattr(config, name) for name in _CONFIG_FIELDS},
+        workers=config.threads,
     )
 
     out = _out_dir(config)

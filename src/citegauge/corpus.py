@@ -224,12 +224,13 @@ def load_pairs(
 ) -> tuple[list[CitationPair], CorpusStats, list[LoadIssue]]:
     """Load labeled citation pairs from a TSV file against a loaded corpus.
 
-    Rows referencing ids absent from the corpus, malformed rows, and rows with
-    labels outside {0, 1} are reported and dropped. A (citing, cited) pair on
-    more than one row keeps its first row when every row has the same label
-    and loses all its rows when the labels conflict; each dropped row is
-    reported. Issues come in line order. The returned stats reflect raw label
-    counts of the kept pairs, before any abstract filtering.
+    Rows referencing ids absent from the corpus, malformed rows, and rows whose
+    stripped label cell is not exactly "0" or "1" are reported and dropped. A
+    (citing, cited) pair on more than one row keeps its first row when every
+    row has the same label and loses all its rows when the labels conflict;
+    each dropped row is reported. Issues come in line order. The returned
+    stats reflect raw label counts of the kept pairs, before any abstract
+    filtering.
     """
     pairs_path = Path(path)
     if not pairs_path.is_file():
@@ -255,7 +256,7 @@ def load_pairs(
             problems.append((lineno, f"malformed row: {line!r}"))
             continue
         citing_id, cited_id, label_text = cols
-        if not _looks_numeric(label_text) or int(label_text) not in (0, 1):
+        if label_text not in ("0", "1"):
             problems.append((lineno, f"label outside {{0,1}}: {label_text!r}"))
             continue
         if citing_id == cited_id:

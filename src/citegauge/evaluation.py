@@ -13,12 +13,12 @@ import csv
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
@@ -92,12 +92,14 @@ def cross_validate(
     seed: int,
     feature_names: Sequence[str] = FEATURE_NAMES,
     fold_log: list | None = None,
+    pool=None,
 ) -> list[ScoredPair]:
     """Stratified k-fold cross-validation: each fold is scored by a forest
     trained on the other k-1 folds. Returns one ScoredPair per input pair, in
     input order. Per-fold model seeds derive from ``seed`` and the fold index.
 
     ``fold_log``, when given, collects (fold, train_keys, test_keys) tuples.
+    ``pool`` is passed on to ``train``.
     """
     for pair in pairs:
         if pair_key(pair) not in features:
@@ -122,6 +124,7 @@ def cross_validate(
             fold_config,
             row_ids=[pair_key(p) for p in train_pairs],
             feature_names=feature_names,
+            pool=pool,
         )
         if fold_log is not None:
             fold_log.append(
@@ -184,6 +187,8 @@ def pearson(values: Sequence[float], labels: Sequence[int]) -> CorrelationResult
     if 1.0 - r * r < 1e-15:
         p_value = 0.0
     else:
+        from scipy.special import betainc  # deferred: scipy doubles the package's import time
+
         t_sq = r * r * dof / (1.0 - r * r)
         p_value = float(betainc(dof / 2.0, 0.5, dof / (dof + t_sq)))
     return CorrelationResult(r=r, p_value=p_value, n=n)
@@ -276,25 +281,43 @@ def run_evaluation(
     single_feature_mode: str = "direct_rank",
     stats: CorpusStats | None = None,
     config_echo: dict | None = None,
+    workers: int = 1,
 ) -> EvaluationReport:
     """Cross-validate the all-features forest, rank each single feature, and
     build the report. single_feature_mode "forest" scores each feature with its
-    own one-feature cross-validated forest instead of the raw value ranking."""
+    own one-feature cross-validated forest instead of the raw value ranking.
+
+    With ``workers`` above 1 (capped at the usable CPUs), every forest grows
+    its trees on one pool of forked processes, opened here and reaped before
+    the report is built; the report does not depend on ``workers``."""
     if single_feature_mode not in ("direct_rank", "forest"):
         raise ConfigurationError(f"unknown single-feature mode: {single_feature_mode!r}")
 
-    scored_sets: dict[str, Sequence[ScoredPair]] = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        if single_feature_mode == "direct_rank":
-            scored_sets[name] = direct_rank_scores(pairs, features, j)
-        else:
-            projected = {key: (row[j],) for key, row in features.items()}
-            single_config = replace(forest_config, features_per_split=1)
-            scored_sets[name] = cross_validate(
-                pairs, projected, single_config, k, derive_seed(seed, 2000 + j),
-                feature_names=(name,),
-            )
-    scored_sets[FEATURE_SET_ALL] = cross_validate(pairs, features, forest_config, k, seed)
+    workers = min(workers, len(os.sched_getaffinity(0))) if workers > 1 else 1
+    pool = None
+    if workers > 1:
+        import multiprocessing  # deferred: the serial path never needs it
+
+        pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        scored_sets: dict[str, Sequence[ScoredPair]] = {}
+        for j, name in enumerate(FEATURE_NAMES):
+            if single_feature_mode == "direct_rank":
+                scored_sets[name] = direct_rank_scores(pairs, features, j)
+            else:
+                projected = {key: (row[j],) for key, row in features.items()}
+                single_config = replace(forest_config, features_per_split=1)
+                scored_sets[name] = cross_validate(
+                    pairs, projected, single_config, k, derive_seed(seed, 2000 + j),
+                    feature_names=(name,), pool=pool,
+                )
+        scored_sets[FEATURE_SET_ALL] = cross_validate(
+            pairs, features, forest_config, k, seed, pool=pool
+        )
+    finally:
+        if pool is not None:
+            pool.terminate()  # idle unless an error cut a map short
+            pool.join()
 
     return build_report(
         pairs,

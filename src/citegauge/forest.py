@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -327,6 +328,22 @@ def _grow_trees(
     return [DecisionTree(*arrays) for arrays in zip(*columns)]
 
 
+def _grow_range(X, y, tree_seeds, config):
+    """Grow one tree per seed, ``_BATCH_TREES`` at a time. Top level, so a
+    process pool can run it on one contiguous range of a forest's seeds."""
+    # The grower frees many mid-size temporaries at once. glibc malloc returns
+    # a freed heap top above its trim threshold (128 KiB at start) to the
+    # system, and the next batch faults the pages in again: about 70 000 minor
+    # faults, 0.1 s of the 1.4 s CV of a 465-pair `evaluate`. Freeing one
+    # untouched block above the mmap threshold raises both thresholds (mmap to
+    # the block's size, trim to twice that) for the rest of the process.
+    np.empty(1 << 20, dtype=np.uint8)
+    trees = []
+    for first in range(0, len(tree_seeds), _BATCH_TREES):
+        trees += _grow_trees(X, y, tree_seeds[first : first + _BATCH_TREES], config)
+    return trees
+
+
 def _to_matrix(data, row_ids):
     rows = []
     labels = []
@@ -350,6 +367,7 @@ def train(
     config: ForestConfig,
     row_ids: Sequence | None = None,
     feature_names: Sequence[str] = FEATURE_NAMES,
+    pool=None,
 ) -> ForestModel:
     """Train a bagged forest on (feature vector, label) rows.
 
@@ -359,6 +377,10 @@ def train(
     with the node's own seed (see the module docstring). Fully deterministic
     given the seed; supplying row_ids makes the model independent of input row
     order.
+
+    ``pool``, a ``multiprocessing`` pool, grows the trees on its workers, one
+    contiguous range of tree seeds per worker; the trees come back in seed
+    order, so the model is the same with or without it.
     """
     if not data:
         raise TrainingError("training data is empty")
@@ -377,9 +399,11 @@ def train(
         X, y = X[order], y[order]
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
-    trees = []
-    for first in range(0, len(seeds), _BATCH_TREES):
-        trees += _grow_trees(X, y, seeds[first : first + _BATCH_TREES], config)
+    parts = 1 if pool is None else min(pool._processes, len(seeds))
+    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
+    ranges = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
+    grown = (map if pool is None else pool.map)(partial(_grow_range, X, y, config=config), ranges)
+    trees = [tree for part in grown for tree in part]
     return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
 
 

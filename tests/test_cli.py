@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import citegauge
+from citegauge import forest
 from citegauge.cli import main
+from citegauge.errors import TrainingError
 
 from fixture_corpus import (
     EXPECTED_AUX_COUNTS,
@@ -193,6 +199,49 @@ class TestEvaluateCommand:
             )
         )
         assert code == 0
+
+    @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
+    def test_threads_do_not_change_artifacts(self, tmp_path, mode):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        out = {}
+        for threads in ("1", "2"):
+            out[threads] = tmp_path / f"o{threads}"
+            code = _run(*_evaluate_args(
+                corpus_dir, pairs_file, out[threads], "--threads", threads,
+                "--single-feature-mode", mode,
+            ))
+            assert code == 0
+        for name in ("pr_grid.csv", "correlations.csv", "pr_points.csv"):
+            assert (out["1"] / name).read_bytes() == (out["2"] / name).read_bytes(), name
+        reports = [json.loads((out[t] / "report.json").read_text()) for t in ("1", "2")]
+        assert [r["config"].pop("threads") for r in reports] == [1, 2]
+        assert [r["config"].pop("output_dir") for r in reports] == [str(out["1"]), str(out["2"])]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("error, code", [(TrainingError, 2), (RuntimeError, 3)])
+    def test_worker_error_keeps_the_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+
+        def fail(*args):
+            raise error("grower failed in a worker")
+
+        monkeypatch.setattr(forest, "_grow_trees", fail)  # the pool forks after this
+        args = _evaluate_args(corpus_dir, pairs_file, tmp_path / "out", "--threads", "2")
+        assert _run(*args) == code
+        assert "grower failed in a worker" in capsys.readouterr().err
+
+
+class TestImport:
+    def test_package_import_skips_scipy_and_multiprocessing(self):
+        script = (
+            "import sys, citegauge; "
+            "print(sorted({'scipy', 'multiprocessing'} & set(sys.modules)))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(citegauge.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestConfigFile:

@@ -159,6 +159,24 @@ class TestLoadPairs:
         assert stats.total_pairs == 1
         assert [i.source for i in issues] == ["line 2", "line 3", "line 4"]
 
+    @pytest.mark.parametrize("label", ["0_1", "+1", "01", "١", "-0", "1.0", "00"])
+    def test_label_other_than_exact_0_or_1_is_reported(self, tmp_path, label):
+        f = tmp_path / "p.tsv"
+        f.write_text(f"A\tD\t0\nA\tB\t{label}\nB\tA\t 1 \n", encoding="utf-8")
+        pairs, stats, issues = load_pairs(f, _pair_corpus())
+        assert pairs == [CitationPair("A", "D", 0), CitationPair("B", "A", 1)]
+        assert (stats.total_pairs, stats.influential_count) == (2, 1)
+        assert [(i.source, i.message) for i in issues] == [
+            ("line 2", f"label outside {{0,1}}: {label!r}")
+        ]
+
+    def test_malformed_label_on_first_row_is_not_a_header(self, tmp_path):
+        f = tmp_path / "p.tsv"
+        f.write_text("A\tB\t+1\nA\tD\t0\n", encoding="utf-8")
+        pairs, _, issues = load_pairs(f, _pair_corpus())
+        assert pairs == [CitationPair("A", "D", 0)]
+        assert [i.source for i in issues] == ["line 1"]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_pairs(tmp_path / "nope.tsv", _pair_corpus())

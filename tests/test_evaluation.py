@@ -1,11 +1,12 @@
 import math
+import multiprocessing
 import random
 from collections import Counter
 
 import pytest
 import scipy.stats
 
-from citegauge.corpus import CitationPair, pair_key
+from citegauge.corpus import CitationPair, filter_valid_pairs, load_corpus, load_pairs, pair_key
 from citegauge.errors import ConfigurationError, EvaluationError
 from citegauge.evaluation import (
     ScoredPair,
@@ -16,9 +17,11 @@ from citegauge.evaluation import (
     mean_average_precision,
     pearson,
     pr_curve,
+    report_to_dict,
     run_evaluation,
     stratified_folds,
 )
+from citegauge.features import compute_feature_matrix
 from citegauge.forest import ForestConfig
 
 
@@ -409,6 +412,22 @@ class TestBuildReport:
             single_feature_mode="forest",
         )
         assert set(report.pr_grid) == {"f1", "f4", "f9", "all"}
+
+    @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
+    def test_workers_do_not_change_the_report(self, demo_dataset, mode):
+        corpus = load_corpus(demo_dataset[0])
+        pairs, stats, _ = load_pairs(demo_dataset[1], corpus)
+        rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
+        features = {pair_key(pair): vec.as_row() for pair, vec in rows}
+        reports = [
+            report_to_dict(run_evaluation(
+                [pair for pair, _ in rows], features, ForestConfig(tree_count=12, seed=7),
+                k=3, seed=7, single_feature_mode=mode, workers=workers,
+            ))
+            for workers in (1, 2)
+        ]
+        assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
 
     def test_unknown_mode_rejected(self):
         pairs, features = self._inputs()

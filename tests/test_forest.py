@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import random
 
 import numpy as np
@@ -216,6 +217,39 @@ class TestEveryNodeOracle:
         for k, d in [(1, 1), (1, 3), (2, 3), (3, 3), (3, 8), (5, 6)]:
             got = _choose_many(np.array(seeds, dtype=np.uint64), k, d).tolist()
             assert got == [SplitMix64(seed).choose(k, d) for seed in seeds]
+
+
+@pytest.fixture(scope="module", params=[2, 3])
+def pool(request):
+    with multiprocessing.get_context("fork").Pool(request.param) as workers:
+        yield workers
+
+
+class TestTrainOnPool:
+    def _data(self):
+        rng = random.Random(31)
+        rows = [(float(rng.randint(0, 9)), rng.random(), rng.random()) for _ in range(70)]
+        return [(row, int((row[0] > 4) != (row[2] > 0.8))) for row in rows]
+
+    @pytest.mark.parametrize("trees", [1, 5, 11, 100])
+    def test_node_arrays_equal_serial(self, pool, trees):
+        data = self._data()
+        config = ForestConfig(tree_count=trees, seed=trees)
+        serial = train(data, config).trees
+        pooled = train(data, config, pool=pool).trees
+        assert len(pooled) == trees
+        for a, b in zip(serial, pooled):
+            for column in ("feature", "threshold", "left", "right", "count0", "count1"):
+                assert np.array_equal(getattr(a, column), getattr(b, column))
+
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        def fail(*args):
+            raise TrainingError("grower failed in a worker")
+
+        monkeypatch.setattr(forest, "_grow_trees", fail)
+        with multiprocessing.get_context("fork").Pool(2) as workers:  # forked after the patch
+            with pytest.raises(TrainingError, match="in a worker"):
+                train(self._data(), ForestConfig(tree_count=4, seed=1), pool=workers)
 
 
 class TestPredictProba:
