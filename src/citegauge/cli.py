@@ -14,7 +14,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import citeparse, corpus as corpus_mod, evaluation, features as features_mod
@@ -23,18 +23,9 @@ from .forest import ForestConfig
 
 logger = logging.getLogger(__name__)
 
-_CONFIG_FIELDS = (
-    "corpus_dir",
-    "pairs_file",
-    "seed",
-    "trees",
-    "folds",
-    "recall_levels",
-    "f4_mode",
-    "single_feature_mode",
-    "threads",
-    "output_dir",
-)
+
+def _is_number(value, kinds) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass
@@ -53,6 +44,18 @@ class RunConfig:
     output_dir: str = "citegauge-out"
 
     def validate(self) -> None:
+        for name in ("seed", "trees", "folds", "threads"):
+            if not _is_number(getattr(self, name), int):
+                raise ConfigurationError(f"{name} must be an integer")
+        inputs = ("corpus_dir", "pairs_file")  # may be None; _require_inputs checks them
+        for name in inputs + ("f4_mode", "single_feature_mode", "output_dir"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or value is None and name in inputs):
+                raise ConfigurationError(f"{name} must be a string")
+        if not isinstance(self.recall_levels, list) or not all(
+            _is_number(r, (int, float)) for r in self.recall_levels
+        ):
+            raise ConfigurationError("recall_levels must be a list of numbers")
         if self.folds < 2:
             raise ConfigurationError("--folds must be >= 2")
         if self.trees < 1:
@@ -68,6 +71,9 @@ class RunConfig:
             raise ConfigurationError("recall levels must lie in (0, 1]")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ConfigurationError("recall levels must be strictly increasing")
+
+
+_CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,6 +123,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             loaded = json.loads(config_path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigurationError("config file must hold a JSON object")
         unknown = set(loaded) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -205,19 +213,13 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
-def _feature_rows(config: RunConfig, corpus, valid_pairs):
-    # Features run in one process, holding one citing paper's index at a time;
-    # config.threads only sets the training workers of evaluate.
-    return features_mod.compute_feature_matrix(corpus, valid_pairs, f4_mode=config.f4_mode)
-
-
 def cmd_features(config: RunConfig) -> int:
     _require_inputs(config)
     corpus, _, valid, stats, _ = _load_dataset(config)
     if not valid:
         raise DataError("no pairs survived the abstract filter; nothing to extract")
 
-    rows, warnings = _feature_rows(config, corpus, valid)
+    rows, warnings = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
     if not rows:
         raise DataError("feature extraction failed for every pair")
 
@@ -235,9 +237,9 @@ def cmd_evaluate(config: RunConfig) -> int:
     if not valid:
         raise DataError("no pairs survived the abstract filter; nothing to evaluate")
 
-    rows, _ = _feature_rows(config, corpus, valid)
+    rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
     pairs = [pair for pair, _ in rows]
-    feature_map = {corpus_mod.pair_key(pair): vec.as_row() for pair, vec in rows}
+    feature_map = {corpus_mod.pair_key(pair): vec for pair, vec in rows}
 
     report = evaluation.run_evaluation(
         pairs,
@@ -322,7 +324,11 @@ def cmd_report(report_path: str) -> int:
         raise DataError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DataError("report is not a JSON object")
-    print(_render_report(data))
+    try:
+        rendered = _render_report(data)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed report: {exc!r}") from exc
+    print(rendered)
     return 0
 
 

@@ -9,6 +9,7 @@ time a report is assembled.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -294,12 +295,13 @@ def run_evaluation(
         raise ConfigurationError(f"unknown single-feature mode: {single_feature_mode!r}")
 
     workers = min(workers, len(os.sched_getaffinity(0))) if workers > 1 else 1
-    pool = None
     if workers > 1:
         import multiprocessing  # deferred: the serial path never needs it
 
-        pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
+        opened = multiprocessing.get_context("fork").Pool(workers)
+    else:
+        opened = contextlib.nullcontext()
+    with opened as pool:  # a pool's exit terminates and joins its workers
         scored_sets: dict[str, Sequence[ScoredPair]] = {}
         for j, name in enumerate(FEATURE_NAMES):
             if single_feature_mode == "direct_rank":
@@ -314,10 +316,6 @@ def run_evaluation(
         scored_sets[FEATURE_SET_ALL] = cross_validate(
             pairs, features, forest_config, k, seed, pool=pool
         )
-    finally:
-        if pool is not None:
-            pool.terminate()  # idle unless an error cut a map short
-            pool.join()
 
     return build_report(
         pairs,

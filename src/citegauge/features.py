@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import citeparse
 from .citeparse import DEFAULT_MATCH_THRESHOLD, analyze_citations
@@ -23,14 +23,12 @@ logger = logging.getLogger(__name__)
 FEATURE_NAMES = ("f1", "f4", "f9")
 
 
-@dataclass
-class FeatureVector:
+class FeatureVector(NamedTuple):
+    """One pair's features; being a tuple, it is also the pair's training row."""
+
     f1_direct_count: int
     f4_author_overlap: float
     f9_abstract_sim: float
-
-    def as_row(self) -> tuple[float, float, float]:
-        return (float(self.f1_direct_count), self.f4_author_overlap, self.f9_abstract_sim)
 
 
 @dataclass

@@ -18,7 +18,8 @@ seeds the root. Every node has its own seed: its children's are
 (right), and it scores the features ``SplitMix64(node_seed).choose(k, d)``.
 No draw depends on the order nodes or trees are grown in, so trees grow level
 by level, a batch of trees at a time, with the frontier of every tree in the
-batch advanced by the same array operations. When row ids are supplied,
+batch advanced by the same array operations, and the batches may grow in
+separate worker processes. When row ids are supplied,
 training rows are canonicalized by sorting on them, making the model invariant
 to input row order.
 
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
-from .features import FEATURE_NAMES, FeatureVector
+from .features import FEATURE_NAMES
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -46,8 +47,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Splits must strictly reduce Gini impurity; this guards against fp noise.
 _MIN_GAIN = 1e-12
 
-# Trees grown together. It bounds the grower's working memory; the trees do
-# not depend on it.
+# Trees grown together, and one task when `train` runs on a pool. It bounds
+# the grower's working memory; the trees do not depend on it.
 _BATCH_TREES = 5
 
 
@@ -257,7 +258,15 @@ def _grow_trees(
 ) -> list[DecisionTree]:
     """Grow one tree per seed, level by level, advancing all their frontiers at
     once; the seeds are derived as the module docstring says. Nodes are
-    numbered breadth first within each tree."""
+    numbered breadth first within each tree. Top level, so a process pool can
+    run it on one batch of a forest's seeds."""
+    # The grower frees many mid-size temporaries at once. glibc malloc returns
+    # a freed heap top above its trim threshold (128 KiB at start) to the
+    # system, and the next batch faults the pages in again: about 70 000 minor
+    # faults, 0.1 s of the 1.4 s CV of a 465-pair `evaluate`. Freeing one
+    # untouched block above the mmap threshold raises both thresholds (mmap to
+    # the block's size, trim to twice that) for the rest of the process.
+    np.empty(1 << 20, dtype=np.uint8)
     n, d = X.shape
     trees = len(tree_seeds)
     draws = _streams(np.asarray(tree_seeds, dtype=np.uint64), n + 1)
@@ -328,33 +337,9 @@ def _grow_trees(
     return [DecisionTree(*arrays) for arrays in zip(*columns)]
 
 
-def _grow_range(X, y, tree_seeds, config):
-    """Grow one tree per seed, ``_BATCH_TREES`` at a time. Top level, so a
-    process pool can run it on one contiguous range of a forest's seeds."""
-    # The grower frees many mid-size temporaries at once. glibc malloc returns
-    # a freed heap top above its trim threshold (128 KiB at start) to the
-    # system, and the next batch faults the pages in again: about 70 000 minor
-    # faults, 0.1 s of the 1.4 s CV of a 465-pair `evaluate`. Freeing one
-    # untouched block above the mmap threshold raises both thresholds (mmap to
-    # the block's size, trim to twice that) for the rest of the process.
-    np.empty(1 << 20, dtype=np.uint8)
-    trees = []
-    for first in range(0, len(tree_seeds), _BATCH_TREES):
-        trees += _grow_trees(X, y, tree_seeds[first : first + _BATCH_TREES], config)
-    return trees
-
-
 def _to_matrix(data, row_ids):
-    rows = []
-    labels = []
-    for features, label in data:
-        if isinstance(features, FeatureVector):
-            features = features.as_row()
-        rows.append([float(v) for v in features])
-        labels.append(int(label))
-    X = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-
+    X = np.asarray([features for features, _ in data], dtype=np.float64)
+    y = np.asarray([int(label) for _, label in data], dtype=np.int64)
     if np.isnan(X).any():
         bad = int(np.nonzero(np.isnan(X).any(axis=1))[0][0])
         name = row_ids[bad] if row_ids is not None else f"row {bad}"
@@ -378,9 +363,9 @@ def train(
     given the seed; supplying row_ids makes the model independent of input row
     order.
 
-    ``pool``, a ``multiprocessing`` pool, grows the trees on its workers, one
-    contiguous range of tree seeds per worker; the trees come back in seed
-    order, so the model is the same with or without it.
+    Trees grow ``_BATCH_TREES`` at a time. ``pool``, a ``multiprocessing``
+    pool, grows each batch as one task on its workers; the batches come back
+    in seed order, so the model is the same with or without it.
     """
     if not data:
         raise TrainingError("training data is empty")
@@ -399,24 +384,21 @@ def train(
         X, y = X[order], y[order]
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
-    parts = 1 if pool is None else min(pool._processes, len(seeds))
-    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
-    ranges = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    grown = (map if pool is None else pool.map)(partial(_grow_range, X, y, config=config), ranges)
-    trees = [tree for part in grown for tree in part]
+    batches = [seeds[i : i + _BATCH_TREES] for i in range(0, len(seeds), _BATCH_TREES)]
+    grow = partial(_grow_trees, X, y, config=config)
+    grown = map(grow, batches) if pool is None else pool.map(grow, batches, chunksize=1)
+    trees = [tree for batch in grown for tree in batch]
     return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
 
 
 def predict_proba(model: ForestModel, x):
     """Positive-class probability: mean over trees of the leaf positive fraction.
 
-    ``x`` is one row (a FeatureVector or a sequence of values), which gives a
-    float, or a 2-D batch of rows, which gives one probability per row. The
-    fractions are summed in tree order, so a row's score does not depend on
-    the batch it is scored in.
+    ``x`` is one row (a sequence of values, such as a FeatureVector), which
+    gives a float, or a 2-D batch of rows, which gives one probability per
+    row. The fractions are summed in tree order, so a row's score does not
+    depend on the batch it is scored in.
     """
-    if isinstance(x, FeatureVector):
-        x = x.as_row()
     rows = np.asarray(x, dtype=np.float64)
     batch = np.atleast_2d(rows)
     total = np.zeros(len(batch))

@@ -23,6 +23,17 @@ def make_corpus(*records):
     return Corpus(papers={r.id: r for r in records})
 
 
+class FailingGrower:
+    """Stands in for ``forest._grow_trees`` and raises ``error``. A module-level
+    class, so a pool can pickle the grower it is handed."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __call__(self, *args, **kwargs):
+        raise self.error("grower failed in a worker")
+
+
 @pytest.fixture
 def demo_dataset(tmp_path):
     from fixture_corpus import write_dataset

@@ -108,7 +108,7 @@ def reference_features():
     pairs, stats, _ = load_pairs(pairs_file, corpus)
     valid = filter_valid_pairs(pairs, corpus, stats)
     rows, _ = compute_feature_matrix(corpus, valid)
-    feature_map = {pair_key(p): v.as_row() for p, v in rows}
+    feature_map = {pair_key(p): v for p, v in rows}
     return stats, [p for p, _ in rows], feature_map
 
 

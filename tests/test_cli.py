@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import citegauge
+import citegauge.cli as cli_module
 from citegauge import forest
-from citegauge.cli import main
-from citegauge.errors import TrainingError
+from citegauge.cli import RunConfig, main
+from citegauge.errors import ConfigurationError, TrainingError
 
 from fixture_corpus import (
     EXPECTED_AUX_COUNTS,
@@ -20,6 +21,7 @@ from fixture_corpus import (
     all_papers,
     write_dataset,
 )
+from conftest import FailingGrower
 from oracles import oracle_author_jaccard, oracle_cosine, oracle_tfidf_vector
 
 
@@ -221,11 +223,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("error, code", [(TrainingError, 2), (RuntimeError, 3)])
     def test_worker_error_keeps_the_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
         corpus_dir, pairs_file = write_dataset(tmp_path)
-
-        def fail(*args):
-            raise error("grower failed in a worker")
-
-        monkeypatch.setattr(forest, "_grow_trees", fail)  # the pool forks after this
+        monkeypatch.setattr(forest, "_grow_trees", FailingGrower(error))  # patched before the fork
         args = _evaluate_args(corpus_dir, pairs_file, tmp_path / "out", "--threads", "2")
         assert _run(*args) == code
         assert "grower failed in a worker" in capsys.readouterr().err
@@ -272,6 +270,47 @@ class TestConfigFile:
         config_path = tmp_path / "run.json"
         config_path.write_text('{"bogus": 1}', encoding="utf-8")
         assert _run("evaluate", "--config", str(config_path)) == 1
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"trees": "5"}',
+            '{"trees": 2.5}',
+            '{"seed": true}',
+            '{"folds": null}',
+            '{"recall_levels": "0.5"}',
+            '{"recall_levels": [0.5, "0.9"]}',
+            '{"recall_levels": [true]}',
+            '{"single_feature_mode": 3}',
+            '{"f4_mode": ["jaccard"]}',
+            '["trees"]',
+            "[]",
+            "5",
+        ],
+    )
+    def test_mistyped_config_file_exits_1(self, tmp_path, monkeypatch, capsys, text):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        ran = []
+        monkeypatch.setattr(cli_module.corpus_mod, "load_corpus", ran.append)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(text, encoding="utf-8")
+        code = _run(
+            "evaluate", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / "out"), "--config", str(config_path),
+        )
+        assert code == 1
+        assert "internal error" not in capsys.readouterr().err
+        assert ran == []  # rejected before anything is loaded
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("seed", True), ("trees", 2.5), ("threads", "2"), ("recall_levels", (0.5,)),
+         ("recall_levels", [0.5, None]), ("pairs_file", Path("pairs.tsv")),
+         ("single_feature_mode", None)],
+    )
+    def test_validate_checks_types(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            RunConfig(**{name: value}).validate()
 
 
 class TestReportCommand:
@@ -322,6 +361,22 @@ class TestReportCommand:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"pr_grid": {}, "map_score": 0.5}), encoding="utf-8")
         assert _run("report", str(bad)) == 2
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            {"pr_grid": [["f1", 0.5]], "correlations": {}, "map_score": 0.5},
+            {"pr_grid": {"f1": {"0.5": "high"}}, "correlations": {}, "map_score": 0.5},
+            {"pr_grid": {}, "correlations": {"f1": {"r": 0.5, "n": 3}}, "map_score": 0.5},
+            {"pr_grid": {}, "correlations": {}, "map_score": "0.5"},
+        ],
+        ids=["pr_grid-list", "precision-string", "correlation-no-p_value", "map_score-string"],
+    )
+    def test_malformed_report_exits_2(self, tmp_path, capsys, report):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(report), encoding="utf-8")
+        assert _run("report", str(bad)) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 import scipy.stats
 
+from citegauge import evaluation
 from citegauge.corpus import CitationPair, filter_valid_pairs, load_corpus, load_pairs, pair_key
 from citegauge.errors import ConfigurationError, EvaluationError
 from citegauge.evaluation import (
@@ -414,11 +415,18 @@ class TestBuildReport:
         assert set(report.pr_grid) == {"f1", "f4", "f9", "all"}
 
     @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
-    def test_workers_do_not_change_the_report(self, demo_dataset, mode):
+    def test_workers_do_not_change_the_report(self, demo_dataset, mode, monkeypatch):
         corpus = load_corpus(demo_dataset[0])
         pairs, stats, _ = load_pairs(demo_dataset[1], corpus)
         rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
-        features = {pair_key(pair): vec.as_row() for pair, vec in rows}
+        features = {pair_key(pair): vec for pair, vec in rows}
+        build = evaluation.build_report
+
+        def build_after_reaping(*args, **kwargs):
+            assert multiprocessing.active_children() == []  # workers reaped first
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "build_report", build_after_reaping)
         reports = [
             report_to_dict(run_evaluation(
                 [pair for pair, _ in rows], features, ForestConfig(tree_count=12, seed=7),

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import pickle
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from citegauge import forest
 from citegauge.errors import ConfigurationError, TrainingError
 from citegauge.features import FeatureVector
+from conftest import FailingGrower
 from oracles import brute_force_best_split
 from citegauge.forest import (
     DecisionTree,
@@ -219,8 +221,23 @@ class TestEveryNodeOracle:
             assert got == [SplitMix64(seed).choose(k, d) for seed in seeds]
 
 
-@pytest.fixture(scope="module", params=[2, 3])
+class MapOnlyPool:
+    """Offers only the ``map`` that ``train`` may call, and pickles each task's
+    function as a process pool would."""
+
+    def map(self, func, iterable, chunksize):
+        assert chunksize == 1
+        func = pickle.loads(pickle.dumps(func))
+        batches = list(iterable)
+        assert all(len(batch) == forest._BATCH_TREES for batch in batches[:-1])
+        return [func(batch) for batch in batches]
+
+
+@pytest.fixture(scope="module", params=[2, 3, "map-only"])
 def pool(request):
+    if request.param == "map-only":
+        yield MapOnlyPool()
+        return
     with multiprocessing.get_context("fork").Pool(request.param) as workers:
         yield workers
 
@@ -243,10 +260,7 @@ class TestTrainOnPool:
                 assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
-        def fail(*args):
-            raise TrainingError("grower failed in a worker")
-
-        monkeypatch.setattr(forest, "_grow_trees", fail)
+        monkeypatch.setattr(forest, "_grow_trees", FailingGrower(TrainingError))
         with multiprocessing.get_context("fork").Pool(2) as workers:  # forked after the patch
             with pytest.raises(TrainingError, match="in a worker"):
                 train(self._data(), ForestConfig(tree_count=4, seed=1), pool=workers)
