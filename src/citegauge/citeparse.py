@@ -1,8 +1,9 @@
 """Reference-section segmentation, bibliography parsing, and in-text citation counting.
 
-All functions here are pure over immutable inputs and safe to call concurrently.
-Detection failures never raise: an unparseable bibliography or an unlinkable
-marker degrades to a warning and a zero count.
+Parsing has no side effects beyond the folded match keys each
+``BibliographyEntry`` caches on first use. Detection failures never raise: an
+unparseable bibliography or an unlinkable marker degrades to a warning and a
+zero count.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ _NARRATIVE_NAMES_REVERSED_RE = re.compile(
 # Capitalized tokens that are never surnames in author position.
 _SURNAME_STOP = frozenset({"and", "et", "al", "in", "ed", "eds", "the"})
 
-DEFAULT_MATCH_THRESHOLD = 0.5
-DEFAULT_TITLE_WEIGHT = 0.7
-DEFAULT_SURNAME_WEIGHT = 0.3
+# The f1 match rule: an entry scores TITLE_WEIGHT x (cited-title token share) +
+# SURNAME_WEIGHT x (cited-surname share); the best entries count if >= MATCH_THRESHOLD.
+MATCH_THRESHOLD = 0.5
+TITLE_WEIGHT = 0.7
+SURNAME_WEIGHT = 0.3
 
 
 @dataclass
@@ -274,28 +277,21 @@ def parse_bib_entry(raw: str, index: int) -> BibliographyEntry:
     )
 
 
-def match_entry_to_paper(
-    entry: BibliographyEntry,
-    cited: PaperRecord,
-    title_weight: float = DEFAULT_TITLE_WEIGHT,
-    surname_weight: float = DEFAULT_SURNAME_WEIGHT,
-) -> float:
+def match_entry_to_paper(entry: BibliographyEntry, cited: PaperRecord) -> float:
     """Score how well a bibliography entry refers to a given paper, in [0, 1].
 
     Weighted sum of the fraction of the cited title's tokens found in the raw
     entry and the fraction of the cited authors' surnames found among the
     entry's surnames (folded; the raw entry text is a fallback source).
     """
-    return _entry_score(entry, cited_keys(cited), title_weight, surname_weight)
+    return _entry_score(entry, cited_keys(cited))
 
 
-def _entry_score(
-    entry: BibliographyEntry, keys: CitedKeys, title_weight: float, surname_weight: float
-) -> float:
+def _entry_score(entry: BibliographyEntry, keys: CitedKeys) -> float:
     title, surnames = keys.title_tokens, keys.surnames
     title_score = len(title & entry.raw_tokens) / len(title) if title else 0.0
     surname_score = len(surnames & entry.name_keys) / len(surnames) if surnames else 0.0
-    return title_weight * title_score + surname_weight * surname_score
+    return TITLE_WEIGHT * title_score + SURNAME_WEIGHT * surname_score
 
 
 def _link_author_year(
@@ -452,9 +448,6 @@ def index_citing_paper(citing: PaperRecord) -> CitingIndex:
 def analyze_citations(
     citing: PaperRecord,
     cited: PaperRecord,
-    threshold: float = DEFAULT_MATCH_THRESHOLD,
-    title_weight: float = DEFAULT_TITLE_WEIGHT,
-    surname_weight: float = DEFAULT_SURNAME_WEIGHT,
     index: CitingIndex | None = None,
     keys: CitedKeys | None = None,
 ) -> CitationAnalysis:
@@ -462,8 +455,8 @@ def analyze_citations(
 
     The target entry is the bibliography entry with the best match score; every
     detected marker linked to a best-scoring entry counts, provided the best
-    score reaches the threshold. Failures degrade to count 0 with a warning,
-    returned in the analysis and logged at DEBUG level.
+    score reaches ``MATCH_THRESHOLD``. Failures degrade to count 0 with a
+    warning, returned in the analysis and logged at DEBUG level.
     ``index`` (``citing``'s) and ``keys`` (``cited``'s) may be passed prebuilt
     by a caller that scores many pairs; each is built here when absent.
     """
@@ -476,9 +469,9 @@ def analyze_citations(
 
     if keys is None:
         keys = cited_keys(cited)
-    scores = {e.index: _entry_score(e, keys, title_weight, surname_weight) for e in index.entries}
+    scores = {e.index: _entry_score(e, keys) for e in index.entries}
     best_score = max(scores.values())
-    if best_score < threshold:
+    if best_score < MATCH_THRESHOLD:
         warning = (
             f"{citing.id} -> {cited.id}: no bibliography entry matches the cited paper "
             f"(best score {best_score:.3f})"
@@ -494,8 +487,6 @@ def analyze_citations(
     return CitationAnalysis(count, best_score, matched, index.citations, index.unresolved, True)
 
 
-def count_direct_citations(
-    citing: PaperRecord, cited: PaperRecord, threshold: float = DEFAULT_MATCH_THRESHOLD
-) -> int:
+def count_direct_citations(citing: PaperRecord, cited: PaperRecord) -> int:
     """Number of in-text citation instances of ``cited`` in ``citing``'s main text."""
-    return analyze_citations(citing, cited, threshold=threshold).count
+    return analyze_citations(citing, cited).count

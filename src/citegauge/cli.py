@@ -238,12 +238,8 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise DataError("no pairs survived the abstract filter; nothing to evaluate")
 
     rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
-    pairs = [pair for pair, _ in rows]
-    feature_map = {corpus_mod.pair_key(pair): vec for pair, vec in rows}
-
     report = evaluation.run_evaluation(
-        pairs,
-        feature_map,
+        rows,
         ForestConfig(tree_count=config.trees, seed=config.seed),
         k=config.folds,
         seed=config.seed,
@@ -277,8 +273,12 @@ def _render_report(data: dict) -> str:
             raise DataError(f"report missing '{required}'")
 
     lines = []
-    grid = data["pr_grid"]
-    levels = sorted({float(level) for row in grid.values() for level in row})
+    grid = {}  # feature set -> recall level (parsed once) -> precision
+    for name, row in data["pr_grid"].items():
+        grid[name] = {float(level): value for level, value in row.items()}
+        if len(grid[name]) < len(row) or not all(0.0 < level <= 1.0 for level in grid[name]):
+            raise DataError(f"pr_grid row {name!r} names a recall level twice or outside (0, 1]")
+    levels = sorted({level for row in grid.values() for level in row})
     singles = [n for n in features_mod.FEATURE_NAMES if n in grid]
     names = singles + [n for n in grid if n not in singles]
 
@@ -287,7 +287,7 @@ def _render_report(data: dict) -> str:
     for name in names:
         row = [name]
         for level in levels:
-            value = grid[name].get(f"{level:g}")
+            value = grid[name].get(level)
             row.append("-" if value is None else f"{value:.2f}")
         table.append(row)
     widths = [max(len(row[i]) for row in table) for i in range(len(header))]

@@ -32,11 +32,8 @@ DEFAULT_RECALL_LEVELS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 FEATURE_SET_ALL = "all"
 
-
-@dataclass
-class FoldAssignment:
-    k: int
-    fold_of: dict[tuple[str, str], int]
+# (pair, feature vector) rows, as compute_feature_matrix returns them.
+FeatureRows = Sequence[tuple[CitationPair, Sequence[float]]]
 
 
 @dataclass
@@ -62,8 +59,10 @@ class EvaluationReport:
     pr_points: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
 
 
-def stratified_folds(pairs: Sequence[CitationPair], k: int, seed: int) -> FoldAssignment:
-    """Partition pairs into k folds, stratified by label.
+def stratified_folds(
+    pairs: Sequence[CitationPair], k: int, seed: int
+) -> dict[tuple[str, str], int]:
+    """Partition pairs into k folds, stratified by label; maps pair key to fold.
 
     Within each class, pairs are put into canonical (sorted-id) order, shuffled
     by a seeded stream, and dealt round-robin, so per-fold class counts differ
@@ -82,12 +81,11 @@ def stratified_folds(pairs: Sequence[CitationPair], k: int, seed: int) -> FoldAs
         rng.shuffle(members)
         for position, key in enumerate(members):
             fold_of[key] = position % k
-    return FoldAssignment(k=k, fold_of=fold_of)
+    return fold_of
 
 
 def cross_validate(
-    pairs: Sequence[CitationPair],
-    features: Mapping[tuple[str, str], Sequence[float]],
+    rows: FeatureRows,
     config: ForestConfig,
     k: int,
     seed: int,
@@ -96,45 +94,41 @@ def cross_validate(
     pool=None,
 ) -> list[ScoredPair]:
     """Stratified k-fold cross-validation: each fold is scored by a forest
-    trained on the other k-1 folds. Returns one ScoredPair per input pair, in
-    input order. Per-fold model seeds derive from ``seed`` and the fold index.
+    trained on the other k-1 folds. Returns one ScoredPair per row, in row
+    order. Per-fold model seeds derive from ``seed`` and the fold index.
 
     ``fold_log``, when given, collects (fold, train_keys, test_keys) tuples.
     ``pool`` is passed on to ``train``.
     """
-    for pair in pairs:
-        if pair_key(pair) not in features:
-            raise EvaluationError(f"no feature vector for pair {pair_key(pair)}")
-
-    assignment = stratified_folds(pairs, k, seed)
+    fold_of = stratified_folds([pair for pair, _ in rows], k, seed)
+    folds = [fold_of[pair_key(pair)] for pair, _ in rows]
     scores: dict[tuple[str, str], float] = {}
     for fold in range(k):
-        train_pairs = [p for p in pairs if assignment.fold_of[pair_key(p)] != fold]
-        test_pairs = [p for p in pairs if assignment.fold_of[pair_key(p)] == fold]
-        if not test_pairs:
+        train_rows = [row for row, f in zip(rows, folds) if f != fold]
+        test_rows = [row for row, f in zip(rows, folds) if f == fold]
+        if not test_rows:
             continue
-        labels = {p.label for p in train_pairs}
+        labels = {pair.label for pair, _ in train_rows}
         if len(labels) < 2:
             raise EvaluationError(
                 f"fold {fold}: training split contains a single class "
-                f"({len(train_pairs)} rows, labels {sorted(labels)})"
+                f"({len(train_rows)} rows, labels {sorted(labels)})"
             )
         fold_config = replace(config, seed=derive_seed(seed, 1000 + fold))
+        train_keys = [pair_key(pair) for pair, _ in train_rows]
+        test_keys = [pair_key(pair) for pair, _ in test_rows]
         model = train(
-            [(features[pair_key(p)], p.label) for p in train_pairs],
+            [(vec, pair.label) for pair, vec in train_rows],
             fold_config,
-            row_ids=[pair_key(p) for p in train_pairs],
+            row_ids=train_keys,
             feature_names=feature_names,
             pool=pool,
         )
         if fold_log is not None:
-            fold_log.append(
-                (fold, [pair_key(p) for p in train_pairs], [pair_key(p) for p in test_pairs])
-            )
-        fold_scores = predict_proba(model, [features[pair_key(p)] for p in test_pairs])
-        for pair, score in zip(test_pairs, fold_scores.tolist()):
-            scores[pair_key(pair)] = score
-    return [ScoredPair(pair=p, score=scores[pair_key(p)]) for p in pairs]
+            fold_log.append((fold, train_keys, test_keys))
+        fold_scores = predict_proba(model, [vec for _, vec in test_rows])
+        scores.update(zip(test_keys, fold_scores.tolist()))
+    return [ScoredPair(pair=pair, score=scores[pair_key(pair)]) for pair, _ in rows]
 
 
 def _ranked(scored: Sequence[ScoredPair]) -> list[ScoredPair]:
@@ -209,28 +203,22 @@ def mean_average_precision(scored: Sequence[ScoredPair]) -> float:
     return total / positives
 
 
-def direct_rank_scores(
-    pairs: Sequence[CitationPair],
-    features: Mapping[tuple[str, str], Sequence[float]],
-    feature_index: int,
-) -> list[ScoredPair]:
+def direct_rank_scores(rows: FeatureRows, feature_index: int) -> list[ScoredPair]:
     """Rank pairs by one raw feature value, scaled by the maximum so scores lie
     in [0, 1]; the ordering (and all rank metrics) is unchanged by the scaling."""
-    values = [float(features[pair_key(p)][feature_index]) for p in pairs]
+    values = [float(vec[feature_index]) for _, vec in rows]
     top = max(values) if values else 0.0
     if top <= 0.0:
-        return [ScoredPair(p, 0.0) for p in pairs]
-    return [ScoredPair(p, v / top) for p, v in zip(pairs, values)]
+        return [ScoredPair(pair, 0.0) for pair, _ in rows]
+    return [ScoredPair(pair, v / top) for (pair, _), v in zip(rows, values)]
 
 
 def build_report(
-    pairs: Sequence[CitationPair],
-    features: Mapping[tuple[str, str], Sequence[float]],
+    rows: FeatureRows,
     scored_sets: Mapping[str, Sequence[ScoredPair]],
     recall_levels: Sequence[float] = DEFAULT_RECALL_LEVELS,
     stats: CorpusStats | None = None,
     config_echo: dict | None = None,
-    feature_names: Sequence[str] = FEATURE_NAMES,
 ) -> EvaluationReport:
     """Assemble the full evaluation report.
 
@@ -249,10 +237,10 @@ def build_report(
         pr_grid[name] = grid
         pr_points[name] = curve
 
-    labels = [p.label for p in pairs]
+    labels = [pair.label for pair, _ in rows]
     correlations: dict[str, CorrelationResult | None] = {}
-    for j, name in enumerate(feature_names):
-        values = [float(features[pair_key(p)][j]) for p in pairs]
+    for j, name in enumerate(FEATURE_NAMES):
+        values = [float(vec[j]) for _, vec in rows]
         try:
             correlations[name] = pearson(values, labels)
         except EvaluationError as exc:
@@ -273,8 +261,7 @@ def build_report(
 
 
 def run_evaluation(
-    pairs: Sequence[CitationPair],
-    features: Mapping[tuple[str, str], Sequence[float]],
+    rows: FeatureRows,
     forest_config: ForestConfig,
     k: int,
     seed: int,
@@ -305,25 +292,18 @@ def run_evaluation(
         scored_sets: dict[str, Sequence[ScoredPair]] = {}
         for j, name in enumerate(FEATURE_NAMES):
             if single_feature_mode == "direct_rank":
-                scored_sets[name] = direct_rank_scores(pairs, features, j)
+                scored_sets[name] = direct_rank_scores(rows, j)
             else:
-                projected = {key: (row[j],) for key, row in features.items()}
+                projected = [(pair, (vec[j],)) for pair, vec in rows]
                 single_config = replace(forest_config, features_per_split=1)
                 scored_sets[name] = cross_validate(
-                    pairs, projected, single_config, k, derive_seed(seed, 2000 + j),
+                    projected, single_config, k, derive_seed(seed, 2000 + j),
                     feature_names=(name,), pool=pool,
                 )
-        scored_sets[FEATURE_SET_ALL] = cross_validate(
-            pairs, features, forest_config, k, seed, pool=pool
-        )
+        scored_sets[FEATURE_SET_ALL] = cross_validate(rows, forest_config, k, seed, pool=pool)
 
     return build_report(
-        pairs,
-        features,
-        scored_sets,
-        recall_levels=recall_levels,
-        stats=stats,
-        config_echo=config_echo,
+        rows, scored_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo
     )
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import citeparse
-from .citeparse import DEFAULT_MATCH_THRESHOLD, analyze_citations
+from .citeparse import analyze_citations
 from .corpus import CitationPair, Corpus, has_abstract
 from .errors import ConfigurationError, DataError
 from .textnorm import normalize_author, tokenize
@@ -119,11 +119,7 @@ def author_overlap(
 
 
 def extract_features(
-    pair: CitationPair,
-    corpus: Corpus,
-    tfidf: TfidfModel,
-    f4_mode: str = "jaccard",
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
+    pair: CitationPair, corpus: Corpus, tfidf: TfidfModel, f4_mode: str = "jaccard"
 ) -> FeatureVector:
     """Compute the full feature vector for one citation pair. Deterministic."""
     for paper_id in (pair.citing_id, pair.cited_id):
@@ -131,7 +127,7 @@ def extract_features(
             raise DataError(
                 f"pair {pair.citing_id} -> {pair.cited_id}: missing record {paper_id}"
             )
-    rows, _ = compute_feature_matrix(corpus, [pair], tfidf, f4_mode, match_threshold)
+    rows, _ = compute_feature_matrix(corpus, [pair], tfidf, f4_mode)
     return rows[0][1]
 
 
@@ -146,7 +142,6 @@ def compute_feature_matrix(
     pairs: Sequence[CitationPair],
     tfidf: TfidfModel | None = None,
     f4_mode: str = "jaccard",
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> tuple[list[tuple[CitationPair, FeatureVector]], list[dict]]:
     """Extract features for every pair, collecting per-pair warnings.
 
@@ -183,9 +178,7 @@ def compute_feature_matrix(
                 reasons["missing record"] += 1
                 results[position] = None, [_note(pair, "extraction-error", "missing record")]
                 continue
-            analysis = analyze_citations(
-                citing, cited, threshold=match_threshold, index=index, keys=match_keys(cited.id)
-            )
+            analysis = analyze_citations(citing, cited, index=index, keys=match_keys(cited.id))
             if not analysis.bibliography_parsed:
                 reasons["unparseable bibliography"] += 1
             elif analysis.warnings:

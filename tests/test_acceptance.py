@@ -108,8 +108,7 @@ def reference_features():
     pairs, stats, _ = load_pairs(pairs_file, corpus)
     valid = filter_valid_pairs(pairs, corpus, stats)
     rows, _ = compute_feature_matrix(corpus, valid)
-    feature_map = {pair_key(p): v for p, v in rows}
-    return stats, [p for p, _ in rows], feature_map
+    return stats, rows
 
 
 class TestReferenceDatasetCriteria:
@@ -143,12 +142,12 @@ class TestReferenceDatasetCriteria:
         name = "2 correlation reproduction"
         if reference_features is None:
             _skip(name, "reference dataset not available; criterion 5 substitutes apply")
-        _, pairs, feature_map = reference_features
-        labels = [p.label for p in pairs]
+        _, rows = reference_features
+        labels = [p.label for p, _ in rows]
         ok = True
         details = []
         for j, feature in enumerate(("f1", "f4", "f9")):
-            result = pearson([feature_map[pair_key(p)][j] for p in pairs], labels)
+            result = pearson([v[j] for _, v in rows], labels)
             details.append(f"{feature} r={result.r:.3f} p={result.p_value:.2g}")
             if abs(result.r - REFERENCE_CORRELATIONS[feature]) > CORRELATION_TOLERANCE:
                 ok = False
@@ -160,13 +159,11 @@ class TestReferenceDatasetCriteria:
         name = "3 precision grid reproduction"
         if reference_features is None:
             _skip(name, "reference dataset not available; criterion 5 substitutes apply")
-        _, pairs, feature_map = reference_features
+        _, rows = reference_features
         levels = sorted(REFERENCE_ALL_GRID)
         sums = {level: 0.0 for level in levels}
         for seed in GRID_SEEDS:
-            scored = cross_validate(
-                pairs, feature_map, ForestConfig(tree_count=100, seed=seed), k=10, seed=seed
-            )
+            scored = cross_validate(rows, ForestConfig(tree_count=100, seed=seed), k=10, seed=seed)
             grid = interpolated_precision(pr_curve(scored), levels)
             for level in levels:
                 sums[level] += grid[level]
@@ -182,10 +179,10 @@ class TestReferenceDatasetCriteria:
         name = "4 feature ordering"
         if reference_features is None:
             _skip(name, "reference dataset not available; criterion 5 substitutes apply")
-        _, pairs, feature_map = reference_features
-        labels = [p.label for p in pairs]
+        _, rows = reference_features
+        labels = [p.label for p, _ in rows]
         r = {
-            feature: pearson([feature_map[pair_key(p)][j] for p in pairs], labels).r
+            feature: pearson([v[j] for _, v in rows], labels).r
             for j, feature in enumerate(("f1", "f4", "f9"))
         }
         ok = r["f9"] > r["f1"] > r["f4"]
@@ -284,15 +281,15 @@ class TestSubstituteCriterion5:
 
         # cross-validation partition: every pair scored exactly once
         pairs = [CitationPair(f"p{i:02d}", "t", i % 2) for i in range(12)]
-        features = {pair_key(p): (float(p.label), 0.1 * i, 0.2) for i, p in enumerate(pairs)}
-        scored = cross_validate(pairs, features, ForestConfig(tree_count=4, seed=2), 3, 2)
+        rows = [(p, (float(p.label), 0.1 * i, 0.2)) for i, p in enumerate(pairs)]
+        scored = cross_validate(rows, ForestConfig(tree_count=4, seed=2), 3, 2)
         assert Counter(pair_key(s.pair) for s in scored) == Counter(pair_key(p) for p in pairs)
 
         # stratification balance
-        assignment = stratified_folds(pairs, 3, seed=5)
+        fold_of = stratified_folds(pairs, 3, seed=5)
         for label in (0, 1):
             sizes = Counter(
-                assignment.fold_of[pair_key(p)] for p in pairs if p.label == label
+                fold_of[pair_key(p)] for p in pairs if p.label == label
             ).values()
             assert max(sizes) - min(sizes) <= 1
 

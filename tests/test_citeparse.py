@@ -150,6 +150,52 @@ class TestMatchEntryToPaper:
         assert score == pytest.approx(0.3)
 
 
+class TestMatchPolicy:
+    """f1's rule: 0.7 x title-token share + 0.3 x surname share, best score >= 0.5."""
+
+    cited = make_paper(
+        "t", title="Quantum Lattices", authors=["Elena Marchetti", "Tomas Novak"], abstract="x"
+    )
+
+    def _citing(self, main, *entries):
+        body = main + "\n\nReferences\n" + "\n".join(entries) + "\n"
+        return make_paper("c", body=body, abstract="a")
+
+    def test_score_at_threshold_counts(self):
+        # one of two title tokens and one of two surnames: 0.7 * 0.5 + 0.3 * 0.5
+        entry = "[1] Marchetti, E. 2019. Quantum methods."
+        assert match_entry_to_paper(parse_bib_entry(entry, 1), self.cited) == 0.5
+        citing = self._citing(
+            "We build on [1], then again on [1].",
+            entry,
+            "[2] Quist, R. 2011. Sparse coding dictionaries.",
+        )
+        analysis = analyze_citations(citing, self.cited)
+        assert (analysis.count, analysis.best_score, analysis.matched_entry_indices) == (
+            2,
+            0.5,
+            [1],
+        )
+        assert analysis.warnings == []
+
+    def test_score_below_threshold_counts_nothing(self):
+        entry = "[1] Quist, R. 2011. Quantum dictionaries."  # title share only: 0.35
+        analysis = analyze_citations(self._citing("We build on [1].", entry), self.cited)
+        assert analysis.count == 0
+        assert analysis.best_score == pytest.approx(0.35)
+        assert "no bibliography entry matches" in analysis.warnings[0]
+
+    def test_markers_of_every_tied_best_entry_count(self):
+        citing = self._citing(
+            "We build on [1] and on [2].",
+            "[1] Marchetti, E. 2019. Quantum methods.",
+            "[2] Novak, T. 2018. Lattices revisited.",
+        )
+        analysis = analyze_citations(citing, self.cited)
+        assert analysis.count == 2
+        assert analysis.matched_entry_indices == [1, 2]
+
+
 def _entries(*raws):
     return [parse_bib_entry(raw, i) for i, raw in enumerate(raws, start=1)]
 

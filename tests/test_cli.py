@@ -354,6 +354,18 @@ class TestReportCommand:
         )
         assert capsys.readouterr().out == golden
 
+    def test_level_keys_are_read_as_numbers(self, tmp_path, capsys):
+        report = {
+            "pr_grid": {"all": {"0.50": 0.75, "0.9": 0.5}},
+            "correlations": {},
+            "map_score": 0.5,
+        }
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert _run("report", str(path)) == 0
+        table = capsys.readouterr().out.splitlines()[1:3]
+        assert table == ["feature_set  P@R=0.5  P@R=0.9", "all          0.75     0.50"]
+
     def test_missing_report_exits_2(self, tmp_path):
         assert _run("report", str(tmp_path / "none.json")) == 2
 
@@ -369,8 +381,21 @@ class TestReportCommand:
             {"pr_grid": {"f1": {"0.5": "high"}}, "correlations": {}, "map_score": 0.5},
             {"pr_grid": {}, "correlations": {"f1": {"r": 0.5, "n": 3}}, "map_score": 0.5},
             {"pr_grid": {}, "correlations": {}, "map_score": "0.5"},
+            {"pr_grid": {"f1": {"high": 0.5}}, "correlations": {}, "map_score": 0.5},
+            {"pr_grid": {"f1": {"0.5": 0.5, "0.50": 0.4}}, "correlations": {}, "map_score": 0.5},
+            {"pr_grid": {"f1": {"1.5": 0.5}}, "correlations": {}, "map_score": 0.5},
+            {"pr_grid": {"f1": {"nan": 0.5}}, "correlations": {}, "map_score": 0.5},
         ],
-        ids=["pr_grid-list", "precision-string", "correlation-no-p_value", "map_score-string"],
+        ids=[
+            "pr_grid-list",
+            "precision-string",
+            "correlation-no-p_value",
+            "map_score-string",
+            "level-not-a-number",
+            "level-twice",
+            "level-above-one",
+            "level-nan",
+        ],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
         bad = tmp_path / "bad.json"

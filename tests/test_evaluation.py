@@ -41,17 +41,17 @@ def _scored(ranking):
 class TestStratifiedFolds:
     def test_balanced_exact_division(self):
         pairs = _pairs([0] * 10 + [1] * 10)
-        assignment = stratified_folds(pairs, 10, seed=1)
+        fold_of = stratified_folds(pairs, 10, seed=1)
         for fold in range(10):
-            members = [p for p in pairs if assignment.fold_of[pair_key(p)] == fold]
+            members = [p for p in pairs if fold_of[pair_key(p)] == fold]
             assert len(members) == 2
             assert sum(p.label for p in members) == 1
 
     def test_61_positives_round_robin(self):
         pairs = _pairs([1] * 61 + [0] * 200)
-        assignment = stratified_folds(pairs, 10, seed=3)
+        fold_of = stratified_folds(pairs, 10, seed=3)
         counts = Counter(
-            assignment.fold_of[pair_key(p)] for p in pairs if p.label == 1
+            fold_of[pair_key(p)] for p in pairs if p.label == 1
         )
         # 61 = 6*10 + 1: one fold of 7, nine folds of 6
         assert sorted(counts.values()) == [6] * 9 + [7]
@@ -60,13 +60,13 @@ class TestStratifiedFolds:
         pairs = _pairs([0, 1] * 15)
         a = stratified_folds(pairs, 5, seed=9)
         b = stratified_folds(pairs, 5, seed=9)
-        assert a.fold_of == b.fold_of
+        assert a == b
 
     def test_input_order_invariance(self):
         pairs = _pairs([0, 1] * 15)
         shuffled = list(pairs)
         random.Random(4).shuffle(shuffled)
-        assert stratified_folds(pairs, 5, 7).fold_of == stratified_folds(shuffled, 5, 7).fold_of
+        assert stratified_folds(pairs, 5, 7) == stratified_folds(shuffled, 5, 7)
 
     def test_partition_and_balance(self):
         rng = random.Random(17)
@@ -75,11 +75,11 @@ class TestStratifiedFolds:
             labels = [rng.random() < 0.3 for _ in range(n)]
             pairs = _pairs([int(x) for x in labels])
             k = rng.randint(2, min(8, n))
-            assignment = stratified_folds(pairs, k, seed=rng.randint(0, 999))
-            assert set(assignment.fold_of) == {pair_key(p) for p in pairs}
+            fold_of = stratified_folds(pairs, k, seed=rng.randint(0, 999))
+            assert set(fold_of) == {pair_key(p) for p in pairs}
             for label in (0, 1):
                 counts = Counter(
-                    assignment.fold_of[pair_key(p)] for p in pairs if p.label == label
+                    fold_of[pair_key(p)] for p in pairs if p.label == label
                 )
                 if counts:
                     sizes = [counts.get(f, 0) for f in range(k)]
@@ -87,9 +87,9 @@ class TestStratifiedFolds:
 
     def test_small_class_spreads_one_per_fold(self):
         pairs = _pairs([0] * 12 + [1] * 3)
-        assignment = stratified_folds(pairs, 5, seed=2)
+        fold_of = stratified_folds(pairs, 5, seed=2)
         positive_folds = [
-            assignment.fold_of[pair_key(p)] for p in pairs if p.label == 1
+            fold_of[pair_key(p)] for p in pairs if p.label == 1
         ]
         assert len(set(positive_folds)) == 3
 
@@ -101,14 +101,17 @@ class TestStratifiedFolds:
 
 
 def _features_for(pairs, spread=5.0):
-    return {
-        pair_key(p): (
-            float(p.label) * spread + 0.1 * (i % 3),
-            float(p.label),
-            0.1 * (i % 4) + 0.5 * p.label,
+    return [
+        (
+            p,
+            (
+                float(p.label) * spread + 0.1 * (i % 3),
+                float(p.label),
+                0.1 * (i % 4) + 0.5 * p.label,
+            ),
         )
         for i, p in enumerate(pairs)
-    }
+    ]
 
 
 class TestCrossValidate:
@@ -116,21 +119,19 @@ class TestCrossValidate:
         pairs = _pairs([0, 1] * 10)
         features = _features_for(pairs)
         config = ForestConfig(tree_count=15, seed=11)
-        scored = cross_validate(pairs, features, config, k=4, seed=11)
+        scored = cross_validate(features, config, k=4, seed=11)
         assert all((s.score >= 0.5) == bool(s.pair.label) for s in scored)
 
     def test_each_pair_scored_exactly_once_in_input_order(self):
         pairs = _pairs([0, 1] * 6)
-        scored = cross_validate(pairs, _features_for(pairs), ForestConfig(tree_count=5, seed=2), 3, 2)
+        scored = cross_validate(_features_for(pairs), ForestConfig(tree_count=5, seed=2), 3, 2)
         assert [s.pair for s in scored] == pairs
 
     def test_fold_isolation(self):
         pairs = _pairs([0, 0, 1, 1])
         features = _features_for(pairs)
         log = []
-        cross_validate(
-            pairs, features, ForestConfig(tree_count=3, seed=5), k=2, seed=5, fold_log=log
-        )
+        cross_validate(features, ForestConfig(tree_count=3, seed=5), k=2, seed=5, fold_log=log)
         assert len(log) == 2
         for fold, train_keys, test_keys in log:
             assert set(train_keys).isdisjoint(test_keys)
@@ -140,15 +141,7 @@ class TestCrossValidate:
         pairs = _pairs([0, 1, 0, 1, 0, 1, 1, 0])
         features = _features_for(pairs)
         config = ForestConfig(tree_count=8, seed=13)
-        assert cross_validate(pairs, features, config, 4, 13) == cross_validate(
-            pairs, features, config, 4, 13
-        )
-
-    def test_missing_feature_vector(self):
-        pairs = _pairs([0, 1, 0, 1])
-        features = _features_for(pairs[:-1])
-        with pytest.raises(EvaluationError):
-            cross_validate(pairs, features, ForestConfig(tree_count=2, seed=1), 2, 1)
+        assert cross_validate(features, config, 4, 13) == cross_validate(features, config, 4, 13)
 
     def test_single_class_training_split_aborts(self):
         # one positive: its fold's training complement has only negatives...
@@ -156,7 +149,7 @@ class TestCrossValidate:
         pairs = _pairs([0, 0, 0, 1])
         features = _features_for(pairs)
         with pytest.raises(EvaluationError, match="single class"):
-            cross_validate(pairs, features, ForestConfig(tree_count=2, seed=3), 2, 3)
+            cross_validate(features, ForestConfig(tree_count=2, seed=3), 2, 3)
 
 
 class TestPrCurve:
@@ -318,8 +311,8 @@ class TestMeanAveragePrecision:
 class TestDirectRankScores:
     def test_ordering_preserved_and_in_unit_interval(self):
         pairs = _pairs([0, 1, 0, 1])
-        features = {pair_key(p): (float(i * 3), 0.0, 0.0) for i, p in enumerate(pairs)}
-        scored = direct_rank_scores(pairs, features, 0)
+        features = [(p, (float(i * 3), 0.0, 0.0)) for i, p in enumerate(pairs)]
+        scored = direct_rank_scores(features, 0)
         values = [s.score for s in scored]
         assert values == sorted(values)
         assert max(values) == 1.0
@@ -327,33 +320,28 @@ class TestDirectRankScores:
 
     def test_all_zero_feature(self):
         pairs = _pairs([0, 1])
-        features = {pair_key(p): (0.0, 0.0, 0.0) for p in pairs}
-        assert [s.score for s in direct_rank_scores(pairs, features, 0)] == [0.0, 0.0]
+        features = [(p, (0.0, 0.0, 0.0)) for p in pairs]
+        assert [s.score for s in direct_rank_scores(features, 0)] == [0.0, 0.0]
 
     def test_rank_metrics_invariant_under_monotone_transform(self):
         pairs = _pairs([0, 1, 1, 0, 1, 0, 0, 1, 0])
-        raw = {pair_key(p): (float(i % 5), 0.0, 0.0) for i, p in enumerate(pairs)}
-        squashed = {
-            key: (math.tanh(row[0]) + 1.0, 0.0, 0.0) for key, row in raw.items()
-        }
-        curve_a = pr_curve(direct_rank_scores(pairs, raw, 0))
-        curve_b = pr_curve(direct_rank_scores(pairs, squashed, 0))
+        raw = [(p, (float(i % 5), 0.0, 0.0)) for i, p in enumerate(pairs)]
+        squashed = [(p, (math.tanh(row[0]) + 1.0, 0.0, 0.0)) for p, row in raw]
+        curve_a = pr_curve(direct_rank_scores(raw, 0))
+        curve_b = pr_curve(direct_rank_scores(squashed, 0))
         assert curve_a == curve_b
         assert mean_average_precision(
-            direct_rank_scores(pairs, raw, 0)
-        ) == mean_average_precision(direct_rank_scores(pairs, squashed, 0))
+            direct_rank_scores(raw, 0)
+        ) == mean_average_precision(direct_rank_scores(squashed, 0))
 
 
 class TestBuildReport:
     def _inputs(self):
-        pairs = _pairs([0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1])
-        features = _features_for(pairs)
-        return pairs, features
+        return _features_for(_pairs([0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 0, 1]))
 
     def test_report_contents(self):
-        pairs, features = self._inputs()
+        features = self._inputs()
         report = run_evaluation(
-            pairs,
             features,
             ForestConfig(tree_count=10, seed=3),
             k=3,
@@ -369,10 +357,8 @@ class TestBuildReport:
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_separable_grid_is_all_ones(self):
-        pairs, features = self._inputs()
-        report = run_evaluation(
-            pairs, features, ForestConfig(tree_count=10, seed=7), k=3, seed=7
-        )
+        features = self._inputs()
+        report = run_evaluation(features, ForestConfig(tree_count=10, seed=7), k=3, seed=7)
         assert all(v == 1.0 for v in report.pr_grid["f1"].values())
         assert all(v == 1.0 for v in report.pr_grid["all"].values())
         assert report.map_score == 1.0
@@ -380,15 +366,14 @@ class TestBuildReport:
     def test_hand_computed_grid(self):
         # ranking by f1 gives positives at ranks 1 and 3 of 4
         pairs = _pairs([1, 0, 1, 0])
-        features = {
-            pair_key(pairs[0]): (4.0, 0.0, 0.0),
-            pair_key(pairs[1]): (3.0, 0.0, 0.0),
-            pair_key(pairs[2]): (2.0, 0.0, 0.0),
-            pair_key(pairs[3]): (1.0, 0.0, 0.0),
-        }
-        scored = direct_rank_scores(pairs, features, 0)
+        features = [
+            (pairs[0], (4.0, 0.0, 0.0)),
+            (pairs[1], (3.0, 0.0, 0.0)),
+            (pairs[2], (2.0, 0.0, 0.0)),
+            (pairs[3], (1.0, 0.0, 0.0)),
+        ]
+        scored = direct_rank_scores(features, 0)
         report = build_report(
-            pairs,
             features,
             {"f1": scored},
             recall_levels=(0.5, 1.0),
@@ -403,9 +388,8 @@ class TestBuildReport:
         assert report.correlations["f9"] is None
 
     def test_forest_single_feature_mode(self):
-        pairs, features = self._inputs()
+        features = self._inputs()
         report = run_evaluation(
-            pairs,
             features,
             ForestConfig(tree_count=5, seed=19),
             k=3,
@@ -419,7 +403,6 @@ class TestBuildReport:
         corpus = load_corpus(demo_dataset[0])
         pairs, stats, _ = load_pairs(demo_dataset[1], corpus)
         rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
-        features = {pair_key(pair): vec for pair, vec in rows}
         build = evaluation.build_report
 
         def build_after_reaping(*args, **kwargs):
@@ -429,7 +412,7 @@ class TestBuildReport:
         monkeypatch.setattr(evaluation, "build_report", build_after_reaping)
         reports = [
             report_to_dict(run_evaluation(
-                [pair for pair, _ in rows], features, ForestConfig(tree_count=12, seed=7),
+                rows, ForestConfig(tree_count=12, seed=7),
                 k=3, seed=7, single_feature_mode=mode, workers=workers,
             ))
             for workers in (1, 2)
@@ -438,8 +421,6 @@ class TestBuildReport:
         assert multiprocessing.active_children() == []
 
     def test_unknown_mode_rejected(self):
-        pairs, features = self._inputs()
+        features = self._inputs()
         with pytest.raises(ConfigurationError):
-            run_evaluation(
-                pairs, features, ForestConfig(), k=3, seed=1, single_feature_mode="direct"
-            )
+            run_evaluation(features, ForestConfig(), k=3, seed=1, single_feature_mode="direct")
