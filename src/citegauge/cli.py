@@ -238,6 +238,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise DataError("no pairs survived the abstract filter; nothing to evaluate")
 
     rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
+    del corpus, valid  # rows and stats hold no reference to them; free the texts before CV
     report = evaluation.run_evaluation(
         rows,
         ForestConfig(tree_count=config.trees, seed=config.seed),

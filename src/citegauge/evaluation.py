@@ -182,11 +182,43 @@ def pearson(values: Sequence[float], labels: Sequence[int]) -> CorrelationResult
     if 1.0 - r * r < 1e-15:
         p_value = 0.0
     else:
-        from scipy.special import betainc  # deferred: scipy doubles the package's import time
-
         t_sq = r * r * dof / (1.0 - r * r)
-        p_value = float(betainc(dof / 2.0, 0.5, dof / (dof + t_sq)))
+        p_value = _betainc(dof / 2.0, 0.5, dof / (dof + t_sq), t_sq / (dof + t_sq))
     return CorrelationResult(r=r, p_value=p_value, n=n)
+
+
+_BETA_MAX_TERMS = 10_000  # far above need: about 90 terms at a = 5e5
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b). The caller passes y = 1 - x
+    computed on its own, since ``1 - x`` keeps few digits when x is near 1.
+
+    The continued fraction (Numerical Recipes, 3rd ed., 6.4) converges fast for
+    x < (a+1)/(a+b+2); above that, I_x(a, b) = 1 - I_y(b, a). It is evaluated
+    by the modified Lentz method, and a fraction that does not converge raises
+    EvaluationError rather than return a value."""
+    flip = x >= (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
+    if x == 0.0:
+        return 1.0 if flip else 0.0
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    front = math.exp(a * math.log(x) + b * math.log(y) - log_beta) / a
+    h, c, d = 1.0, math.inf, 1.0  # the fraction's leading 1/(1 + ...) already taken
+    for k in range(1, _BETA_MAX_TERMS):
+        m = k // 2
+        if k % 2:
+            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        else:
+            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d = 1.0 / ((1.0 + num * d) or 1e-300)
+        c = (1.0 + num / c) or 1e-300
+        h *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            part = front * h
+            return 1.0 - part if flip else part
+    raise EvaluationError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
 
 
 def mean_average_precision(scored: Sequence[ScoredPair]) -> float:

@@ -9,6 +9,8 @@ import re
 import unicodedata
 from collections import Counter
 
+import scipy.special
+
 from citegauge.features import tokenize
 
 
@@ -145,3 +147,34 @@ def oracle_link_author_year(entries, name1, name2, year):
         narrowed = [e for e in candidates if oracle_fold(name2) in surnames(e)]
         candidates = narrowed or candidates
     return min(candidates, key=lambda e: e.index) if candidates else None
+
+
+def _t_sq(r, dof):
+    return r * r * dof / (1.0 - r * r)
+
+
+def oracle_pearson_p(r, dof):
+    """Two-tailed p of Pearson r on dof degrees of freedom, from scipy.
+
+    p = I_x(dof/2, 1/2) with x = dof/(dof+t^2). Below x = 0.5 scipy's betainc
+    takes x; above it, betaincc takes the complement y = t^2/(dof+t^2), formed
+    directly, as 1 - I_y(1/2, dof/2), so neither tail loses digits to 1 - x.
+    """
+    t_sq = _t_sq(r, dof)
+    x, y = dof / (dof + t_sq), t_sq / (dof + t_sq)
+    if x < 0.5:
+        return float(scipy.special.betainc(dof / 2, 0.5, x))
+    return float(scipy.special.betaincc(0.5, dof / 2, y))
+
+
+def oracle_pearson_p_closed_form(r, dof):
+    """The same p without scipy, in closed form for dof 1 and 2 only:
+    (2/pi) atan(1/|t|), and 1 - |t|/sqrt(2+t^2) rewritten as
+    2/(s (s+|t|)) with s = sqrt(2+t^2), which does not cancel as p -> 1."""
+    t = math.sqrt(_t_sq(r, dof))
+    if dof == 1:
+        return 2.0 / math.pi * math.atan2(1.0, t)
+    if dof == 2:
+        s = math.sqrt(2.0 + t * t)
+        return 2.0 / (s * (s + t))
+    raise ValueError(f"no closed form for dof {dof}")

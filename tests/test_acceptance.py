@@ -11,7 +11,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` for one verdict line per
 criterion.
 """
 
-import json
 import math
 import os
 import random
@@ -45,16 +44,12 @@ from citegauge.features import (
     author_overlap,
     compute_feature_matrix,
     cosine_similarity,
-    fit_tfidf,
-    vectorize,
 )
 from citegauge.forest import ForestConfig, SplitMix64, derive_seed, model_to_dict, train
 
 from conftest import make_corpus, make_paper
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
-    PAIR_ROWS,
-    all_papers,
     citing_papers,
     target_paper,
     write_dataset,

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from citegauge import citeparse
 from citegauge.citeparse import (
-    BibliographyEntry,
     analyze_citations,
     count_direct_citations,
     find_in_text_citations,

@@ -241,6 +241,26 @@ class TestImport:
         )
         assert result.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize(
+        "extra", [("--threads", "1"), ("--threads", "2", "--single-feature-mode", "forest")]
+    )
+    def test_evaluate_runs_with_scipy_blocked(self, tmp_path, extra):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        normal, blocked = tmp_path / "normal", tmp_path / "blocked"
+        assert _run(*_evaluate_args(corpus_dir, pairs_file, normal, *extra)) == 0
+        script = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from citegauge import cli; sys.exit(cli.main(sys.argv[1:]))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(citegauge.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script, *_evaluate_args(corpus_dir, pairs_file, blocked, *extra)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        for name in ("correlations.csv", "pr_grid.csv", "pr_points.csv"):
+            assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
+
 
 class TestConfigFile:
     def test_flags_beat_config_file(self, tmp_path):

@@ -25,6 +25,8 @@ from citegauge.evaluation import (
 from citegauge.features import compute_feature_matrix
 from citegauge.forest import ForestConfig
 
+from oracles import oracle_pearson_p, oracle_pearson_p_closed_form
+
 
 def _pairs(labels):
     return [CitationPair(f"c{i:03d}", "t", label) for i, label in enumerate(labels)]
@@ -214,6 +216,23 @@ class TestInterpolatedPrecision:
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
 
+def _values_with_r(r, n):
+    """n labels, a third of them 0, and values whose Pearson r with the labels
+    is r up to rounding: sqrt(1 - r^2) times a vector of alternating +1/-1
+    within each class, which is centred and orthogonal to the labels, plus r
+    times the centred labels scaled to that vector's length."""
+    zeros = max(1, n // 3)
+    labels = [0] * zeros + [1] * (n - zeros)
+    centred = [y - (n - zeros) / n for y in labels]
+    other = [0.0] * n
+    for start, size in ((0, zeros), (zeros, n - zeros)):
+        for i in range(size - size % 2):
+            other[start + i] = 1.0 if i % 2 == 0 else -1.0
+    a = r * math.sqrt(sum(v * v for v in other) / sum(v * v for v in centred))
+    b = math.sqrt(1.0 - r * r)
+    return [a * c + b * o for c, o in zip(centred, other)], labels
+
+
 class TestPearson:
     def test_identity(self):
         result = pearson([0, 1, 0, 1, 1], [0, 1, 0, 1, 1])
@@ -250,6 +269,60 @@ class TestPearson:
             assert got.r == pytest.approx(want_r, abs=1e-12)
             assert got.p_value == pytest.approx(want_p, abs=1e-10)
             assert got.n == n
+
+    @pytest.mark.parametrize("n", [3, 465, 640, 5000])
+    def test_p_value_relative_accuracy(self, n):
+        rng = random.Random(n)
+        targets = [i / 100 for i in range(100)] + [0.995, 0.999, 0.9999]
+        targets += [10 ** rng.uniform(-6, -2) for _ in range(20)] + [1e-6]
+        checked = []
+        for target in targets:
+            for sign in (1, -1):
+                got = pearson(*_values_with_r(sign * target, n))
+                want = oracle_pearson_p(got.r, n - 2)
+                if want < 1e-300:
+                    continue
+                assert got.p_value == pytest.approx(want, rel=1e-9, abs=0), (n, got.r)
+                checked.append(want)
+        assert max(checked) > 1 - 1e-5
+        assert min(checked) < (1e-2 if n == 3 else 1e-280)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_p_value_matches_closed_form(self, n):
+        for target in (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999, 0.9999999):
+            for sign in (1, -1):
+                got = pearson(*_values_with_r(sign * target, n))
+                want = oracle_pearson_p_closed_form(got.r, n - 2)
+                assert got.p_value == pytest.approx(want, rel=1e-12, abs=0), (n, got.r)
+
+    @pytest.mark.parametrize("n", [3, 4, 465, 5000])
+    def test_p_value_is_one_at_zero_r(self, n):
+        got = pearson(*_values_with_r(0.0, n))
+        if n < 5:  # every product and sum is exact, so r is exactly 0
+            assert (got.r, got.p_value) == (0.0, 1.0)
+        assert abs(got.r) < 1e-15
+        assert got.p_value == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [3, 4, 465])
+    def test_p_value_is_zero_as_r_nears_one(self, n):
+        labels = [0, 1] * (n // 2) + [1] * (n % 2)
+        assert pearson(labels, labels).p_value == 0.0
+        assert pearson([1 - y for y in labels], labels).p_value == 0.0
+        ruled = set()
+        for k in range(12):
+            for sign in (1, -1):
+                got = pearson(*_values_with_r(sign * (1 - k * 1e-16), n))
+                near_one = 1.0 - got.r * got.r < 1e-15
+                ruled.add(near_one)
+                if near_one:
+                    assert got.p_value == 0.0, got.r
+                elif n < 5:
+                    assert got.p_value > 0.0, got.r
+        assert ruled == {True, False}
+
+    def test_unconverged_fraction_raises(self):
+        with pytest.raises(EvaluationError, match="did not converge"):
+            evaluation._betainc(1.5, 0.5, math.nan, math.nan)
 
     def test_affine_invariance(self):
         rng = random.Random(15)

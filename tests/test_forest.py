@@ -1,5 +1,4 @@
 import json
-import math
 import multiprocessing
 import pickle
 import random
