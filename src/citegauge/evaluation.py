@@ -169,6 +169,8 @@ def pearson(values: Sequence[float], labels: Sequence[int]) -> CorrelationResult
         raise EvaluationError(f"correlation needs n >= 3, got {n}")
     x = np.asarray(values, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise EvaluationError("correlation undefined: non-finite value")
     dx = x - x.mean()
     dy = y - y.mean()
     var_x = float(dx @ dx)

@@ -344,6 +344,11 @@ class TestPearson:
         with pytest.raises(EvaluationError):
             pearson([1.0, 2.0], [0, 1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            pearson([1.0, bad, 2.0], [0, 1, 1])
+
 
 class TestMeanAveragePrecision:
     def test_single_positive_first(self):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from citegauge import forest
 from citegauge.errors import ConfigurationError, TrainingError
@@ -87,6 +88,12 @@ class TestTrainBasics:
         data = [((1.0, 0.0, 0.0), 0), ((float("nan"), 0.0, 0.0), 1)]
         with pytest.raises(TrainingError, match="pair-x"):
             train(data, ForestConfig(tree_count=2, seed=1), row_ids=["pair-w", "pair-x"])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
+    def test_infinite_value_rejected_naming_row(self, bad):
+        data = [((1.0, 0.0, 0.0), 0), ((2.0, bad, 0.0), 1), ((3.0, 0.0, 0.0), 1)]
+        with pytest.raises(TrainingError, match="pair-x"):
+            train(data, ForestConfig(tree_count=2, seed=1), row_ids=["pair-w", "pair-x", "pair-y"])
 
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
@@ -204,6 +211,43 @@ class TestEveryNodeOracle:
         model = train(data, config)
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(seed, index), config)
+
+    @pytest.mark.parametrize(
+        "seed, min_leaf, max_depth", [(11, 2, None), (12, 2, 3), (13, 4, None), (14, 4, 3)]
+    )
+    def test_every_node_on_repeated_rows(self, seed, min_leaf, max_depth):
+        # Eight distinct rows, each repeated four to eight times: a tree's
+        # rows carry large draw counts, which min_leaf and growth must count.
+        rng = random.Random(seed)
+        data = [row for row in self._data(seed, size=8) for _ in range(rng.randint(4, 8))]
+        rng.shuffle(data)
+        config = ForestConfig(
+            tree_count=15, features_per_split=2, min_leaf=min_leaf, max_depth=max_depth,
+            seed=seed,
+        )
+        model = train(data, config)
+        for index, tree in enumerate(model.trees):
+            self._check_tree(tree, data, derive_seed(seed, index), config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_node_on_generated_data(self, draw):
+        d = draw.draw(st.integers(1, 3))
+        rows = draw.draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=2, max_size=30))
+        labels = draw.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+        if len(set(labels)) < 2:
+            labels[0] = 1 - labels[0]
+        data = [(tuple(map(float, row)), label) for row, label in zip(rows, labels)]
+        config = ForestConfig(
+            tree_count=draw.draw(st.integers(1, 30)),
+            features_per_split=draw.draw(st.integers(1, d)),
+            min_leaf=draw.draw(st.integers(1, 4)),
+            max_depth=draw.draw(st.none() | st.integers(1, 4)),
+            seed=draw.draw(st.integers(0, 2**64 - 1)),
+        )
+        model = train(data, config, feature_names=[f"f{i}" for i in range(d)])
+        for index, tree in enumerate(model.trees):
+            self._check_tree(tree, data, derive_seed(config.seed, index), config)
 
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_model_independent_of_batch_size(self, batch, monkeypatch):
