@@ -1,5 +1,7 @@
 """citegauge: classify citations as incidental or influential from full texts."""
 
+import importlib
+
 from .corpus import (
     CitationPair,
     Corpus,
@@ -20,17 +22,33 @@ from .features import (
     tokenize,
     vectorize,
 )
-from .forest import ForestConfig, ForestModel, predict, predict_proba, train
-from .evaluation import (
-    EvaluationReport,
-    cross_validate,
-    interpolated_precision,
-    mean_average_precision,
-    pearson,
-    pr_curve,
-    run_evaluation,
-    stratified_folds,
-)
+
+# forest and evaluation import numpy, which only training and evaluation need:
+# their names are imported on first access (PEP 562), so that importing the
+# package, and the ingest, features and report commands, do not load it.
+_LAZY = {
+    **dict.fromkeys(("ForestConfig", "ForestModel", "predict", "predict_proba", "train"), "forest"),
+    **dict.fromkeys(
+        (
+            "EvaluationReport",
+            "cross_validate",
+            "interpolated_precision",
+            "mean_average_precision",
+            "pearson",
+            "pr_curve",
+            "run_evaluation",
+            "stratified_folds",
+        ),
+        "evaluation",
+    ),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __version__ = "0.1.0"
 

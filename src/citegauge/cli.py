@@ -17,9 +17,8 @@ import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from . import citeparse, corpus as corpus_mod, evaluation, features as features_mod
+from . import citeparse, corpus as corpus_mod, features as features_mod
 from .errors import ConfigurationError, DataError
-from .forest import ForestConfig
 
 logger = logging.getLogger(__name__)
 
@@ -36,7 +35,7 @@ class RunConfig:
     trees: int = 100
     folds: int = 10
     recall_levels: list[float] = field(
-        default_factory=lambda: list(evaluation.DEFAULT_RECALL_LEVELS)
+        default_factory=lambda: list(features_mod.DEFAULT_RECALL_LEVELS)
     )
     f4_mode: str = "jaccard"
     single_feature_mode: str = "direct_rank"
@@ -232,6 +231,10 @@ def cmd_features(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
+    # Only evaluate trains a forest, so only it loads numpy (through forest and evaluation).
+    from . import evaluation
+    from .forest import ForestConfig
+
     _require_inputs(config)
     corpus, _, valid, stats, _ = _load_dataset(config)
     if not valid:
@@ -333,6 +336,19 @@ def cmd_report(report_path: str) -> int:
     return 0
 
 
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "report":
+        return cmd_report(args.report_path)
+    config = _merge_config(args)
+    if args.command == "ingest":
+        return cmd_ingest(config)
+    if args.command == "features":
+        return cmd_features(config)
+    if args.command == "evaluate":
+        return cmd_evaluate(config)
+    raise ConfigurationError(f"unknown command: {args.command}")
+
+
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("CITEGAUGE_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
@@ -340,16 +356,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "report":
-            return cmd_report(args.report_path)
-        config = _merge_config(args)
-        if args.command == "ingest":
-            return cmd_ingest(config)
-        if args.command == "features":
-            return cmd_features(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        raise ConfigurationError(f"unknown command: {args.command}")
+        code = _dispatch(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (`citegauge report REPORT_JSON | head -1`).
+        # Every command writes its artifacts before it prints, so this ends the
+        # output and is no failure. Point stdout at the null device so that the
+        # interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

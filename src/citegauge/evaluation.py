@@ -23,12 +23,10 @@ import numpy as np
 
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
-from .features import FEATURE_NAMES
+from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES
 from .forest import ForestConfig, SplitMix64, derive_seed, predict_proba, train
 
 logger = logging.getLogger(__name__)
-
-DEFAULT_RECALL_LEVELS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 FEATURE_SET_ALL = "all"
 
@@ -189,38 +187,98 @@ def pearson(values: Sequence[float], labels: Sequence[int]) -> CorrelationResult
     return CorrelationResult(r=r, p_value=p_value, n=n)
 
 
-_BETA_MAX_TERMS = 10_000  # far above need: about 90 terms at a = 5e5
+_BETA_MAX_TERMS = 10_000  # far above need: at most 110 terms for dof up to 1e7
 
 
 def _betainc(a: float, b: float, x: float, y: float) -> float:
     """Regularized incomplete beta I_x(a, b). The caller passes y = 1 - x
     computed on its own, since ``1 - x`` keeps few digits when x is near 1.
 
-    The continued fraction (Numerical Recipes, 3rd ed., 6.4) converges fast for
-    x < (a+1)/(a+b+2); above that, I_x(a, b) = 1 - I_y(b, a). It is evaluated
-    by the modified Lentz method, and a fraction that does not converge raises
+    The continued fraction in x (Numerical Recipes, 3rd ed., 6.4) converges
+    fast for x < (a+1)/(a+b+2); above that, I_x(a, b) = 1 - I_y(b, a). Near
+    x = 1 its odd terms nearly cancel the 1 they are added to, which costs
+    about log10(1/y) digits, so from x = 1/2 on the second fraction of Cephes'
+    ``incbet``, in z = x/y, takes its place: with b < 1, as in every call
+    here, its terms are all positive. Either is evaluated by the modified
+    Lentz method, and a fraction that does not converge raises
     EvaluationError rather than return a value."""
     flip = x >= (a + 1.0) / (a + b + 2.0)
     if flip:
         a, b, x, y = b, a, y, x
     if x == 0.0:
         return 1.0 if flip else 0.0
-    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    front = math.exp(a * math.log(x) + b * math.log(y) - log_beta) / a
-    h, c, d = 1.0, math.inf, 1.0  # the fraction's leading 1/(1 + ...) already taken
-    for k in range(1, _BETA_MAX_TERMS):
-        m = k // 2
-        if k % 2:
-            num = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
-        else:
-            num = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+    # log(x) from y when x is near 1: a rounding of x costs a times more there.
+    log_x = math.log(x) if x < 0.5 else math.log1p(-y)
+    log_y = math.log(y) if y < 0.5 else math.log1p(-x)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b)) / a
+    if x < 0.5:
+        fraction = _lentz(_x_fraction_terms(a, b, x))
+    else:
+        fraction = _lentz(_z_fraction_terms(a, b, x / y))
+        front /= y
+    if fraction is None:
+        raise EvaluationError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
+    part = front * fraction
+    return 1.0 - part if flip else part
+
+
+def _x_fraction_terms(a: float, b: float, x: float):
+    """Partial numerators of I_x(a, b)'s fraction in x (Numerical Recipes 6.4.5)."""
+    for m in range(_BETA_MAX_TERMS // 2):
+        yield -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))
+        yield (m + 1) * (b - m - 1) * x / ((a + 2 * m + 1) * (a + 2 * m + 2))
+
+
+def _z_fraction_terms(a: float, b: float, z: float):
+    """Partial numerators of the fraction in z = x/(1-x) (Cephes ``incbd``)."""
+    for m in range(_BETA_MAX_TERMS // 2):
+        yield -z * (a + m) * (b - 1 - m) / ((a + 2 * m) * (a + 2 * m + 1))
+        yield z * (m + 1) * (a + b + m) / ((a + 2 * m + 1) * (a + 2 * m + 2))
+
+
+def _lentz(terms) -> float | None:
+    """1/(1 + t1/(1 + t2/(1 + ...))) over odd-even pairs of terms, or None
+    when the terms run out first."""
+    h, c, d = 1.0, math.inf, 1.0
+    for k, num in enumerate(terms, 1):
         d = 1.0 / ((1.0 + num * d) or 1e-300)
         c = (1.0 + num / c) or 1e-300
         h *= c * d
-        if abs(c * d - 1.0) < 1e-15:
-            part = front * h
-            return 1.0 - part if flip else part
-    raise EvaluationError(f"incomplete beta I_{x!r}({a!r}, {b!r}) did not converge")
+        # At large a an even term alone can change h by less than the
+        # tolerance long before the fraction has converged, so the test takes
+        # each odd term and the even term after it together.
+        pair = c * d if k % 2 else pair * c * d
+        if not k % 2 and abs(pair - 1.0) < 1e-15:
+            return h
+    return None
+
+
+# Stirling's series: lgamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + tail(z), with
+# tail(z) = sum of B_2k / (2k (2k - 1) z^(2k - 1)). From z = 10 on, these seven
+# terms leave under 1e-16 out.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_tail(z: float) -> float:
+    w = 1.0 / (z * z)
+    return sum(c * w**k for k, c in enumerate(_STIRLING)) / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b). For a large parameter, lgamma(a) + lgamma(b) - lgamma(a+b)
+    cancels: each lgamma term is far larger than the sum, so the sum keeps
+    only the digits the terms leave. There lgamma(big + small) - lgamma(big)
+    comes from Stirling's series, whose terms are of the sum's own size."""
+    small, big = sorted((a, b))
+    if big < 10.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    rise = (
+        (big - 0.5) * math.log1p(small / big)
+        + small * math.log(big + small)
+        - small
+        + (_stirling_tail(big + small) - _stirling_tail(big))
+    )
+    return math.lgamma(small) - rise
 
 
 def mean_average_precision(scored: Sequence[ScoredPair]) -> float:

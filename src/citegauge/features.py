@@ -22,6 +22,10 @@ logger = logging.getLogger(__name__)
 
 FEATURE_NAMES = ("f1", "f4", "f9")
 
+# The recall levels of the P@R grid. evaluation reads them from here, so that the
+# CLI's defaults load without numpy.
+DEFAULT_RECALL_LEVELS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
+
 
 class FeatureVector(NamedTuple):
     """One pair's features; being a tuple, it is also the pair's training row."""

@@ -8,7 +8,7 @@ import pytest
 
 import citegauge
 import citegauge.cli as cli_module
-from citegauge import forest
+from citegauge import evaluation, forest
 from citegauge.cli import RunConfig, main
 from citegauge.errors import ConfigurationError, TrainingError
 
@@ -27,6 +27,12 @@ from oracles import oracle_author_jaccard, oracle_cosine, oracle_tfidf_vector
 
 def _run(*argv):
     return main(list(argv))
+
+
+def _python(script, *argv, **kwargs):
+    """Run script in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(citegauge.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", script, *argv], env=env, **kwargs)
 
 
 def _evaluate_args(corpus_dir, pairs_file, out_dir, *extra):
@@ -229,6 +235,11 @@ class TestEvaluateCommand:
         assert "grower failed in a worker" in capsys.readouterr().err
 
 
+# Importing numpy in a script that starts with this raises ImportError.
+_BLOCK_NUMPY = "import sys; sys.modules['numpy'] = None\n"
+_MAIN = "import sys; from citegauge import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
 class TestImport:
     def test_package_import_skips_scipy_and_multiprocessing(self):
         script = (
@@ -260,6 +271,55 @@ class TestImport:
         assert result.returncode == 0, result.stderr
         for name in ("correlations.csv", "pr_grid.csv", "pr_points.csv"):
             assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
+
+    def test_package_import_skips_numpy(self):
+        script = "import sys, citegauge, citegauge.cli; print('numpy' in sys.modules)"
+        result = _python(script, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
+
+    def test_package_imports_with_numpy_blocked(self):
+        script = _BLOCK_NUMPY + "import citegauge, citegauge.cli"
+        result = _python(script, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_every_public_name_resolves(self):
+        for name in citegauge.__all__:
+            getattr(citegauge, name)
+        assert citegauge.train is forest.train
+        assert citegauge.run_evaluation is evaluation.run_evaluation
+        from citegauge import evaluation as submodule
+
+        assert submodule is evaluation
+        with pytest.raises(AttributeError, match="no_such_name"):
+            citegauge.no_such_name
+
+    @pytest.mark.parametrize(
+        "command, artifacts",
+        [
+            ("ingest", ["ingest_report.json"]),
+            ("features", ["features.csv", "features_warnings.json"]),
+        ],
+    )
+    def test_command_runs_with_numpy_blocked(self, tmp_path, command, artifacts):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        normal, blocked = tmp_path / "normal", tmp_path / "blocked"
+        args = [command, "--corpus", str(corpus_dir), "--pairs", str(pairs_file), "--output"]
+        assert _run(*args, str(normal)) == 0
+        result = _python(_BLOCK_NUMPY + _MAIN, *args, str(blocked), capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        for name in artifacts:
+            assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
+
+    def test_report_runs_with_numpy_blocked(self, tmp_path, capsys):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        assert _run(*_evaluate_args(corpus_dir, pairs_file, tmp_path)) == 0
+        capsys.readouterr()
+        assert _run("report", str(tmp_path / "report.json")) == 0
+        normal = capsys.readouterr().out
+        args = ["report", str(tmp_path / "report.json")]
+        result = _python(_BLOCK_NUMPY + _MAIN, *args, capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == normal
 
 
 class TestConfigFile:
@@ -385,6 +445,23 @@ class TestReportCommand:
         assert _run("report", str(path)) == 0
         table = capsys.readouterr().out.splitlines()[1:3]
         assert table == ["feature_set  P@R=0.5  P@R=0.9", "all          0.75     0.50"]
+
+    def test_closed_stdout_ends_the_output(self, tmp_path):
+        # `citegauge report REPORT_JSON | head -1`, with head already gone.
+        path = tmp_path / "report.json"
+        path.write_text(
+            json.dumps({"pr_grid": {"all": {"0.5": 0.75}}, "correlations": {}, "map_score": 0.5}),
+            encoding="utf-8",
+        )
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            script = "from citegauge.cli import entrypoint; entrypoint()"
+            result = _python(script, "report", str(path), stdout=write_end,
+                             stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (0, b"")
 
     def test_missing_report_exits_2(self, tmp_path):
         assert _run("report", str(tmp_path / "none.json")) == 2

@@ -320,6 +320,22 @@ class TestPearson:
                     assert got.p_value > 0.0, got.r
         assert ruled == {True, False}
 
+    @pytest.mark.parametrize("dof", [10**4, 10**5, 10**6])
+    def test_p_value_relative_accuracy_at_large_dof(self, dof):
+        # pearson's own call, p = I_x(dof/2, 1/2), without a million-row input.
+        checked = []
+        for t in (1e-6, 1e-3, 0.1, 0.5, 1, 2, 3, 5, 8, 12, 20, 30, 36):
+            r = t / math.sqrt(dof + t * t)
+            t_sq = r * r * dof / (1.0 - r * r)
+            got = evaluation._betainc(dof / 2.0, 0.5, dof / (dof + t_sq), t_sq / (dof + t_sq))
+            want = oracle_pearson_p(r, dof)
+            if want < 1e-300:
+                continue
+            assert got == pytest.approx(want, rel=1e-12, abs=0), (dof, t)
+            checked.append(want)
+        assert max(checked) > 1 - 1e-5
+        assert min(checked) < 1e-190
+
     def test_unconverged_fraction_raises(self):
         with pytest.raises(EvaluationError, match="did not converge"):
             evaluation._betainc(1.5, 0.5, math.nan, math.nan)
