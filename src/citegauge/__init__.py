@@ -27,7 +27,7 @@ from .features import (
 # their names are imported on first access (PEP 562), so that importing the
 # package, and the ingest, features and report commands, do not load it.
 _LAZY = {
-    **dict.fromkeys(("ForestConfig", "ForestModel", "predict", "predict_proba", "train"), "forest"),
+    **dict.fromkeys(("ForestConfig", "ForestModel", "predict_proba", "train"), "forest"),
     **dict.fromkeys(
         (
             "EvaluationReport",
@@ -75,7 +75,6 @@ __all__ = [
     "mean_average_precision",
     "pearson",
     "pr_curve",
-    "predict",
     "predict_proba",
     "run_evaluation",
     "stratified_folds",

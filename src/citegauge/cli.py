@@ -70,6 +70,8 @@ class RunConfig:
             raise ConfigurationError("recall levels must lie in (0, 1]")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ConfigurationError("recall levels must be strictly increasing")
+        if len({f"{r:g}" for r in levels}) < len(levels):  # artifacts key levels by :g
+            raise ConfigurationError("recall levels must differ in 6 significant digits")
 
 
 _CONFIG_FIELDS = tuple(f.name for f in fields(RunConfig))
@@ -350,8 +352,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("CITEGAUGE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("CITEGAUGE_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -87,15 +87,11 @@ def cross_validate(
     config: ForestConfig,
     k: int,
     seed: int,
-    feature_names: Sequence[str] = FEATURE_NAMES,
-    fold_log: list | None = None,
     pool=None,
 ) -> list[ScoredPair]:
     """Stratified k-fold cross-validation: each fold is scored by a forest
     trained on the other k-1 folds. Returns one ScoredPair per row, in row
     order. Per-fold model seeds derive from ``seed`` and the fold index.
-
-    ``fold_log``, when given, collects (fold, train_keys, test_keys) tuples.
     ``pool`` is passed on to ``train``.
     """
     fold_of = stratified_folds([pair for pair, _ in rows], k, seed)
@@ -119,11 +115,8 @@ def cross_validate(
             [(vec, pair.label) for pair, vec in train_rows],
             fold_config,
             row_ids=train_keys,
-            feature_names=feature_names,
             pool=pool,
         )
-        if fold_log is not None:
-            fold_log.append((fold, train_keys, test_keys))
         fold_scores = predict_proba(model, [vec for _, vec in test_rows])
         scores.update(zip(test_keys, fold_scores.tolist()))
     return [ScoredPair(pair=pair, score=scores[pair_key(pair)]) for pair, _ in rows]
@@ -389,8 +382,7 @@ def run_evaluation(
                 projected = [(pair, (vec[j],)) for pair, vec in rows]
                 single_config = replace(forest_config, features_per_split=1)
                 scored_sets[name] = cross_validate(
-                    projected, single_config, k, derive_seed(seed, 2000 + j),
-                    feature_names=(name,), pool=pool,
+                    projected, single_config, k, derive_seed(seed, 2000 + j), pool=pool
                 )
         scored_sets[FEATURE_SET_ALL] = cross_validate(rows, forest_config, k, seed, pool=pool)
 

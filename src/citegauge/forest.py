@@ -15,7 +15,9 @@ here and keeps the sequence portable). Tree t draws from
 n outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
 seeds the root. Every node has its own seed: its children's are
 ``derive_seed(node_seed, 0)`` (left) and ``derive_seed(node_seed, 1)``
-(right), and it scores the features ``SplitMix64(node_seed).choose(k, d)``.
+(right). A node scores k of the d features: with ``SplitMix64(node_seed)``
+it runs the first k steps of a Fisher-Yates shuffle of ``range(d)`` (step i
+swaps position i with ``i + randbelow(d - i)``) and sorts the first k.
 No draw depends on the order nodes or trees are grown in, so trees grow level
 by level, a batch of trees at a time, with the frontier of every tree in the
 batch advanced by the same array operations, and the batches may grow in
@@ -33,16 +35,13 @@ order.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, astuple, dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, TrainingError
-from .features import FEATURE_NAMES
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -86,14 +85,6 @@ class SplitMix64:
             j = self.randbelow(i + 1)
             items[i], items[j] = items[j], items[i]
 
-    def choose(self, k: int, n: int) -> list[int]:
-        """k distinct indices out of range(n), returned sorted ascending."""
-        pool = list(range(n))
-        for i in range(k):
-            j = i + self.randbelow(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return sorted(pool[:k])
-
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """``_mix64`` over a uint64 array. Every operand is an explicit ``np.uint64``,
@@ -111,7 +102,9 @@ def _streams(seeds: np.ndarray, count: int) -> np.ndarray:
 
 
 def _choose_many(seeds: np.ndarray, k: int, n: int) -> np.ndarray:
-    """``SplitMix64(seed).choose(k, n)`` for each seed, one sorted row per seed."""
+    """The k features a node with each seed scores, out of ``range(n)``: a
+    partial Fisher-Yates shuffle (see the module docstring), one sorted row per
+    seed."""
     draws = _streams(seeds, k)
     rows = np.arange(len(seeds))
     pool = np.zeros((len(seeds), 1), dtype=np.int64) + np.arange(n)
@@ -157,8 +150,7 @@ class TreeNode:
     count1: int
 
 
-_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
-           "right": np.int64, "count0": np.int64, "count1": np.int64}
+_COLUMNS = ("feature", "threshold", "left", "right", "count0", "count1")
 
 
 @dataclass(eq=False)
@@ -173,24 +165,15 @@ class DecisionTree:
     count0: np.ndarray
     count1: np.ndarray
 
-    @classmethod
-    def from_nodes(cls, nodes: Sequence) -> DecisionTree:
-        """Build from TreeNodes or rows of (feature, threshold, left, right, count0, count1)."""
-        rows = [astuple(n) if isinstance(n, TreeNode) else n for n in nodes]
-        columns = zip(*rows) if rows else [()] * len(_DTYPES)
-        return cls(*(np.asarray(c, dtype=t) for c, t in zip(columns, _DTYPES.values())))
-
     @property
     def nodes(self) -> list[TreeNode]:
         """The node table as read-only rows."""
-        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _DTYPES))]
+        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _COLUMNS))]
 
 
 @dataclass
 class ForestModel:
     trees: list[DecisionTree]
-    config: ForestConfig
-    feature_names: list[str]
 
 
 def _gini(count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
@@ -351,7 +334,6 @@ def train(
     data: Sequence[tuple],
     config: ForestConfig,
     row_ids: Sequence | None = None,
-    feature_names: Sequence[str] = FEATURE_NAMES,
     pool=None,
 ) -> ForestModel:
     """Train a bagged forest on (feature vector, label) rows.
@@ -376,8 +358,6 @@ def train(
     config.validate(X.shape[1])
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
-    if len(feature_names) != X.shape[1]:
-        raise ConfigurationError("feature_names length must match feature count")
 
     if row_ids is not None:
         order = sorted(range(len(data)), key=lambda i: row_ids[i])
@@ -388,7 +368,7 @@ def train(
     grow = partial(_grow_trees, X, y, config=config)
     grown = map(grow, batches) if pool is None else pool.map(grow, batches, chunksize=1)
     trees = [tree for batch in grown for tree in batch]
-    return ForestModel(trees=trees, config=replace(config), feature_names=list(feature_names))
+    return ForestModel(trees=trees)
 
 
 def predict_proba(model: ForestModel, x):
@@ -406,7 +386,7 @@ def predict_proba(model: ForestModel, x):
     sizes = [len(tree.feature) for tree in model.trees]
     first = np.cumsum(sizes) - sizes
     feature, threshold, left, right, count0, count1 = (
-        np.concatenate([getattr(tree, c) for tree in model.trees]) for c in _DTYPES
+        np.concatenate([getattr(tree, c) for tree in model.trees]) for c in _COLUMNS
     )
     offset = np.repeat(first, sizes)  # children as rows of the joint table
     left, right = left + offset, right + offset  # a leaf's are never read
@@ -427,36 +407,3 @@ def predict_proba(model: ForestModel, x):
     proba = total / len(model.trees)
     return float(proba[0]) if rows.ndim == 1 else proba
 
-
-def predict(model: ForestModel, x) -> int:
-    """Class of one row: 1 when its positive-class probability is at least 0.5."""
-    return 1 if predict_proba(model, x) >= 0.5 else 0
-
-
-def model_to_dict(model: ForestModel) -> dict:
-    """JSON-ready form: config, feature names, and one flat node table per tree."""
-    return {
-        "config": asdict(model.config),
-        "feature_names": list(model.feature_names),
-        "trees": [
-            [
-                [n.feature, n.threshold, n.left, n.right, n.count0, n.count1]
-                for n in tree.nodes
-            ]
-            for tree in model.trees
-        ],
-    }
-
-
-def model_from_dict(data: dict) -> ForestModel:
-    config = ForestConfig(**data["config"])
-    trees = [DecisionTree.from_nodes(nodes) for nodes in data["trees"]]
-    return ForestModel(trees=trees, config=config, feature_names=list(data["feature_names"]))
-
-
-def save_model(model: ForestModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model_to_dict(model), sort_keys=True), encoding="utf-8")
-
-
-def load_model(path: str | Path) -> ForestModel:
-    return model_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,16 @@ def make_paper(paper_id, title="", authors=(), abstract=None, body="", reference
 
 def make_corpus(*records):
     return Corpus(papers={r.id: r for r in records})
+
+
+def assert_same_model(a, b):
+    """Fail unless two forests hold the same trees: every node array of every
+    tree equal in dtype and bytes."""
+    assert len(a.trees) == len(b.trees)
+    for index, (x, y) in enumerate(zip(a.trees, b.trees)):
+        for column in (f.name for f in fields(x)):
+            u, v = getattr(x, column), getattr(y, column)
+            assert (u.dtype, u.tobytes()) == (v.dtype, v.tobytes()), f"tree {index} {column}"
 
 
 class FailingGrower:

@@ -83,6 +83,17 @@ def brute_force_best_split(X, y, min_leaf=1):
     return best
 
 
+def choose(rng, k, n):
+    """k distinct indices out of range(n), sorted ascending: the first k steps
+    of a Fisher-Yates shuffle driven by the SplitMix64 stream ``rng``. The
+    scalar reference for the features a forest node scores."""
+    pool = list(range(n))
+    for i in range(k):
+        j = i + rng.randbelow(n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return sorted(pool[:k])
+
+
 # The narrative author-year regex the package used before its year-anchored
 # scan. It tries a name match at every word boundary, so it takes quadratic
 # time on long runs of name-like text: keep its inputs short.

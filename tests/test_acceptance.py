@@ -45,9 +45,9 @@ from citegauge.features import (
     compute_feature_matrix,
     cosine_similarity,
 )
-from citegauge.forest import ForestConfig, SplitMix64, derive_seed, model_to_dict, train
+from citegauge.forest import ForestConfig, SplitMix64, derive_seed, train
 
-from conftest import make_corpus, make_paper
+from conftest import assert_same_model, make_corpus, make_paper
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
     citing_papers,
@@ -252,11 +252,11 @@ class TestSubstituteCriterion5:
         config = ForestConfig(tree_count=10, seed=31)
         model_a = train(data, config, row_ids=ids)
         model_b = train(data, config, row_ids=ids)
-        assert model_to_dict(model_a) == model_to_dict(model_b)
+        assert_same_model(model_a, model_b)
         order = list(range(10))
         random.Random(3).shuffle(order)
         model_c = train([data[i] for i in order], config, row_ids=[ids[i] for i in order])
-        assert model_to_dict(model_c) == model_to_dict(model_a)
+        assert_same_model(model_c, model_a)
 
         def gini(c0, c1):
             n = c0 + c1

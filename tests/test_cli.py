@@ -361,6 +361,7 @@ class TestConfigFile:
             '{"recall_levels": "0.5"}',
             '{"recall_levels": [0.5, "0.9"]}',
             '{"recall_levels": [true]}',
+            '{"recall_levels": [0.1234561, 0.1234562, 0.9]}',  # one level under f"{r:g}"
             '{"single_feature_mode": 3}',
             '{"f4_mode": ["jaccard"]}',
             '["trees"]',
@@ -531,3 +532,16 @@ class TestUsage:
         )
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["BASIC_FORMAT", "_styles", "no-such-level"])
+    def test_log_variable_naming_no_level_falls_back(self, tmp_path, value):
+        # A fresh interpreter: under pytest the root logger has handlers already,
+        # which makes basicConfig a no-op.
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        script = f"import os; os.environ['CITEGAUGE_LOG'] = {value!r}\n" + _MAIN
+        result = _python(
+            script, "ingest", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / "out"), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr

@@ -129,15 +129,21 @@ class TestCrossValidate:
         scored = cross_validate(_features_for(pairs), ForestConfig(tree_count=5, seed=2), 3, 2)
         assert [s.pair for s in scored] == pairs
 
-    def test_fold_isolation(self):
-        pairs = _pairs([0, 0, 1, 1])
-        features = _features_for(pairs)
-        log = []
-        cross_validate(features, ForestConfig(tree_count=3, seed=5), k=2, seed=5, fold_log=log)
-        assert len(log) == 2
-        for fold, train_keys, test_keys in log:
-            assert set(train_keys).isdisjoint(test_keys)
-            assert set(train_keys) | set(test_keys) == {pair_key(p) for p in pairs}
+    def test_fold_isolation(self, monkeypatch):
+        pairs = _pairs([0, 1] * 6)
+        trained_on = []
+        real_train = evaluation.train
+
+        def spy(data, config, row_ids=None, pool=None):
+            trained_on.append(set(row_ids))
+            return real_train(data, config, row_ids=row_ids, pool=pool)
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        cross_validate(_features_for(pairs), ForestConfig(tree_count=3, seed=5), k=3, seed=5)
+        fold_of = stratified_folds(pairs, 3, 5)
+        assert trained_on == [
+            {key for key, f in fold_of.items() if f != fold} for fold in range(3)
+        ]
 
     def test_deterministic(self):
         pairs = _pairs([0, 1, 0, 1, 0, 1, 1, 0])
