@@ -121,7 +121,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if not config_path.is_file():
             raise ConfigurationError(f"config file not found: {config_path}")
         try:
-            loaded = json.loads(config_path.read_text(encoding="utf-8"))
+            loaded = json.loads(config_path.read_text(encoding="utf-8-sig"))
         except ValueError as exc:
             raise ConfigurationError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -160,8 +160,12 @@ def _load_dataset(config: RunConfig):
 
 
 def _out_dir(config: RunConfig) -> Path:
+    """Create the output directory; commands call this first, so a bad --output fails fast."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -171,6 +175,7 @@ def _write_json(path: Path, payload) -> None:
 
 def cmd_ingest(config: RunConfig) -> int:
     _require_inputs(config)
+    out = _out_dir(config)
     corpus, pairs, _, stats, issues = _load_dataset(config)
 
     unresolved_by_paper = {}
@@ -182,7 +187,6 @@ def cmd_ingest(config: RunConfig) -> int:
         elif index.unresolved:
             unresolved_by_paper[citing_id] = len(index.unresolved)
 
-    out = _out_dir(config)
     _write_json(
         out / "ingest_report.json",
         {
@@ -216,6 +220,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def cmd_features(config: RunConfig) -> int:
     _require_inputs(config)
+    out = _out_dir(config)
     corpus, _, valid, stats, _ = _load_dataset(config)
     if not valid:
         raise DataError("no pairs survived the abstract filter; nothing to extract")
@@ -224,7 +229,6 @@ def cmd_features(config: RunConfig) -> int:
     if not rows:
         raise DataError("feature extraction failed for every pair")
 
-    out = _out_dir(config)
     features_mod.write_feature_matrix(rows, out / "features.csv")
     _write_json(out / "features_warnings.json", warnings)
     print(f"feature matrix: {len(rows)} pairs -> {out / 'features.csv'}")
@@ -238,6 +242,7 @@ def cmd_evaluate(config: RunConfig) -> int:
     from .forest import ForestConfig
 
     _require_inputs(config)
+    out = _out_dir(config)
     corpus, _, valid, stats, _ = _load_dataset(config)
     if not valid:
         raise DataError("no pairs survived the abstract filter; nothing to evaluate")
@@ -256,7 +261,6 @@ def cmd_evaluate(config: RunConfig) -> int:
         workers=config.threads,
     )
 
-    out = _out_dir(config)
     evaluation.write_report_json(report, out / "report.json")
     evaluation.write_pr_grid_csv(report, out / "pr_grid.csv")
     evaluation.write_correlations_csv(report, out / "correlations.csv")
@@ -325,7 +329,7 @@ def cmd_report(report_path: str) -> int:
     if not path.is_file():
         raise DataError(f"report not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except ValueError as exc:
         raise DataError(f"report is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

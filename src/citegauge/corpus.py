@@ -191,7 +191,7 @@ def load_corpus(path: str | Path) -> Corpus:
     seen_files: dict[str, str] = {}
     for doc_path in sorted(directory.glob("*.json")):
         try:
-            data = json.loads(doc_path.read_text(encoding="utf-8"))
+            data = json.loads(doc_path.read_text(encoding="utf-8-sig"))
             record = paper_from_dict(data, source=doc_path.name)
         except DataError as exc:
             corpus.load_report.append(LoadIssue(doc_path.name, str(exc)))
@@ -237,7 +237,7 @@ def load_pairs(
         raise DataError(f"pairs file not readable: {pairs_path}")
 
     try:
-        text = pairs_path.read_text(encoding="utf-8")
+        text = pairs_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise DataError(f"pairs file is not UTF-8 text: {pairs_path}: {exc}") from exc
 

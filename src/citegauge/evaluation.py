@@ -380,9 +380,8 @@ def run_evaluation(
                 scored_sets[name] = direct_rank_scores(rows, j)
             else:
                 projected = [(pair, (vec[j],)) for pair, vec in rows]
-                single_config = replace(forest_config, features_per_split=1)
                 scored_sets[name] = cross_validate(
-                    projected, single_config, k, derive_seed(seed, 2000 + j), pool=pool
+                    projected, forest_config, k, derive_seed(seed, 2000 + j), pool=pool
                 )
         scored_sets[FEATURE_SET_ALL] = cross_validate(rows, forest_config, k, seed, pool=pool)
 

@@ -15,15 +15,17 @@ here and keeps the sequence portable). Tree t draws from
 n outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
 seeds the root. Every node has its own seed: its children's are
 ``derive_seed(node_seed, 0)`` (left) and ``derive_seed(node_seed, 1)``
-(right). A node scores k of the d features: with ``SplitMix64(node_seed)``
-it runs the first k steps of a Fisher-Yates shuffle of ``range(d)`` (step i
-swaps position i with ``i + randbelow(d - i)``) and sorts the first k.
+(right). A node scores k = floor(log2(d)) + 1 of the d features (Breiman's
+F = int(log2(M) + 1)): with ``SplitMix64(node_seed)`` it runs the first k
+steps of a Fisher-Yates shuffle of ``range(d)`` (step i swaps position i with
+``i + randbelow(d - i)``) and sorts the first k.
 No draw depends on the order nodes or trees are grown in, so trees grow level
 by level, a batch of trees at a time, with the frontier of every tree in the
 batch advanced by the same array operations, and the batches may grow in
 separate worker processes. A tree grows on its distinct bootstrap rows, each
-carrying its draw count: node counts, ``min_leaf`` and the gains are in draws,
-so the tree is the one its n draws would grow. When row ids are supplied,
+carrying its draw count: node counts and the gains are in draws, so the tree
+is the one its n draws would grow. A node is split when it holds both classes
+and some cut strictly lowers its Gini impurity. When row ids are supplied,
 training rows are canonicalized by sorting on them, making the model invariant
 to input row order.
 
@@ -117,23 +119,11 @@ def _choose_many(seeds: np.ndarray, k: int, n: int) -> np.ndarray:
 @dataclass
 class ForestConfig:
     tree_count: int = 100
-    max_depth: int | None = None
-    min_leaf: int = 1
-    features_per_split: int = 2  # floor(log2(d)) + 1 for d = 3
     seed: int = 42
 
-    def validate(self, feature_count: int) -> None:
+    def validate(self) -> None:
         if self.tree_count < 1:
             raise ConfigurationError("tree_count must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ConfigurationError("max_depth must be >= 1 or None")
-        if self.min_leaf < 1:
-            raise ConfigurationError("min_leaf must be >= 1")
-        if not 1 <= self.features_per_split <= feature_count:
-            raise ConfigurationError(
-                f"features_per_split must be in [1, {feature_count}], "
-                f"got {self.features_per_split}"
-            )
 
 
 @dataclass(frozen=True)
@@ -181,15 +171,15 @@ def _gini(count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
     return 1.0 - ((count0 / n) ** 2 + (count1 / n) ** 2)
 
 
-def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feats, min_leaf):
+def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feats):
     """Best (gain, feature, left size, threshold) of each node.
 
     Node i owns positions ``starts[i]:starts[i] + sizes[i]`` of every row order
     in ``order`` (one per feature, the node's distinct rows sorted by that
     feature), and only the features ``feats[i]`` (ascending) are scored. Row r
     stands for ``weight[r]`` draws, ``positive[r]`` of them positive; node i
-    holds ``total[i]`` draws, ``count1[i]`` of them positive. ``min_leaf`` and
-    the gains count draws; the left size counts positions. Candidate thresholds
+    holds ``total[i]`` draws, ``count1[i]`` of them positive. The gains count
+    draws; the left size counts positions. Candidate thresholds
     are midpoints between consecutive distinct values. Ties resolve to the
     lowest feature, then the lowest threshold. A node without a valid cut gets
     gain -inf.
@@ -211,7 +201,7 @@ def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feat
 
     left_n, left1 = through(weight[rows]), through(positive[rows])
     right_n = total[node] - left_n
-    valid = (left_n >= min_leaf) & (right_n >= min_leaf)  # never a segment's last row
+    valid = right_n > 0  # every left side holds a draw; this drops each segment's last row
     valid[:-1] &= values[:-1] < values[1:]
 
     at, node = at[valid], node[valid]
@@ -230,9 +220,7 @@ def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feat
     return top[pick], feats.T.ravel()[pick], cut - seg_starts[pick] + 1, threshold
 
 
-def _grow_trees(
-    X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int], config: ForestConfig
-) -> list[DecisionTree]:
+def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list[DecisionTree]:
     """Grow one tree per seed, level by level, advancing all their frontiers at
     once, each on its distinct bootstrap rows weighted by their draw counts;
     the seeds are derived as the module docstring says. Nodes are
@@ -262,7 +250,7 @@ def _grow_trees(
     tree_of, seeds = np.arange(trees), draws[:, n]
     sizes = np.bincount(tree_of_row, minlength=trees)  # in positions (distinct rows)
     levels = []  # per level: the node columns, with children as batch-wide ids
-    next_id, depth = 0, 0
+    next_id, k = 0, d.bit_length()  # features per node: floor(log2(d)) + 1
     while len(sizes):
         starts = np.cumsum(sizes) - sizes
         total = np.add.reduceat(weight[order[0]], starts)
@@ -274,18 +262,15 @@ def _grow_trees(
         )
         next_id += len(sizes)
 
-        grow = (count1 > 0) & (count1 < total) & (total >= 2 * config.min_leaf)
-        if config.max_depth is not None and depth >= config.max_depth:
-            grow[:] = False
+        grow = (count1 > 0) & (count1 < total)
         order = order[:, np.repeat(grow, sizes)]
         ids, tree_of, seeds, sizes = np.nonzero(grow)[0], tree_of[grow], seeds[grow], sizes[grow]
         if not len(sizes):
             break
         starts = np.cumsum(sizes) - sizes
-        feats = _choose_many(seeds, config.features_per_split, d)
+        feats = _choose_many(seeds, k, d)
         gain, feature, left_n, threshold = _best_splits(
-            Xb, weight, positive, order, starts, sizes, total[grow], count1[grow], feats,
-            config.min_leaf,
+            Xb, weight, positive, order, starts, sizes, total[grow], count1[grow], feats
         )
         split = gain > _MIN_GAIN
         children = next_id + 2 * np.arange(np.count_nonzero(split))
@@ -306,7 +291,6 @@ def _grow_trees(
         sizes = np.column_stack([left_n[split], sizes[split] - left_n[split]]).ravel()
         seeds = _streams(seeds[split], 2).ravel()
         tree_of = np.repeat(tree_of[split], 2)
-        depth += 1
 
     tree, feature, threshold, left, right, count0, count1 = map(np.concatenate, zip(*levels))
     by_tree = np.argsort(tree, kind="stable")  # breadth first within each tree
@@ -340,8 +324,8 @@ def train(
 
     Each tree trains on an n-sized bootstrap sample drawn with replacement from
     its own splitmix64 stream (seeded from config.seed and the tree index);
-    node splits minimize Gini impurity over features_per_split features sampled
-    with the node's own seed (see the module docstring). Fully deterministic
+    node splits minimize Gini impurity over floor(log2(d)) + 1 of the d
+    features, sampled with the node's own seed (see the module docstring). Fully deterministic
     given the seed; supplying row_ids makes the model independent of input row
     order.
 
@@ -355,7 +339,7 @@ def train(
         raise ConfigurationError("row_ids length must match data length")
 
     X, y = _to_matrix(data, row_ids)
-    config.validate(X.shape[1])
+    config.validate()
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
 
@@ -365,7 +349,7 @@ def train(
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
     batches = [seeds[i : i + _BATCH_TREES] for i in range(0, len(seeds), _BATCH_TREES)]
-    grow = partial(_grow_trees, X, y, config=config)
+    grow = partial(_grow_trees, X, y)
     grown = map(grow, batches) if pool is None else pool.map(grow, batches, chunksize=1)
     trees = [tree for batch in grown for tree in batch]
     return ForestModel(trees=trees)

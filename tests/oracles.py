@@ -56,7 +56,7 @@ def oracle_author_jaccard(a, b):
     return len(sa & sb) / len(sa | sb)
 
 
-def brute_force_best_split(X, y, min_leaf=1):
+def brute_force_best_split(X, y):
     """Exhaustive split enumeration: all features, all midpoints between
     consecutive distinct sorted values; ties to lowest feature then threshold."""
 
@@ -75,8 +75,6 @@ def brute_force_best_split(X, y, min_leaf=1):
             threshold = (lo + hi) / 2.0
             left = [label for row, label in zip(X, y) if row[feature] <= threshold]
             right = [label for row, label in zip(X, y) if row[feature] > threshold]
-            if len(left) < min_leaf or len(right) < min_leaf:
-                continue
             gain = parent - (len(left) * gini(left) + len(right) * gini(right)) / n
             if gain > 1e-12 and (best is None or gain > best[0]):
                 best = (gain, feature, threshold)

@@ -346,19 +346,16 @@ class TestSubstituteCriterion5:
         rng = random.Random(13)
         for case in range(8):
             data = []
-            for _ in range(20):
+            for _ in range(20):  # two features, so the root scores both (k = d = 2)
                 f1 = float(rng.randint(0, 6))
                 f4 = rng.random()
-                f9 = rng.random()
                 label = int((f1 >= 3) != (f4 > 0.7))
-                data.append(((f1, f4, f9), label))
+                data.append(((f1, f4), label))
             if len({label for _, label in data}) < 2:
                 data[0] = (data[0][0], 1 - data[0][1])
 
             seed = 100 + case
-            model = train(
-                data, ForestConfig(tree_count=1, features_per_split=3, max_depth=2, seed=seed)
-            )
+            model = train(data, ForestConfig(tree_count=1, seed=seed))
             stream = SplitMix64(derive_seed(seed, 0))
             boot = [stream.randbelow(len(data)) for _ in range(len(data))]
             want = brute_force_best_split(

@@ -326,25 +326,22 @@ class TestConfigFile:
     def test_flags_beat_config_file(self, tmp_path):
         corpus_dir, pairs_file = write_dataset(tmp_path)
         config_path = tmp_path / "run.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "corpus_dir": str(corpus_dir),
-                    "pairs_file": str(pairs_file),
-                    "folds": 3,
-                    "trees": 4,
-                    "seed": 1,
-                    "output_dir": str(tmp_path / "from_config"),
-                }
-            ),
-            encoding="utf-8",
-        )
-        out = tmp_path / "from_flag"
-        code = _run("evaluate", "--config", str(config_path), "--output", str(out))
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["config"]["trees"] == 4       # from file
-        assert report["config"]["output_dir"] == str(out)  # flag wins
+        config = {
+            "corpus_dir": str(corpus_dir),
+            "pairs_file": str(pairs_file),
+            "folds": 3,
+            "trees": 4,
+            "seed": 1,
+            "output_dir": str(tmp_path / "from_config"),
+        }
+        for bom in ("", "\ufeff"):  # a leading byte-order mark is ignored
+            config_path.write_text(bom + json.dumps(config), encoding="utf-8")
+            out = tmp_path / f"from_flag{len(bom)}"
+            code = _run("evaluate", "--config", str(config_path), "--output", str(out))
+            assert code == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["trees"] == 4       # from file
+            assert report["config"]["output_dir"] == str(out)  # flag wins
 
     def test_unknown_config_key_exits_1(self, tmp_path):
         config_path = tmp_path / "run.json"
@@ -418,8 +415,6 @@ class TestReportCommand:
             "map_score": 0.75,
         }
         path = tmp_path / "report.json"
-        path.write_text(json.dumps(report), encoding="utf-8")
-        assert _run("report", str(path)) == 0
         golden = (
             "interpolated precision at recall levels\n"
             "feature_set  P@R=0.5  P@R=0.9\n"
@@ -433,7 +428,10 @@ class TestReportCommand:
             "\n"
             "MAP: 0.7500\n"
         )
-        assert capsys.readouterr().out == golden
+        for bom in ("", "\ufeff"):  # a leading byte-order mark is ignored
+            path.write_text(bom + json.dumps(report), encoding="utf-8")
+            assert _run("report", str(path)) == 0
+            assert capsys.readouterr().out == golden
 
     def test_level_keys_are_read_as_numbers(self, tmp_path, capsys):
         report = {
@@ -532,6 +530,27 @@ class TestUsage:
         )
         assert code == 3
         assert "internal error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ingest", "features", "evaluate"])
+    @pytest.mark.parametrize("output", ["taken", "taken/out"])  # a file; a path under it
+    def test_unusable_output_exits_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, output
+    ):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory", encoding="utf-8")
+
+        def extract(*args, **kwargs):
+            raise AssertionError("features were extracted")
+
+        monkeypatch.setattr(cli_module.features_mod, "compute_feature_matrix", extract)
+        code = _run(
+            command, "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / output),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "output directory" in err and "internal error" not in err
 
     @pytest.mark.parametrize("value", ["BASIC_FORMAT", "_styles", "no-such-level"])
     def test_log_variable_naming_no_level_falls_back(self, tmp_path, value):

@@ -59,6 +59,13 @@ class TestLoadCorpus:
         assert len(corpus.load_report) == 1
         assert corpus.load_report[0].source == "zz.json"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "a.json").write_text("\ufeff" + json.dumps(_doc("a")), encoding="utf-8")
+        corpus = load_corpus(tmp_path / "c")
+        assert list(corpus) == ["a"]
+        assert corpus.load_report == []
+
     def test_missing_directory_is_fatal(self, tmp_path):
         with pytest.raises(DataError):
             load_corpus(tmp_path / "nope")
@@ -127,13 +134,14 @@ def _pair_corpus():
 class TestLoadPairs:
     def test_single_row(self, tmp_path):
         f = tmp_path / "p.tsv"
-        f.write_text("A\tB\t1\n", encoding="utf-8")
-        pairs, stats, issues = load_pairs(f, _pair_corpus())
-        assert pairs == [CitationPair("A", "B", 1)]
-        assert stats.total_pairs == 1
-        assert stats.influential_count == 1
-        assert stats.incidental_count == 0
-        assert issues == []
+        for bom in ("", "\ufeff"):  # a leading byte-order mark is not part of the first id
+            f.write_text(f"{bom}A\tB\t1\n", encoding="utf-8")
+            pairs, stats, issues = load_pairs(f, _pair_corpus())
+            assert pairs == [CitationPair("A", "B", 1)]
+            assert stats.total_pairs == 1
+            assert stats.influential_count == 1
+            assert stats.incidental_count == 0
+            assert issues == []
 
     def test_unknown_id_dropped_with_report(self, tmp_path):
         f = tmp_path / "p.tsv"

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import multiprocessing
 import pickle
 import random
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from citegauge import forest
-from citegauge.errors import ConfigurationError, TrainingError
-from citegauge.features import FeatureVector
+from citegauge.corpus import filter_valid_pairs, load_corpus, load_pairs
+from citegauge.errors import TrainingError
+from citegauge.features import FeatureVector, compute_feature_matrix
 from conftest import FailingGrower, assert_same_model
 from oracles import brute_force_best_split, choose
 from citegauge.forest import (
@@ -92,56 +95,18 @@ class TestTrainBasics:
         with pytest.raises(TrainingError):
             train([], ForestConfig())
 
-    def test_features_per_split_validated(self):
-        with pytest.raises(ConfigurationError):
-            train(SEPARABLE, ForestConfig(features_per_split=4, seed=1))
-
     def test_monotone_sanity_full_training_accuracy(self):
         model = train(SEPARABLE, ForestConfig(tree_count=100, seed=42))
         for row, label in SEPARABLE:
             assert (predict_proba(model, row) >= 0.5) == bool(label)
 
 
-class TestRootSplitOracle:
-    def _twenty_points(self, seed):
-        rng = random.Random(seed)
-        points = []
-        for i in range(20):
-            f1 = rng.randint(0, 8)
-            f4 = rng.random()
-            f9 = rng.random()
-            label = 1 if (f1 >= 4) != (f9 > 0.8) else 0
-            points.append(((float(f1), f4, f9), label))
-        if len({label for _, label in points}) < 2:
-            points[0] = (points[0][0], 1 - points[0][1])
-        return points
-
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_single_tree_root_matches_enumeration(self, seed):
-        data = self._twenty_points(seed)
-        config = ForestConfig(tree_count=1, features_per_split=3, max_depth=2, seed=seed)
-        model = train(data, config)
-
-        # reconstruct the bootstrap sample from the documented seed derivation
-        rng = SplitMix64(derive_seed(seed, 0))
-        boot = [rng.randbelow(len(data)) for _ in range(len(data))]
-        X = [data[i][0] for i in boot]
-        y = [data[i][1] for i in boot]
-
-        want = brute_force_best_split(X, y)
-        root = model.trees[0].nodes[0]
-        if want is None:
-            assert root.feature == -1
-        else:
-            assert root.feature == want[1]
-            assert root.threshold == pytest.approx(want[2], abs=1e-12)
-
-
 class TestEveryNodeOracle:
     """Every node of every tree against exhaustive enumeration, with the node's
     rows and sampled features recomputed from the documented seed derivation."""
 
-    def _data(self, seed, size=40):
+    def _data(self, seed, size=40, d=3):
+        """Rows of d features: f1-, f4- and f9-like, then coarse noise columns."""
         rng = random.Random(seed)
         data = []
         for _ in range(size):
@@ -149,37 +114,33 @@ class TestEveryNodeOracle:
             f4 = round(rng.random(), 2)
             f9 = rng.random()
             label = int((f1 >= 3) != (f9 > 0.75))
-            data.append(((f1, f4, f9), label))
+            noise = tuple(round(rng.random(), 1) for _ in range(d - 3))
+            data.append(((f1, f4, f9, *noise)[:d], label))
         if len({label for _, label in data}) < 2:
             data[0] = (data[0][0], 1 - data[0][1])
         return data
 
-    def _check_tree(self, tree, data, tree_seed, config):
+    def _check_tree(self, tree, data, tree_seed):
         n = len(data)
+        d = len(data[0][0])
+        k = int(math.log2(d)) + 1  # Breiman's F = int(log2(M) + 1)
         stream = SplitMix64(tree_seed)
         boot = [stream.randbelow(n) for _ in range(n)]
         X = [data[i][0] for i in boot]
         y = [data[i][1] for i in boot]
         nodes = tree.nodes
-        pending = [(0, list(range(n)), stream.next_u64(), 0)]  # node, rows, seed, depth
+        pending = [(0, list(range(n)), stream.next_u64())]  # node, rows, seed
         seen = 0
         while pending:
-            index, rows, seed, depth = pending.pop()
+            index, rows, seed = pending.pop()
             node = nodes[index]
             seen += 1
             labels = [y[r] for r in rows]
             assert (node.count0, node.count1) == (labels.count(0), labels.count(1))
-            feats = choose(SplitMix64(seed), config.features_per_split, len(X[0]))
-            splittable = (
-                0 < sum(labels) < len(labels)
-                and len(rows) >= 2 * config.min_leaf
-                and (config.max_depth is None or depth < config.max_depth)
-            )
+            feats = choose(SplitMix64(seed), k, d)
             want = None
-            if splittable:
-                want = brute_force_best_split(
-                    [[X[r][f] for f in feats] for r in rows], labels, config.min_leaf
-                )
+            if 0 < sum(labels) < len(labels):
+                want = brute_force_best_split([[X[r][f] for f in feats] for r in rows], labels)
             if want is None:
                 assert node.feature == -1
                 continue
@@ -187,40 +148,27 @@ class TestEveryNodeOracle:
             assert node.threshold == want[2]
             left = [r for r in rows if X[r][node.feature] <= node.threshold]
             right = [r for r in rows if X[r][node.feature] > node.threshold]
-            pending.append((node.left, left, derive_seed(seed, 0), depth + 1))
-            pending.append((node.right, right, derive_seed(seed, 1), depth + 1))
+            pending.append((node.left, left, derive_seed(seed, 0)))
+            pending.append((node.right, right, derive_seed(seed, 1)))
         assert seen == len(nodes)
 
-    @pytest.mark.parametrize(
-        "seed, features_per_split, min_leaf, max_depth",
-        [(1, 2, 1, None), (2, 1, 1, None), (3, 2, 2, None), (4, 3, 1, 3), (5, 2, 3, 4)],
-    )
-    def test_every_node_matches_enumeration(self, seed, features_per_split, min_leaf, max_depth):
-        data = self._data(seed)
-        config = ForestConfig(
-            tree_count=7, features_per_split=features_per_split, min_leaf=min_leaf,
-            max_depth=max_depth, seed=seed,
-        )
-        model = train(data, config)
+    @pytest.mark.parametrize("seed, d", [(1, 3), (2, 1), (3, 2), (4, 3), (5, 6), (6, 8)])
+    def test_every_node_matches_enumeration(self, seed, d):
+        data = self._data(seed, d=d)
+        model = train(data, ForestConfig(tree_count=7, seed=seed))
         for index, tree in enumerate(model.trees):
-            self._check_tree(tree, data, derive_seed(seed, index), config)
+            self._check_tree(tree, data, derive_seed(seed, index))
 
-    @pytest.mark.parametrize(
-        "seed, min_leaf, max_depth", [(11, 2, None), (12, 2, 3), (13, 4, None), (14, 4, 3)]
-    )
-    def test_every_node_on_repeated_rows(self, seed, min_leaf, max_depth):
+    @pytest.mark.parametrize("seed", [11, 12, 13, 14])
+    def test_every_node_on_repeated_rows(self, seed):
         # Eight distinct rows, each repeated four to eight times: a tree's
-        # rows carry large draw counts, which min_leaf and growth must count.
+        # rows carry large draw counts, which node counts and gains must count.
         rng = random.Random(seed)
         data = [row for row in self._data(seed, size=8) for _ in range(rng.randint(4, 8))]
         rng.shuffle(data)
-        config = ForestConfig(
-            tree_count=15, features_per_split=2, min_leaf=min_leaf, max_depth=max_depth,
-            seed=seed,
-        )
-        model = train(data, config)
+        model = train(data, ForestConfig(tree_count=15, seed=seed))
         for index, tree in enumerate(model.trees):
-            self._check_tree(tree, data, derive_seed(seed, index), config)
+            self._check_tree(tree, data, derive_seed(seed, index))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -232,15 +180,11 @@ class TestEveryNodeOracle:
             labels[0] = 1 - labels[0]
         data = [(tuple(map(float, row)), label) for row, label in zip(rows, labels)]
         config = ForestConfig(
-            tree_count=draw.draw(st.integers(1, 30)),
-            features_per_split=draw.draw(st.integers(1, d)),
-            min_leaf=draw.draw(st.integers(1, 4)),
-            max_depth=draw.draw(st.none() | st.integers(1, 4)),
-            seed=draw.draw(st.integers(0, 2**64 - 1)),
+            tree_count=draw.draw(st.integers(1, 30)), seed=draw.draw(st.integers(0, 2**64 - 1))
         )
         model = train(data, config)
         for index, tree in enumerate(model.trees):
-            self._check_tree(tree, data, derive_seed(config.seed, index), config)
+            self._check_tree(tree, data, derive_seed(config.seed, index))
 
     @pytest.mark.parametrize("batch", [1, 3, 64])
     def test_model_independent_of_batch_size(self, batch, monkeypatch):
@@ -370,13 +314,6 @@ class TestForestInvariants:
                 assert left.count0 + right.count0 == node.count0
                 assert left.count1 + right.count1 == node.count1
 
-    def test_min_leaf_respected(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=20, min_leaf=2, seed=4))
-        for tree in model.trees:
-            for node in tree.nodes:
-                if node.feature == -1:
-                    assert node.count0 + node.count1 >= 2
-
     def test_row_order_invariance_with_row_ids(self):
         ids = [f"pair-{i:02d}" for i in range(len(SEPARABLE))]
         config = ForestConfig(tree_count=15, seed=77)
@@ -390,14 +327,32 @@ class TestForestInvariants:
         model_b = train(shuffled, config, row_ids=shuffled_ids)
         assert_same_model(model_a, model_b)
 
-    def test_max_depth_limits_tree(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=10, max_depth=1, seed=2))
-        for tree in model.trees:
-            root = tree.nodes[0]
-            if root.feature == -1:
-                continue
-            assert tree.nodes[root.left].feature == -1
-            assert tree.nodes[root.right].feature == -1
+
+class TestGoldenModel:
+    """The node tables a forest grows on the fixture corpus's feature rows, pinned
+    by digest. A refactor that moves any model bit fails here; a deliberate
+    re-baseline updates the constants and says why."""
+
+    ALL_FEATURES = "2f6fe3a0b9da6ec53cff36a3d30c4f6fe26b020c00a4547fb5781d7b4f551c83"
+    F1_ONLY = "69f56904a5af6d46c9f880636cd00afcced9ad7dcb343ed51c8f45c9a31a64cb"
+
+    @staticmethod
+    def _digest(model):
+        # .tolist() gives Python ints and floats, whose reprs agree across numpy 1 and 2
+        columns = ("feature", "threshold", "left", "right", "count0", "count1")
+        text = repr([[getattr(tree, c).tolist() for c in columns] for tree in model.trees])
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_node_tables_are_pinned(self, demo_dataset):
+        corpus_dir, pairs_file = demo_dataset
+        corpus = load_corpus(corpus_dir)
+        pairs, stats, _ = load_pairs(pairs_file, corpus)
+        rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
+        data = [(tuple(vec), pair.label) for pair, vec in rows]
+        config = ForestConfig(tree_count=30, seed=42)
+        assert self._digest(train(data, config)) == self.ALL_FEATURES
+        f1_only = [((vec[0],), label) for vec, label in data]
+        assert self._digest(train(f1_only, config)) == self.F1_ONLY
 
 
 class TestSplitMix64:
