@@ -3,8 +3,8 @@
 A corpus is a directory of UTF-8 JSON documents, one object per file, with keys
 ``id``, ``title``, ``authors``, ``abstract`` (string or null), ``body`` and
 ``references`` (array of strings or null). Labels come from a TSV file with one
-``citing_id<TAB>cited_id<TAB>label`` row per pair; a header row is detected by a
-non-numeric third column.
+``citing_id<TAB>cited_id<TAB>label`` row per pair. The first row is a header
+when its third column is not numeric and its first two are not both corpus ids.
 
 Records are treated as immutable after loading and are safe to share across
 threads read-only.
@@ -248,8 +248,9 @@ def load_pairs(
         if not line.strip():
             continue
         cols = [c.strip() for c in line.split("\t")]
-        if first_data_row and len(cols) >= 3 and not _looks_numeric(cols[2]):
-            first_data_row = False  # header row
+        header = first_data_row and len(cols) >= 3 and not _looks_numeric(cols[2])
+        if header and not (cols[0] in corpus and cols[1] in corpus):
+            first_data_row = False
             continue
         first_data_row = False
         if len(cols) != 3 or not cols[0] or not cols[1]:

@@ -2,9 +2,11 @@
 fixed recall levels, Pearson correlation with two-tailed significance, and
 mean average precision.
 
-Rankings break score ties by ascending pair id, so every metric here is
-deterministic. Interpolated precision rows are checked for monotonicity every
-time a report is assembled.
+``run_evaluation`` puts the pairs in pair-id order once; the folds, the
+forests and the rankings all work on arrays in that order, so the report does
+not depend on the order of the input rows, and rankings break score ties by
+ascending pair id. Interpolated precision rows are checked for monotonicity
+every time a report is assembled.
 """
 
 from __future__ import annotations
@@ -35,12 +37,6 @@ FeatureRows = Sequence[tuple[CitationPair, Sequence[float]]]
 
 
 @dataclass
-class ScoredPair:
-    pair: CitationPair
-    score: float
-
-
-@dataclass
 class CorrelationResult:
     r: float
     p_value: float
@@ -57,84 +53,62 @@ class EvaluationReport:
     pr_points: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
 
 
-def stratified_folds(
-    pairs: Sequence[CitationPair], k: int, seed: int
-) -> dict[tuple[str, str], int]:
-    """Partition pairs into k folds, stratified by label; maps pair key to fold.
+def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Partition rows into k folds, stratified by label; gives each row's fold.
 
-    Within each class, pairs are put into canonical (sorted-id) order, shuffled
-    by a seeded stream, and dealt round-robin, so per-fold class counts differ
-    by at most 1 and the assignment is independent of input order. Classes
-    smaller than k simply spread one per fold until exhausted.
+    Within each class, rows are taken in row order, shuffled by a seeded
+    stream, and dealt round-robin, so per-fold class counts differ by at most
+    1. Classes smaller than k simply spread one per fold until exhausted.
     """
     if k < 2:
         raise ConfigurationError(f"fold count must be >= 2, got {k}")
-    if k > len(pairs):
-        raise ConfigurationError(f"fold count {k} exceeds pair count {len(pairs)}")
+    if k > len(labels):
+        raise ConfigurationError(f"fold count {k} exceeds pair count {len(labels)}")
 
-    fold_of: dict[tuple[str, str], int] = {}
+    folds = np.empty(len(labels), dtype=np.int64)
     for label in (0, 1):
-        members = sorted((pair_key(p) for p in pairs if p.label == label))
-        rng = SplitMix64(derive_seed(seed, label))
-        rng.shuffle(members)
-        for position, key in enumerate(members):
-            fold_of[key] = position % k
-    return fold_of
+        members = np.flatnonzero(labels == label).tolist()
+        SplitMix64(derive_seed(seed, label)).shuffle(members)
+        folds[members] = np.arange(len(members)) % k
+    return folds
 
 
 def cross_validate(
-    rows: FeatureRows,
-    config: ForestConfig,
-    k: int,
-    seed: int,
-    pool=None,
-) -> list[ScoredPair]:
+    X: np.ndarray, y: np.ndarray, config: ForestConfig, k: int, seed: int, pool=None
+) -> np.ndarray:
     """Stratified k-fold cross-validation: each fold is scored by a forest
-    trained on the other k-1 folds. Returns one ScoredPair per row, in row
-    order. Per-fold model seeds derive from ``seed`` and the fold index.
-    ``pool`` is passed on to ``train``.
+    trained on the other k-1 folds. Returns one score per row. Per-fold model
+    seeds derive from ``seed`` and the fold index. ``pool`` is passed on to
+    ``train``.
     """
-    fold_of = stratified_folds([pair for pair, _ in rows], k, seed)
-    folds = [fold_of[pair_key(pair)] for pair, _ in rows]
-    scores: dict[tuple[str, str], float] = {}
+    folds = stratified_folds(y, k, seed)
+    scores = np.empty(len(y))
     for fold in range(k):
-        train_rows = [row for row, f in zip(rows, folds) if f != fold]
-        test_rows = [row for row, f in zip(rows, folds) if f == fold]
-        if not test_rows:
+        test = folds == fold
+        if not test.any():
             continue
-        labels = {pair.label for pair, _ in train_rows}
+        fit = ~test
+        labels = sorted(set(y[fit].tolist()))
         if len(labels) < 2:
             raise EvaluationError(
                 f"fold {fold}: training split contains a single class "
-                f"({len(train_rows)} rows, labels {sorted(labels)})"
+                f"({np.count_nonzero(fit)} rows, labels {labels})"
             )
         fold_config = replace(config, seed=derive_seed(seed, 1000 + fold))
-        train_keys = [pair_key(pair) for pair, _ in train_rows]
-        test_keys = [pair_key(pair) for pair, _ in test_rows]
-        model = train(
-            [(vec, pair.label) for pair, vec in train_rows],
-            fold_config,
-            row_ids=train_keys,
-            pool=pool,
-        )
-        fold_scores = predict_proba(model, [vec for _, vec in test_rows])
-        scores.update(zip(test_keys, fold_scores.tolist()))
-    return [ScoredPair(pair=pair, score=scores[pair_key(pair)]) for pair, _ in rows]
+        model = train(X[fit], y[fit], fold_config, pool=pool)
+        scores[test] = predict_proba(model, X[test])
+    return scores
 
 
-def _ranked(scored: Sequence[ScoredPair]) -> list[ScoredPair]:
-    return sorted(scored, key=lambda s: (-s.score, pair_key(s.pair)))
-
-
-def pr_curve(scored: Sequence[ScoredPair]) -> list[tuple[float, float]]:
-    """Precision/recall points, one per ranking prefix, ties broken by pair id."""
-    positives = sum(s.pair.label for s in scored)
+def pr_curve(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
+    """Precision/recall points, one per ranking prefix. Ties keep row order."""
+    positives = int(np.count_nonzero(labels))
     if positives == 0:
         raise EvaluationError("precision/recall undefined: no positive pairs")
     points = []
     true_pos = 0
-    for rank, item in enumerate(_ranked(scored), start=1):
-        true_pos += item.pair.label
+    for rank, label in enumerate(labels[np.argsort(-scores, kind="stable")].tolist(), start=1):
+        true_pos += label
         points.append((true_pos / positives, true_pos / rank))
     return points
 
@@ -274,47 +248,41 @@ def _log_beta(a: float, b: float) -> float:
     return math.lgamma(small) - rise
 
 
-def mean_average_precision(scored: Sequence[ScoredPair]) -> float:
-    """Average over positives of the precision at each positive's rank."""
-    positives = sum(s.pair.label for s in scored)
+def mean_average_precision(curve: Sequence[tuple[float, float]]) -> float:
+    """Average over positives of the precision at each positive's rank, read
+    off a ``pr_curve``: a positive is a point where recall rises."""
+    total = 0.0
+    positives = 0
+    previous = 0.0
+    for recall, precision in curve:
+        if recall > previous:
+            positives += 1
+            total += precision
+            previous = recall
     if positives == 0:
         raise EvaluationError("average precision undefined: no positive pairs")
-    total = 0.0
-    true_pos = 0
-    for rank, item in enumerate(_ranked(scored), start=1):
-        if item.pair.label == 1:
-            true_pos += 1
-            total += true_pos / rank
     return total / positives
-
-
-def direct_rank_scores(rows: FeatureRows, feature_index: int) -> list[ScoredPair]:
-    """Rank pairs by one raw feature value, scaled by the maximum so scores lie
-    in [0, 1]; the ordering (and all rank metrics) is unchanged by the scaling."""
-    values = [float(vec[feature_index]) for _, vec in rows]
-    top = max(values) if values else 0.0
-    if top <= 0.0:
-        return [ScoredPair(pair, 0.0) for pair, _ in rows]
-    return [ScoredPair(pair, v / top) for (pair, _), v in zip(rows, values)]
 
 
 def build_report(
     rows: FeatureRows,
-    scored_sets: Mapping[str, Sequence[ScoredPair]],
+    labels: np.ndarray,
+    score_sets: Mapping[str, np.ndarray],
     recall_levels: Sequence[float] = DEFAULT_RECALL_LEVELS,
     stats: CorpusStats | None = None,
     config_echo: dict | None = None,
 ) -> EvaluationReport:
     """Assemble the full evaluation report.
 
-    ``scored_sets`` maps feature-set names (single features plus "all") to their
-    pooled scored lists. Correlations are computed feature-vs-label directly;
-    the MAP figure comes from the "all" set when present, else the first set.
+    ``score_sets`` maps feature-set names (single features plus "all") to one
+    score per row of ``labels``; ties rank in that row order. Correlations are
+    computed feature-vs-label directly from ``rows``; the MAP figure comes from
+    the "all" set when present, else the first set.
     """
     pr_grid: dict[str, dict[float, float]] = {}
     pr_points: dict[str, list[tuple[float, float]]] = {}
-    for name, scored in scored_sets.items():
-        curve = pr_curve(scored)
+    for name, scores in score_sets.items():
+        curve = pr_curve(scores, labels)
         grid = interpolated_precision(curve, recall_levels)
         ordered = [grid[level] for level in sorted(grid)]
         if any(a < b - 1e-12 for a, b in zip(ordered, ordered[1:])):
@@ -322,23 +290,23 @@ def build_report(
         pr_grid[name] = grid
         pr_points[name] = curve
 
-    labels = [pair.label for pair, _ in rows]
+    row_labels = [pair.label for pair, _ in rows]
     correlations: dict[str, CorrelationResult | None] = {}
     for j, name in enumerate(FEATURE_NAMES):
         values = [float(vec[j]) for _, vec in rows]
         try:
-            correlations[name] = pearson(values, labels)
+            correlations[name] = pearson(values, row_labels)
         except EvaluationError as exc:
             logger.warning("correlation for %s undefined: %s", name, exc)
             correlations[name] = None
 
-    map_source = scored_sets.get(FEATURE_SET_ALL)
-    if map_source is None:
-        map_source = next(iter(scored_sets.values()))
+    map_curve = pr_points.get(FEATURE_SET_ALL)
+    if map_curve is None:
+        map_curve = next(iter(pr_points.values()))
     return EvaluationReport(
         pr_grid=pr_grid,
         correlations=correlations,
-        map_score=mean_average_precision(map_source),
+        map_score=mean_average_precision(map_curve),
         stats=stats or CorpusStats(),
         config=dict(config_echo or {}),
         pr_points=pr_points,
@@ -356,9 +324,13 @@ def run_evaluation(
     config_echo: dict | None = None,
     workers: int = 1,
 ) -> EvaluationReport:
-    """Cross-validate the all-features forest, rank each single feature, and
-    build the report. single_feature_mode "forest" scores each feature with its
-    own one-feature cross-validated forest instead of the raw value ranking.
+    """Cross-validate the all-features forest, rank each single feature by its
+    raw value, and build the report. single_feature_mode "forest" scores each
+    feature with its own one-feature cross-validated forest instead.
+
+    The pairs are put in pair-id order once, here; the folds, the forests and
+    the rankings see them only in that order, so the report does not depend
+    on the order of ``rows``.
 
     With ``workers`` above 1 (capped at the usable CPUs), every forest grows
     its trees on one pool of forked processes, opened here and reaped before
@@ -366,7 +338,14 @@ def run_evaluation(
     if single_feature_mode not in ("direct_rank", "forest"):
         raise ConfigurationError(f"unknown single-feature mode: {single_feature_mode!r}")
 
-    workers = min(workers, len(os.sched_getaffinity(0))) if workers > 1 else 1
+    by_id = sorted(rows, key=lambda row: pair_key(row[0]))
+    # reshape: no rows still gives X two axes, so the fold check reports them
+    X = np.array([vec for _, vec in by_id], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
+    y = np.array([pair.label for pair, _ in by_id], dtype=np.int64)
+
+    if workers > 1:  # sched_getaffinity is Linux-only; elsewhere count every CPU
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(workers, cpus or 1)
     if workers > 1:
         import multiprocessing  # deferred: the serial path never needs it
 
@@ -374,19 +353,18 @@ def run_evaluation(
     else:
         opened = contextlib.nullcontext()
     with opened as pool:  # a pool's exit terminates and joins its workers
-        scored_sets: dict[str, Sequence[ScoredPair]] = {}
+        score_sets: dict[str, np.ndarray] = {}
         for j, name in enumerate(FEATURE_NAMES):
             if single_feature_mode == "direct_rank":
-                scored_sets[name] = direct_rank_scores(rows, j)
+                score_sets[name] = X[:, j]
             else:
-                projected = [(pair, (vec[j],)) for pair, vec in rows]
-                scored_sets[name] = cross_validate(
-                    projected, forest_config, k, derive_seed(seed, 2000 + j), pool=pool
+                score_sets[name] = cross_validate(
+                    X[:, [j]], y, forest_config, k, derive_seed(seed, 2000 + j), pool=pool
                 )
-        scored_sets[FEATURE_SET_ALL] = cross_validate(rows, forest_config, k, seed, pool=pool)
+        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, forest_config, k, seed, pool=pool)
 
     return build_report(
-        rows, scored_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo
+        rows, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo
     )
 
 

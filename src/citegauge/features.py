@@ -83,21 +83,14 @@ def vectorize(model: TfidfModel, text: str) -> dict[int, float]:
     return {model.vocabulary[term]: tf * model.idf(term) for term, tf in counts.items()}
 
 
-def _as_sparse(vector) -> Mapping:
-    if isinstance(vector, Mapping):
-        return vector
-    return {i: v for i, v in enumerate(vector)}
-
-
-def cosine_similarity(a, b) -> float:
-    """Cosine of two nonnegative vectors (sparse mappings or dense sequences),
-    clamped to [0, 1]. Zero-norm inputs give 0."""
-    sa, sb = _as_sparse(a), _as_sparse(b)
-    norm_sq_a = sum(v * v for v in sa.values())
-    norm_sq_b = sum(v * v for v in sb.values())
+def cosine_similarity(a: Mapping, b: Mapping) -> float:
+    """Cosine of two nonnegative sparse vectors (dimension -> weight mappings, as
+    ``vectorize`` gives them), clamped to [0, 1]. Zero-norm inputs give 0."""
+    norm_sq_a = sum(v * v for v in a.values())
+    norm_sq_b = sum(v * v for v in b.values())
     if norm_sq_a == 0.0 or norm_sq_b == 0.0:
         return 0.0
-    dot = sum(v * sb[k] for k, v in sa.items() if k in sb)
+    dot = sum(v * b[k] for k, v in a.items() if k in b)
     return min(1.0, max(0.0, dot / math.sqrt(norm_sq_a * norm_sq_b)))
 
 

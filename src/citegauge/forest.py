@@ -25,9 +25,9 @@ batch advanced by the same array operations, and the batches may grow in
 separate worker processes. A tree grows on its distinct bootstrap rows, each
 carrying its draw count: node counts and the gains are in draws, so the tree
 is the one its n draws would grow. A node is split when it holds both classes
-and some cut strictly lowers its Gini impurity. When row ids are supplied,
-training rows are canonicalized by sorting on them, making the model invariant
-to input row order.
+and some cut strictly lowers its Gini impurity. The bootstrap draws row
+indices, so the model depends on the order of the training rows; evaluation
+puts them in pair-id order before any forest is trained.
 
 Each tree is a node table of parallel arrays, numbered breadth first from the
 root at row 0. Prediction walks every (tree, row) pair of a batch down the
@@ -303,49 +303,32 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list
     return [DecisionTree(*arrays) for arrays in zip(*columns)]
 
 
-def _to_matrix(data, row_ids):
-    X = np.asarray([features for features, _ in data], dtype=np.float64)
-    y = np.asarray([int(label) for _, label in data], dtype=np.int64)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        name = row_ids[bad] if row_ids is not None else f"row {bad}"
-        raise TrainingError(f"non-finite feature value (NaN or ±inf) in training data: {name}")
-    return X, y
-
-
-def train(
-    data: Sequence[tuple],
-    config: ForestConfig,
-    row_ids: Sequence | None = None,
-    pool=None,
-) -> ForestModel:
-    """Train a bagged forest on (feature vector, label) rows.
+def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> ForestModel:
+    """Train a bagged forest on the rows of ``X`` (n × d) with labels ``y``.
 
     Each tree trains on an n-sized bootstrap sample drawn with replacement from
     its own splitmix64 stream (seeded from config.seed and the tree index);
     node splits minimize Gini impurity over floor(log2(d)) + 1 of the d
-    features, sampled with the node's own seed (see the module docstring). Fully deterministic
-    given the seed; supplying row_ids makes the model independent of input row
-    order.
+    features, sampled with the node's own seed (see the module docstring).
+    Fully deterministic given the seed and the row order.
 
     Trees grow ``_BATCH_TREES`` at a time. ``pool``, a ``multiprocessing``
     pool, grows each batch as one task on its workers; the batches come back
     in seed order, so the model is the same with or without it.
     """
-    if not data:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if not len(X):
         raise TrainingError("training data is empty")
-    if row_ids is not None and len(row_ids) != len(data):
-        raise ConfigurationError("row_ids length must match data length")
-
-    X, y = _to_matrix(data, row_ids)
+    if len(y) != len(X):
+        raise ConfigurationError(f"{len(X)} training rows but {len(y)} labels")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise TrainingError(f"non-finite feature value (NaN or ±inf) in training data: row {bad}")
     config.validate()
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
-
-    if row_ids is not None:
-        order = sorted(range(len(data)), key=lambda i: row_ids[i])
-        X, y = X[order], y[order]
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
     batches = [seeds[i : i + _BATCH_TREES] for i in range(0, len(seeds), _BATCH_TREES)]

@@ -2,6 +2,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -22,6 +23,13 @@ def make_paper(paper_id, title="", authors=(), abstract=None, body="", reference
 
 def make_corpus(*records):
     return Corpus(papers={r.id: r for r in records})
+
+
+def xy(data):
+    """``train``'s (X, y) arrays from (feature vector, label) rows, in row order."""
+    X = np.array([row for row, _ in data], dtype=np.float64)
+    y = np.array([label for _, label in data], dtype=np.int64)
+    return X, y
 
 
 def assert_same_model(a, b):

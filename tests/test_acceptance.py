@@ -18,6 +18,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from citegauge.cli import main as cli_main
@@ -32,12 +33,12 @@ from citegauge.corpus import (
     paper_to_dict,
 )
 from citegauge.evaluation import (
-    ScoredPair,
     cross_validate,
     interpolated_precision,
     mean_average_precision,
     pearson,
     pr_curve,
+    run_evaluation,
     stratified_folds,
 )
 from citegauge.features import (
@@ -47,7 +48,7 @@ from citegauge.features import (
 )
 from citegauge.forest import ForestConfig, SplitMix64, derive_seed, train
 
-from conftest import assert_same_model, make_corpus, make_paper
+from conftest import assert_same_model, make_corpus, make_paper, xy
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
     citing_papers,
@@ -155,11 +156,13 @@ class TestReferenceDatasetCriteria:
         if reference_features is None:
             _skip(name, "reference dataset not available; criterion 5 substitutes apply")
         _, rows = reference_features
+        # pair-id order, as run_evaluation puts them
+        X, y = xy([(vec, pair.label) for pair, vec in sorted(rows, key=lambda r: pair_key(r[0]))])
         levels = sorted(REFERENCE_ALL_GRID)
         sums = {level: 0.0 for level in levels}
         for seed in GRID_SEEDS:
-            scored = cross_validate(rows, ForestConfig(tree_count=100, seed=seed), k=10, seed=seed)
-            grid = interpolated_precision(pr_curve(scored), levels)
+            scores = cross_validate(X, y, ForestConfig(tree_count=100, seed=seed), k=10, seed=seed)
+            grid = interpolated_precision(pr_curve(scores, y), levels)
             for level in levels:
                 sums[level] += grid[level]
         means = {level: sums[level] / len(GRID_SEEDS) for level in levels}
@@ -191,10 +194,8 @@ class TestReferenceDatasetCriteria:
 
 
 def _scored(ranking):
-    return [
-        ScoredPair(CitationPair(f"c{i:03d}", "t", label), score)
-        for i, (score, label) in enumerate(ranking)
-    ]
+    """(scores, labels) arrays from a list of (score, label)."""
+    return np.array([score for score, _ in ranking]), np.array([label for _, label in ranking])
 
 
 class TestSubstituteCriterion5:
@@ -246,17 +247,11 @@ class TestSubstituteCriterion5:
         assert author_overlap(a_names, b_names) == author_overlap(b_names, a_names)
         assert author_overlap(a_names, b_names) == author_overlap(a_names[:2], b_names)
 
-        # forest: determinism, permutation invariance, non-worsening Gini
-        data = [((float(i), i % 3 / 3, (i * 7 % 10) / 10), int(i >= 5)) for i in range(10)]
-        ids = [f"row{i}" for i in range(10)]
+        # forest: determinism, non-worsening Gini
+        X, y = xy([((float(i), i % 3 / 3, (i * 7 % 10) / 10), int(i >= 5)) for i in range(10)])
         config = ForestConfig(tree_count=10, seed=31)
-        model_a = train(data, config, row_ids=ids)
-        model_b = train(data, config, row_ids=ids)
-        assert_same_model(model_a, model_b)
-        order = list(range(10))
-        random.Random(3).shuffle(order)
-        model_c = train([data[i] for i in order], config, row_ids=[ids[i] for i in order])
-        assert_same_model(model_c, model_a)
+        model_a = train(X, y, config)
+        assert_same_model(train(X, y, config), model_a)
 
         def gini(c0, c1):
             n = c0 + c1
@@ -274,18 +269,25 @@ class TestSubstituteCriterion5:
                 ) / n
                 assert weighted <= gini(node.count0, node.count1) + 1e-12
 
-        # cross-validation partition: every pair scored exactly once
+        # cross-validation partition: every pair in one fold, scored once
+        X, y = xy([((float(i % 2), 0.1 * i, 0.2), i % 2) for i in range(12)])
+        assert sorted(set(stratified_folds(y, 3, seed=2).tolist())) == [0, 1, 2]
+        scores = cross_validate(X, y, ForestConfig(tree_count=4, seed=2), 3, 2)
+        assert scores.shape == y.shape and np.isfinite(scores).all()
+
+        # evaluation: permutation invariance of the pair rows
         pairs = [CitationPair(f"p{i:02d}", "t", i % 2) for i in range(12)]
-        rows = [(p, (float(p.label), 0.1 * i, 0.2)) for i, p in enumerate(pairs)]
-        scored = cross_validate(rows, ForestConfig(tree_count=4, seed=2), 3, 2)
-        assert Counter(pair_key(s.pair) for s in scored) == Counter(pair_key(p) for p in pairs)
+        rows = [(p, (float(p.label) + i % 3, 0.1 * (i % 4), 0.2)) for i, p in enumerate(pairs)]
+        shuffled = list(rows)
+        random.Random(3).shuffle(shuffled)
+        a, b = (run_evaluation(r, ForestConfig(tree_count=4, seed=2), k=3, seed=2)
+                for r in (rows, shuffled))
+        assert (a.pr_grid, a.pr_points, a.map_score) == (b.pr_grid, b.pr_points, b.map_score)
 
         # stratification balance
-        fold_of = stratified_folds(pairs, 3, seed=5)
+        folds = stratified_folds(y, 3, seed=5)
         for label in (0, 1):
-            sizes = Counter(
-                fold_of[pair_key(p)] for p in pairs if p.label == label
-            ).values()
+            sizes = Counter(folds[y == label].tolist()).values()
             assert max(sizes) - min(sizes) <= 1
 
         _verdict("5a module invariants", True)
@@ -316,9 +318,8 @@ class TestSubstituteCriterion5:
         ]
         for ranked_labels, want_ap in table:
             ranking = [(1.0 - 0.05 * i, label) for i, label in enumerate(ranked_labels)]
-            scored = _scored(ranking)
-            assert mean_average_precision(scored) == pytest.approx(want_ap, abs=1e-12)
-            curve = pr_curve(scored)
+            curve = pr_curve(*_scored(ranking))
+            assert mean_average_precision(curve) == pytest.approx(want_ap, abs=1e-12)
             positives = sum(ranked_labels)
             true_pos = 0
             for rank, label in enumerate(ranked_labels, start=1):
@@ -334,7 +335,7 @@ class TestSubstituteCriterion5:
             ranking = [(rng.random(), rng.randint(0, 1)) for _ in range(n)]
             if not any(label for _, label in ranking):
                 ranking[0] = (ranking[0][0], 1)
-            curve = pr_curve(_scored(ranking))
+            curve = pr_curve(*_scored(ranking))
             levels = sorted(rng.uniform(0.01, 1.0) for _ in range(6))
             grid = interpolated_precision(curve, levels)
             values = [grid[level] for level in levels]
@@ -355,7 +356,7 @@ class TestSubstituteCriterion5:
                 data[0] = (data[0][0], 1 - data[0][1])
 
             seed = 100 + case
-            model = train(data, ForestConfig(tree_count=1, seed=seed))
+            model = train(*xy(data), ForestConfig(tree_count=1, seed=seed))
             stream = SplitMix64(derive_seed(seed, 0))
             boot = [stream.randbelow(len(data)) for _ in range(len(data))]
             want = brute_force_best_split(

@@ -185,6 +185,14 @@ class TestLoadPairs:
         assert pairs == [CitationPair("A", "D", 0)]
         assert [i.source for i in issues] == ["line 1"]
 
+    def test_word_label_on_first_row_of_corpus_ids_is_not_a_header(self, tmp_path):
+        # A header is only a row whose ids are not both in the corpus.
+        f = tmp_path / "p.tsv"
+        f.write_text("A\tB\tyes\nA\tD\t0\n", encoding="utf-8")
+        pairs, _, issues = load_pairs(f, _pair_corpus())
+        assert pairs == [CitationPair("A", "D", 0)]
+        assert [(i.source, i.message) for i in issues] == [("line 1", "label outside {0,1}: 'yes'")]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             load_pairs(tmp_path / "nope.tsv", _pair_corpus())

@@ -1,8 +1,10 @@
 import math
 import multiprocessing
+import os
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 import scipy.stats
 
@@ -10,10 +12,8 @@ from citegauge import evaluation
 from citegauge.corpus import CitationPair, filter_valid_pairs, load_corpus, load_pairs, pair_key
 from citegauge.errors import ConfigurationError, EvaluationError
 from citegauge.evaluation import (
-    ScoredPair,
     build_report,
     cross_validate,
-    direct_rank_scores,
     interpolated_precision,
     mean_average_precision,
     pearson,
@@ -23,8 +23,9 @@ from citegauge.evaluation import (
     stratified_folds,
 )
 from citegauge.features import compute_feature_matrix
-from citegauge.forest import ForestConfig
+from citegauge.forest import ForestConfig, derive_seed, predict_proba, train
 
+from conftest import xy
 from oracles import oracle_pearson_p, oracle_pearson_p_closed_form
 
 
@@ -33,73 +34,61 @@ def _pairs(labels):
 
 
 def _scored(ranking):
-    """ranking: list of (score, label), best score first."""
-    return [
-        ScoredPair(CitationPair(f"c{i:03d}", "t", label), score)
-        for i, (score, label) in enumerate(ranking)
-    ]
+    """(scores, labels) arrays from a list of (score, label)."""
+    return np.array([score for score, _ in ranking]), np.array([label for _, label in ranking])
+
+
+def _curve(ranking):
+    return pr_curve(*_scored(ranking))
 
 
 class TestStratifiedFolds:
     def test_balanced_exact_division(self):
-        pairs = _pairs([0] * 10 + [1] * 10)
-        fold_of = stratified_folds(pairs, 10, seed=1)
+        labels = np.array([0] * 10 + [1] * 10)
+        folds = stratified_folds(labels, 10, seed=1)
         for fold in range(10):
-            members = [p for p in pairs if fold_of[pair_key(p)] == fold]
+            members = labels[folds == fold]
             assert len(members) == 2
-            assert sum(p.label for p in members) == 1
+            assert members.sum() == 1
 
     def test_61_positives_round_robin(self):
-        pairs = _pairs([1] * 61 + [0] * 200)
-        fold_of = stratified_folds(pairs, 10, seed=3)
-        counts = Counter(
-            fold_of[pair_key(p)] for p in pairs if p.label == 1
-        )
+        labels = np.array([1] * 61 + [0] * 200)
+        folds = stratified_folds(labels, 10, seed=3)
+        counts = Counter(folds[labels == 1].tolist())
         # 61 = 6*10 + 1: one fold of 7, nine folds of 6
         assert sorted(counts.values()) == [6] * 9 + [7]
 
     def test_deterministic(self):
-        pairs = _pairs([0, 1] * 15)
-        a = stratified_folds(pairs, 5, seed=9)
-        b = stratified_folds(pairs, 5, seed=9)
-        assert a == b
-
-    def test_input_order_invariance(self):
-        pairs = _pairs([0, 1] * 15)
-        shuffled = list(pairs)
-        random.Random(4).shuffle(shuffled)
-        assert stratified_folds(pairs, 5, 7) == stratified_folds(shuffled, 5, 7)
+        labels = np.array([0, 1] * 15)
+        a = stratified_folds(labels, 5, seed=9)
+        b = stratified_folds(labels, 5, seed=9)
+        assert a.tolist() == b.tolist()
 
     def test_partition_and_balance(self):
         rng = random.Random(17)
         for _ in range(20):
             n = rng.randint(8, 60)
-            labels = [rng.random() < 0.3 for _ in range(n)]
-            pairs = _pairs([int(x) for x in labels])
+            labels = np.array([int(rng.random() < 0.3) for _ in range(n)])
             k = rng.randint(2, min(8, n))
-            fold_of = stratified_folds(pairs, k, seed=rng.randint(0, 999))
-            assert set(fold_of) == {pair_key(p) for p in pairs}
+            folds = stratified_folds(labels, k, seed=rng.randint(0, 999))
+            assert len(folds) == n
+            assert set(folds.tolist()) <= set(range(k))
             for label in (0, 1):
-                counts = Counter(
-                    fold_of[pair_key(p)] for p in pairs if p.label == label
-                )
+                counts = Counter(folds[labels == label].tolist())
                 if counts:
                     sizes = [counts.get(f, 0) for f in range(k)]
                     assert max(sizes) - min(sizes) <= 1
 
     def test_small_class_spreads_one_per_fold(self):
-        pairs = _pairs([0] * 12 + [1] * 3)
-        fold_of = stratified_folds(pairs, 5, seed=2)
-        positive_folds = [
-            fold_of[pair_key(p)] for p in pairs if p.label == 1
-        ]
-        assert len(set(positive_folds)) == 3
+        labels = np.array([0] * 12 + [1] * 3)
+        folds = stratified_folds(labels, 5, seed=2)
+        assert len(set(folds[labels == 1].tolist())) == 3
 
     def test_bad_k(self):
         with pytest.raises(ConfigurationError):
-            stratified_folds(_pairs([0, 1]), 1, seed=0)
+            stratified_folds(np.array([0, 1]), 1, seed=0)
         with pytest.raises(ConfigurationError):
-            stratified_folds(_pairs([0, 1]), 3, seed=0)
+            stratified_folds(np.array([0, 1]), 3, seed=0)
 
 
 def _features_for(pairs, spread=5.0):
@@ -116,87 +105,88 @@ def _features_for(pairs, spread=5.0):
     ]
 
 
+def _arrays(labels):
+    """Cross-validation inputs (X, y) for pairs with these labels."""
+    return xy([(vec, pair.label) for pair, vec in _features_for(_pairs(labels))])
+
+
 class TestCrossValidate:
     def test_separable_pooled_accuracy(self):
-        pairs = _pairs([0, 1] * 10)
-        features = _features_for(pairs)
+        X, y = _arrays([0, 1] * 10)
         config = ForestConfig(tree_count=15, seed=11)
-        scored = cross_validate(features, config, k=4, seed=11)
-        assert all((s.score >= 0.5) == bool(s.pair.label) for s in scored)
+        scores = cross_validate(X, y, config, k=4, seed=11)
+        assert ((scores >= 0.5) == (y == 1)).all()
 
     def test_each_pair_scored_exactly_once_in_input_order(self):
-        pairs = _pairs([0, 1] * 6)
-        scored = cross_validate(_features_for(pairs), ForestConfig(tree_count=5, seed=2), 3, 2)
-        assert [s.pair for s in scored] == pairs
+        X, y = _arrays([0, 1] * 6)
+        config = ForestConfig(tree_count=5, seed=2)
+        scores = cross_validate(X, y, config, 3, 2)
+        assert scores.shape == y.shape
+        folds = stratified_folds(y, 3, 2)
+        for fold in range(3):
+            test = folds == fold
+            model = train(X[~test], y[~test], ForestConfig(tree_count=5, seed=derive_seed(2, 1000 + fold)))
+            assert scores[test].tolist() == predict_proba(model, X[test]).tolist()
 
     def test_fold_isolation(self, monkeypatch):
-        pairs = _pairs([0, 1] * 6)
+        X, y = _arrays([0, 1] * 6)
         trained_on = []
         real_train = evaluation.train
 
-        def spy(data, config, row_ids=None, pool=None):
-            trained_on.append(set(row_ids))
-            return real_train(data, config, row_ids=row_ids, pool=pool)
+        def spy(X, y, config, pool=None):
+            trained_on.append(X.tolist())
+            return real_train(X, y, config, pool=pool)
 
         monkeypatch.setattr(evaluation, "train", spy)
-        cross_validate(_features_for(pairs), ForestConfig(tree_count=3, seed=5), k=3, seed=5)
-        fold_of = stratified_folds(pairs, 3, 5)
-        assert trained_on == [
-            {key for key, f in fold_of.items() if f != fold} for fold in range(3)
-        ]
+        cross_validate(X, y, ForestConfig(tree_count=3, seed=5), k=3, seed=5)
+        folds = stratified_folds(y, 3, 5)
+        assert trained_on == [X[folds != fold].tolist() for fold in range(3)]
 
     def test_deterministic(self):
-        pairs = _pairs([0, 1, 0, 1, 0, 1, 1, 0])
-        features = _features_for(pairs)
+        X, y = _arrays([0, 1, 0, 1, 0, 1, 1, 0])
         config = ForestConfig(tree_count=8, seed=13)
-        assert cross_validate(features, config, 4, 13) == cross_validate(features, config, 4, 13)
+        assert cross_validate(X, y, config, 4, 13).tolist() == cross_validate(
+            X, y, config, 4, 13
+        ).tolist()
 
     def test_single_class_training_split_aborts(self):
-        # one positive: its fold's training complement has only negatives...
-        # actually the *other* fold trains without positives
-        pairs = _pairs([0, 0, 0, 1])
-        features = _features_for(pairs)
+        # one positive: the fold that holds it trains on negatives only
+        X, y = _arrays([0, 0, 0, 1])
         with pytest.raises(EvaluationError, match="single class"):
-            cross_validate(features, ForestConfig(tree_count=2, seed=3), 2, 3)
+            cross_validate(X, y, ForestConfig(tree_count=2, seed=3), 2, 3)
 
 
 class TestPrCurve:
     def test_perfect_ranking(self):
-        scored = _scored([(0.9, 1), (0.8, 1), (0.3, 0), (0.2, 0)])
-        points = pr_curve(scored)
+        points = _curve([(0.9, 1), (0.8, 1), (0.3, 0), (0.2, 0)])
         assert (0.5, 1.0) in points
         assert (1.0, 1.0) in points
 
     def test_worst_ranking(self):
-        scored = _scored([(0.9, 0), (0.8, 0), (0.3, 1), (0.2, 1)])
-        points = pr_curve(scored)
+        points = _curve([(0.9, 0), (0.8, 0), (0.3, 1), (0.2, 1)])
         assert points[-1] == (1.0, 0.5)
 
     def test_singleton_positive(self):
-        scored = _scored([(0.4, 1)])
-        assert pr_curve(scored) == [(1.0, 1.0)]
+        assert _curve([(0.4, 1)]) == [(1.0, 1.0)]
 
     def test_no_positives_raises(self):
         with pytest.raises(EvaluationError):
-            pr_curve(_scored([(0.5, 0), (0.1, 0)]))
+            _curve([(0.5, 0), (0.1, 0)])
 
     def test_tie_break_by_pair_id(self):
-        scored = [
-            ScoredPair(CitationPair("b", "t", 0), 0.5),
-            ScoredPair(CitationPair("a", "t", 1), 0.5),
-        ]
-        # "a" sorts before "b", so rank 1 is the positive
-        assert pr_curve(scored)[0] == (1.0, 1.0)
+        # Tied scores keep row order, which run_evaluation makes pair-id order.
+        assert _curve([(0.2, 0), (0.5, 1), (0.5, 0)])[0] == (1.0, 1.0)
+        assert _curve([(0.2, 1), (0.5, 0), (0.5, 1)])[0] == (0.0, 0.0)
 
     def test_curve_length_equals_input(self):
-        scored = _scored([(random.Random(1).random(), i % 2) for i in range(9)])
-        assert len(pr_curve(scored)) == 9
+        rng = random.Random(1)
+        assert len(_curve([(rng.random(), i % 2) for i in range(9)])) == 9
 
 
 class TestInterpolatedPrecision:
     def test_perfect_curve_is_one_everywhere(self):
-        scored = _scored([(0.9, 1), (0.8, 1), (0.3, 0), (0.2, 0)])
-        grid = interpolated_precision(pr_curve(scored), [0.05, 0.5, 0.9, 1.0])
+        curve = _curve([(0.9, 1), (0.8, 1), (0.3, 0), (0.2, 0)])
+        grid = interpolated_precision(curve, [0.05, 0.5, 0.9, 1.0])
         assert all(v == 1.0 for v in grid.values())
 
     def test_hand_curve(self):
@@ -215,7 +205,7 @@ class TestInterpolatedPrecision:
             ranking = [(rng.random(), rng.randint(0, 1)) for _ in range(n)]
             if not any(label for _, label in ranking):
                 ranking[0] = (ranking[0][0], 1)
-            curve = pr_curve(_scored(ranking))
+            curve = _curve(ranking)
             levels = sorted(rng.uniform(0.01, 1.0) for _ in range(5))
             grid = interpolated_precision(curve, levels)
             values = [grid[lv] for lv in levels]
@@ -374,16 +364,15 @@ class TestPearson:
 
 class TestMeanAveragePrecision:
     def test_single_positive_first(self):
-        scored = _scored([(0.9, 1), (0.5, 0), (0.1, 0)])
-        assert mean_average_precision(scored) == 1.0
+        assert mean_average_precision(_curve([(0.9, 1), (0.5, 0), (0.1, 0)])) == 1.0
 
     def test_single_positive_last(self):
-        scored = _scored([(0.9, 0), (0.5, 0), (0.2, 0), (0.1, 1)])
-        assert mean_average_precision(scored) == pytest.approx(1 / 4)
+        curve = _curve([(0.9, 0), (0.5, 0), (0.2, 0), (0.1, 1)])
+        assert mean_average_precision(curve) == pytest.approx(1 / 4)
 
     def test_positives_at_ranks_one_and_three(self):
-        scored = _scored([(0.9, 1), (0.7, 0), (0.5, 1), (0.2, 0)])
-        assert mean_average_precision(scored) == pytest.approx((1 + 2 / 3) / 2)
+        curve = _curve([(0.9, 1), (0.7, 0), (0.5, 1), (0.2, 0)])
+        assert mean_average_precision(curve) == pytest.approx((1 + 2 / 3) / 2)
 
     def test_equals_mean_precision_at_positive_curve_points(self):
         rng = random.Random(33)
@@ -392,47 +381,48 @@ class TestMeanAveragePrecision:
             ranking = [(rng.random(), rng.randint(0, 1)) for _ in range(n)]
             if not any(label for _, label in ranking):
                 ranking[0] = (ranking[0][0], 1)
-            scored = _scored(ranking)
-            ranked = sorted(scored, key=lambda s: (-s.score, pair_key(s.pair)))
-            curve = pr_curve(scored)
+            ranked = sorted(range(n), key=lambda i: (-ranking[i][0], i))
+            curve = _curve(ranking)
             positive_points = [
                 precision
-                for (recall, precision), item in zip(curve, ranked)
-                if item.pair.label == 1
+                for (recall, precision), i in zip(curve, ranked)
+                if ranking[i][1] == 1
             ]
             want = sum(positive_points) / len(positive_points)
-            assert mean_average_precision(scored) == pytest.approx(want, abs=1e-12)
+            assert mean_average_precision(curve) == pytest.approx(want, abs=1e-12)
 
     def test_no_positives_raises(self):
         with pytest.raises(EvaluationError):
-            mean_average_precision(_scored([(0.5, 0)]))
+            mean_average_precision([(0.0, 0.0), (0.0, 0.0)])
 
 
 class TestDirectRankScores:
-    def test_ordering_preserved_and_in_unit_interval(self):
-        pairs = _pairs([0, 1, 0, 1])
-        features = [(p, (float(i * 3), 0.0, 0.0)) for i, p in enumerate(pairs)]
-        scored = direct_rank_scores(features, 0)
-        values = [s.score for s in scored]
-        assert values == sorted(values)
-        assert max(values) == 1.0
-        assert all(0.0 <= v <= 1.0 for v in values)
+    """Direct rank scores each single feature by its raw value."""
+
+    def test_ranks_by_raw_value(self):
+        rows = _features_for(_pairs([0, 1, 0, 1, 1, 0]))
+        rows[3] = (rows[3][0], (-2.0, *rows[3][1][1:]))  # negative values rank last
+        report = run_evaluation(rows, ForestConfig(tree_count=3, seed=1), k=2, seed=1)
+        X, y = xy([(vec, pair.label) for pair, vec in rows])
+        for j, name in enumerate(("f1", "f4", "f9")):
+            assert report.pr_points[name] == pr_curve(X[:, j], y)
 
     def test_all_zero_feature(self):
-        pairs = _pairs([0, 1])
-        features = [(p, (0.0, 0.0, 0.0)) for p in pairs]
-        assert [s.score for s in direct_rank_scores(features, 0)] == [0.0, 0.0]
+        # every pair ties on f4, so its ranking is pair-id order
+        pairs = _pairs([0, 1, 1, 0, 1, 0])
+        rows = [(p, (float(i), 0.0, float(i % 2))) for i, p in enumerate(pairs)]
+        rows.reverse()
+        report = run_evaluation(rows, ForestConfig(tree_count=3, seed=1), k=2, seed=1)
+        assert report.pr_points["f4"] == pr_curve(np.zeros(6), np.array([0, 1, 1, 0, 1, 0]))
 
     def test_rank_metrics_invariant_under_monotone_transform(self):
-        pairs = _pairs([0, 1, 1, 0, 1, 0, 0, 1, 0])
-        raw = [(p, (float(i % 5), 0.0, 0.0)) for i, p in enumerate(pairs)]
-        squashed = [(p, (math.tanh(row[0]) + 1.0, 0.0, 0.0)) for p, row in raw]
-        curve_a = pr_curve(direct_rank_scores(raw, 0))
-        curve_b = pr_curve(direct_rank_scores(squashed, 0))
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1, 0])
+        raw = np.array([float(i % 5) for i in range(len(labels))])
+        squashed = np.tanh(raw) + 1.0
+        curve_a = pr_curve(raw, labels)
+        curve_b = pr_curve(squashed, labels)
         assert curve_a == curve_b
-        assert mean_average_precision(
-            direct_rank_scores(raw, 0)
-        ) == mean_average_precision(direct_rank_scores(squashed, 0))
+        assert mean_average_precision(curve_a) == mean_average_precision(curve_b)
 
 
 class TestBuildReport:
@@ -472,12 +462,8 @@ class TestBuildReport:
             (pairs[2], (2.0, 0.0, 0.0)),
             (pairs[3], (1.0, 0.0, 0.0)),
         ]
-        scored = direct_rank_scores(features, 0)
-        report = build_report(
-            features,
-            {"f1": scored},
-            recall_levels=(0.5, 1.0),
-        )
+        X, y = xy([(vec, pair.label) for pair, vec in features])
+        report = build_report(features, y, {"f1": X[:, 0]}, recall_levels=(0.5, 1.0))
         # P@R=0.5: best precision with recall >= 0.5 is 1/1; P@R=1.0 is 2/3
         assert report.pr_grid["f1"][0.5] == 1.0
         assert report.pr_grid["f1"][1.0] == pytest.approx(2 / 3)
@@ -499,6 +485,27 @@ class TestBuildReport:
         assert set(report.pr_grid) == {"f1", "f4", "f9", "all"}
 
     @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
+    def test_row_order_invariance(self, demo_dataset, mode):
+        corpus = load_corpus(demo_dataset[0])
+        pairs, stats, _ = load_pairs(demo_dataset[1], corpus)
+        rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
+        shuffled = list(rows)
+        random.Random(5).shuffle(shuffled)
+        assert [pair_key(p) for p, _ in shuffled] != [pair_key(p) for p, _ in rows]
+        a, b = (
+            run_evaluation(r, ForestConfig(tree_count=12, seed=7), k=3, seed=7,
+                           single_feature_mode=mode)
+            for r in (rows, shuffled)
+        )
+        assert (a.pr_grid, a.pr_points, a.map_score) == (b.pr_grid, b.pr_points, b.map_score)
+        for name, corr in a.correlations.items():
+            other = b.correlations[name]
+            assert (corr is None) == (other is None)
+            if corr is not None:
+                assert other.r == pytest.approx(corr.r, abs=1e-12)
+                assert other.p_value == pytest.approx(corr.p_value, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
     def test_workers_do_not_change_the_report(self, demo_dataset, mode, monkeypatch):
         corpus = load_corpus(demo_dataset[0])
         pairs, stats, _ = load_pairs(demo_dataset[1], corpus)
@@ -518,6 +525,16 @@ class TestBuildReport:
             for workers in (1, 2)
         ]
         assert reports[0] == reports[1]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_without_sched_getaffinity(self, monkeypatch):
+        # os.sched_getaffinity is Linux-only; elsewhere the pool is capped by os.cpu_count()
+        features = self._inputs()
+        config = ForestConfig(tree_count=6, seed=4)
+        serial = report_to_dict(run_evaluation(features, config, k=3, seed=4))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        pooled = report_to_dict(run_evaluation(features, config, k=3, seed=4, workers=2))
+        assert pooled == serial
         assert multiprocessing.active_children() == []
 
     def test_unknown_mode_rejected(self):

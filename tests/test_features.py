@@ -116,13 +116,13 @@ class TestCosineSimilarity:
 
     def test_hand_value(self):
         # (1,2,0) . (2,1,1) = 4; norms sqrt(5), sqrt(6)
-        assert cosine_similarity((1, 2, 0), (2, 1, 1)) == pytest.approx(
+        assert cosine_similarity({0: 1, 1: 2}, {0: 2, 1: 1, 2: 1}) == pytest.approx(
             4 / math.sqrt(30), abs=1e-12
         )
 
     def test_zero_vector(self):
         assert cosine_similarity({}, {0: 1.0}) == 0.0
-        assert cosine_similarity((0, 0), (0, 0)) == 0.0
+        assert cosine_similarity({0: 0.0, 1: 0.0}, {0: 0.0, 1: 0.0}) == 0.0
 
     def test_symmetry_and_scale_invariance(self):
         rng = random.Random(11)

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from citegauge import forest
 from citegauge.corpus import filter_valid_pairs, load_corpus, load_pairs
-from citegauge.errors import TrainingError
+from citegauge.errors import ConfigurationError, TrainingError
 from citegauge.features import FeatureVector, compute_feature_matrix
-from conftest import FailingGrower, assert_same_model
+from conftest import FailingGrower, assert_same_model, xy
 from oracles import brute_force_best_split, choose
 from citegauge.forest import (
     DecisionTree,
@@ -51,14 +51,14 @@ class TestTrainBasics:
     def test_two_point_separable(self):
         data = [((0.0, 0.0, 0.0), 0), ((5.0, 0.0, 0.0), 1)]
         for seed in (0, 1, 7, 12345):
-            model = train(data, ForestConfig(tree_count=25, seed=seed))
+            model = train(*xy(data), ForestConfig(tree_count=25, seed=seed))
             assert predict_proba(model, (0.0, 0.0, 0.0)) < 0.5
             assert predict_proba(model, (5.0, 0.0, 0.0)) >= 0.5
 
     def test_deterministic_given_seed(self):
         config = ForestConfig(tree_count=20, seed=99)
-        model_a = train(SEPARABLE, config)
-        model_b = train(SEPARABLE, config)
+        model_a = train(*xy(SEPARABLE), config)
+        model_b = train(*xy(SEPARABLE), config)
         assert_same_model(model_a, model_b)
         queries = [(x / 2, 0.1, 0.5) for x in range(10)]
         assert [predict_proba(model_a, q) for q in queries] == [
@@ -72,31 +72,36 @@ class TestTrainBasics:
             (FeatureVector(1, 0.1, 0.2), 0),
             (FeatureVector(5, 0.4, 0.8), 1),
         ]
-        model = train(data, ForestConfig(tree_count=10, seed=3))
+        model = train(*xy(data), ForestConfig(tree_count=10, seed=3))
         assert predict_proba(model, FeatureVector(5, 0.5, 0.9)) >= 0.5
 
     def test_single_class_rejected(self):
         data = [((1.0, 0.0, 0.0), 1), ((2.0, 0.0, 0.0), 1)]
         with pytest.raises(TrainingError, match="single class"):
-            train(data, ForestConfig(tree_count=2, seed=1))
+            train(*xy(data), ForestConfig(tree_count=2, seed=1))
 
     def test_nan_rejected_naming_row(self):
         data = [((1.0, 0.0, 0.0), 0), ((float("nan"), 0.0, 0.0), 1)]
-        with pytest.raises(TrainingError, match="pair-x"):
-            train(data, ForestConfig(tree_count=2, seed=1), row_ids=["pair-w", "pair-x"])
+        with pytest.raises(TrainingError, match="row 1$"):
+            train(*xy(data), ForestConfig(tree_count=2, seed=1))
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
     def test_infinite_value_rejected_naming_row(self, bad):
-        data = [((1.0, 0.0, 0.0), 0), ((2.0, bad, 0.0), 1), ((3.0, 0.0, 0.0), 1)]
-        with pytest.raises(TrainingError, match="pair-x"):
-            train(data, ForestConfig(tree_count=2, seed=1), row_ids=["pair-w", "pair-x", "pair-y"])
+        data = [((1.0, 0.0, 0.0), 0), ((2.0, 0.0, 0.0), 1), ((3.0, bad, 0.0), 1)]
+        with pytest.raises(TrainingError, match="row 2$"):
+            train(*xy(data), ForestConfig(tree_count=2, seed=1))
 
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
-            train([], ForestConfig())
+            train(*xy([]), ForestConfig())
+
+    def test_label_count_must_match_rows(self):
+        X, y = xy(SEPARABLE)
+        with pytest.raises(ConfigurationError, match="10 training rows but 9 labels"):
+            train(X, y[:-1], ForestConfig(tree_count=2, seed=1))
 
     def test_monotone_sanity_full_training_accuracy(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=100, seed=42))
+        model = train(*xy(SEPARABLE), ForestConfig(tree_count=100, seed=42))
         for row, label in SEPARABLE:
             assert (predict_proba(model, row) >= 0.5) == bool(label)
 
@@ -155,7 +160,7 @@ class TestEveryNodeOracle:
     @pytest.mark.parametrize("seed, d", [(1, 3), (2, 1), (3, 2), (4, 3), (5, 6), (6, 8)])
     def test_every_node_matches_enumeration(self, seed, d):
         data = self._data(seed, d=d)
-        model = train(data, ForestConfig(tree_count=7, seed=seed))
+        model = train(*xy(data), ForestConfig(tree_count=7, seed=seed))
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(seed, index))
 
@@ -166,7 +171,7 @@ class TestEveryNodeOracle:
         rng = random.Random(seed)
         data = [row for row in self._data(seed, size=8) for _ in range(rng.randint(4, 8))]
         rng.shuffle(data)
-        model = train(data, ForestConfig(tree_count=15, seed=seed))
+        model = train(*xy(data), ForestConfig(tree_count=15, seed=seed))
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(seed, index))
 
@@ -182,7 +187,7 @@ class TestEveryNodeOracle:
         config = ForestConfig(
             tree_count=draw.draw(st.integers(1, 30)), seed=draw.draw(st.integers(0, 2**64 - 1))
         )
-        model = train(data, config)
+        model = train(*xy(data), config)
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(config.seed, index))
 
@@ -190,9 +195,9 @@ class TestEveryNodeOracle:
     def test_model_independent_of_batch_size(self, batch, monkeypatch):
         data = self._data(9, size=60)
         config = ForestConfig(tree_count=11, seed=9)
-        default = train(data, config)
+        default = train(*xy(data), config)
         monkeypatch.setattr(forest, "_BATCH_TREES", batch)
-        assert_same_model(train(data, config), default)
+        assert_same_model(train(*xy(data), config), default)
 
     def test_vectorised_choose_matches_scalar(self):
         seeds = [derive_seed(77, i) for i in range(40)] + [0, 2**64 - 1]
@@ -232,15 +237,15 @@ class TestTrainOnPool:
     def test_node_arrays_equal_serial(self, pool, trees):
         data = self._data()
         config = ForestConfig(tree_count=trees, seed=trees)
-        pooled = train(data, config, pool=pool)
+        pooled = train(*xy(data), config, pool=pool)
         assert len(pooled.trees) == trees
-        assert_same_model(pooled, train(data, config))
+        assert_same_model(pooled, train(*xy(data), config))
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         monkeypatch.setattr(forest, "_grow_trees", FailingGrower(TrainingError))
         with multiprocessing.get_context("fork").Pool(2) as workers:  # forked after the patch
             with pytest.raises(TrainingError, match="in a worker"):
-                train(self._data(), ForestConfig(tree_count=4, seed=1), pool=workers)
+                train(*xy(self._data()), ForestConfig(tree_count=4, seed=1), pool=workers)
 
 
 class TestPredictProba:
@@ -257,7 +262,7 @@ class TestPredictProba:
         assert predict_proba(model, (0.0,)) == pytest.approx(0.5)
 
     def test_batch_equals_per_row_leaf_walk(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=40, seed=12))
+        model = train(*xy(SEPARABLE), ForestConfig(tree_count=40, seed=12))
         rng = random.Random(4)
         queries = [(rng.uniform(-1, 15), rng.random(), rng.random()) for _ in range(60)]
         queries += [row for row, _ in SEPARABLE]
@@ -277,7 +282,7 @@ class TestPredictProba:
             assert predict_proba(model, row) == got
 
     def test_training_point_consistency(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=50, seed=5))
+        model = train(*xy(SEPARABLE), ForestConfig(tree_count=50, seed=5))
         for row, label in SEPARABLE:
             proba = predict_proba(model, row)
             assert (proba >= 0.5) == bool(label)
@@ -291,7 +296,7 @@ class TestForestInvariants:
                 return 0.0
             return 1.0 - ((c0 / n) ** 2 + (c1 / n) ** 2)
 
-        model = train(SEPARABLE, ForestConfig(tree_count=30, seed=8))
+        model = train(*xy(SEPARABLE), ForestConfig(tree_count=30, seed=8))
         for tree in model.trees:
             for node in tree.nodes:
                 if node.feature == -1:
@@ -305,7 +310,7 @@ class TestForestInvariants:
                 assert weighted <= gini(node.count0, node.count1) + 1e-12
 
     def test_children_counts_sum_to_parent(self):
-        model = train(SEPARABLE, ForestConfig(tree_count=10, seed=21))
+        model = train(*xy(SEPARABLE), ForestConfig(tree_count=10, seed=21))
         for tree in model.trees:
             for node in tree.nodes:
                 if node.feature == -1:
@@ -313,19 +318,6 @@ class TestForestInvariants:
                 left, right = tree.nodes[node.left], tree.nodes[node.right]
                 assert left.count0 + right.count0 == node.count0
                 assert left.count1 + right.count1 == node.count1
-
-    def test_row_order_invariance_with_row_ids(self):
-        ids = [f"pair-{i:02d}" for i in range(len(SEPARABLE))]
-        config = ForestConfig(tree_count=15, seed=77)
-        model_a = train(SEPARABLE, config, row_ids=ids)
-
-        rng = random.Random(0)
-        order = list(range(len(SEPARABLE)))
-        rng.shuffle(order)
-        shuffled = [SEPARABLE[i] for i in order]
-        shuffled_ids = [ids[i] for i in order]
-        model_b = train(shuffled, config, row_ids=shuffled_ids)
-        assert_same_model(model_a, model_b)
 
 
 class TestGoldenModel:
@@ -348,11 +340,10 @@ class TestGoldenModel:
         corpus = load_corpus(corpus_dir)
         pairs, stats, _ = load_pairs(pairs_file, corpus)
         rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
-        data = [(tuple(vec), pair.label) for pair, vec in rows]
+        X, y = xy([(vec, pair.label) for pair, vec in rows])
         config = ForestConfig(tree_count=30, seed=42)
-        assert self._digest(train(data, config)) == self.ALL_FEATURES
-        f1_only = [((vec[0],), label) for vec, label in data]
-        assert self._digest(train(f1_only, config)) == self.F1_ONLY
+        assert self._digest(train(X, y, config)) == self.ALL_FEATURES
+        assert self._digest(train(X[:, [0]], y, config)) == self.F1_ONLY
 
 
 class TestSplitMix64:
