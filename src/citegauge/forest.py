@@ -48,8 +48,8 @@ from .errors import ConfigurationError, TrainingError
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Splits must strictly reduce Gini impurity; this guards against fp noise.
-_MIN_GAIN = 1e-12
+# Most training rows: a node of N draws keeps its split sums below N³/4 < 2⁵³.
+_MAX_ROWS = 1 << 18
 
 # Trees grown together, and one task when `train` runs on a pool. It bounds
 # the grower's working memory; the trees do not depend on it. At 25 trees the
@@ -166,23 +166,24 @@ class ForestModel:
     trees: list[DecisionTree]
 
 
-def _gini(count0: np.ndarray, count1: np.ndarray) -> np.ndarray:
-    n = count0 + count1
-    return 1.0 - ((count0 / n) ** 2 + (count1 / n) ** 2)
-
-
 def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feats):
-    """Best (gain, feature, left size, threshold) of each node.
+    """Best cut of each node: (split, feature, left size, threshold).
 
     Node i owns positions ``starts[i]:starts[i] + sizes[i]`` of every row order
     in ``order`` (one per feature, the node's distinct rows sorted by that
     feature), and only the features ``feats[i]`` (ascending) are scored. Row r
     stands for ``weight[r]`` draws, ``positive[r]`` of them positive; node i
     holds ``total[i]`` draws, ``count1[i]`` of them positive. The gains count
-    draws; the left size counts positions. Candidate thresholds
-    are midpoints between consecutive distinct values. Ties resolve to the
-    lowest feature, then the lowest threshold. A node without a valid cut gets
-    gain -inf.
+    draws; the left size counts positions. Candidate thresholds are midpoints
+    between consecutive distinct values. Ties resolve to the lowest feature,
+    then the lowest threshold. ``split[i]`` is true when node i's best cut
+    strictly lowers its Gini impurity.
+
+    Within a node the gain rises with S = (l0² + l1²)/ln + (r0² + r1²)/rn in
+    the draws left and right of a cut, and S = num/den in integers exact in
+    float64 (``_MAX_ROWS``). One correctly rounded division keeps every exact
+    best cut at the node's top float; unequal S sharing that float are ordered
+    by exact integer products. A cut lowers the impurity unless l1·rn = r1·ln.
     """
     nodes, k = feats.shape
     positions = order.shape[1]
@@ -207,17 +208,37 @@ def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feat
     at, node = at[valid], node[valid]
     ln, rn, l1 = left_n[valid], right_n[valid], left1[valid]
     r1 = count1[node] - l1
-    weighted = (ln * _gini(ln - l1, l1) + rn * _gini(rn - r1, r1)) / total[node]
-    gains = np.full(k * positions, -np.inf)
-    gains[at] = _gini(total - count1, count1)[node] - weighted
+    l0, r0 = ln - l1, rn - r1
+    num = (l0 * l0 + l1 * l1) * rn + (r0 * r0 + r1 * r1) * ln
+    den = ln * rn
+    s = num / den
+    score = np.full(k * positions, -np.inf)
+    score[at] = s
+    top = np.maximum.reduceat(score, seg_starts).reshape(k, nodes).max(axis=0)
 
-    top = np.maximum.reduceat(gains, seg_starts)
-    first = np.where(gains == top[segment], np.arange(k * positions), k * positions)
-    cut = np.minimum.reduceat(first, seg_starts)
-    pick = np.argmax(top.reshape(k, nodes), axis=0) * nodes + np.arange(nodes)
-    cut = cut[pick]
-    threshold = (values[cut] + values[cut + 1]) / 2.0  # both classes: at least 2 rows
-    return top[pick], feats.T.ravel()[pick], cut - seg_starts[pick] + 1, threshold
+    # Each node's first cut at its top float, in (feature, threshold) order.
+    # Other cuts at that float with another num or den are compared exactly.
+    tied = np.flatnonzero(s == top[node])
+    first = np.full(k * positions, k * positions)
+    first[at[tied]] = at[tied]
+    first = np.minimum.reduceat(first, seg_starts).reshape(k, nodes).min(axis=0)
+    best = np.searchsorted(at, first)  # len(s) where a node has no valid cut
+    lead = best[node[tied]]
+    for c in tied[(num[tied] != num[lead]) | (den[tied] != den[lead])].tolist():
+        b = best[node[c]]
+        if int(num[c]) * int(den[b]) > int(num[b]) * int(den[c]):
+            best[node[c]] = c
+
+    has = best < len(s)  # the node has a valid cut
+    b = best[has]
+    cut = at[b]
+    split, chosen = np.zeros(nodes, dtype=bool), feats[:, 0].copy()
+    left_size, threshold = np.zeros(nodes, dtype=np.int64), np.zeros(nodes)
+    split[has] = l1[b] * rn[b] != r1[b] * ln[b]
+    chosen[has] = feats[has, cut // positions]
+    left_size[has] = cut % positions - starts[has] + 1
+    threshold[has] = (values[cut] + values[cut + 1]) / 2.0  # both classes: at least 2 rows
+    return split, chosen, left_size, threshold
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list[DecisionTree]:
@@ -269,10 +290,9 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list
             break
         starts = np.cumsum(sizes) - sizes
         feats = _choose_many(seeds, k, d)
-        gain, feature, left_n, threshold = _best_splits(
+        split, feature, left_n, threshold = _best_splits(
             Xb, weight, positive, order, starts, sizes, total[grow], count1[grow], feats
         )
-        split = gain > _MIN_GAIN
         children = next_id + 2 * np.arange(np.count_nonzero(split))
         at = ids[split]
         split_feature[at], split_threshold[at] = feature[split], threshold[split]
@@ -326,6 +346,8 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     if not finite.all():
         bad = int(np.argmin(finite))
         raise TrainingError(f"non-finite feature value (NaN or ±inf) in training data: row {bad}")
+    if len(X) > _MAX_ROWS:
+        raise TrainingError(f"{len(X)} training rows; the forest takes at most {_MAX_ROWS}")
     config.validate()
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")

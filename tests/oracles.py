@@ -8,6 +8,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from fractions import Fraction
 
 import scipy.special
 
@@ -58,13 +59,15 @@ def oracle_author_jaccard(a, b):
 
 def brute_force_best_split(X, y):
     """Exhaustive split enumeration: all features, all midpoints between
-    consecutive distinct sorted values; ties to lowest feature then threshold."""
+    consecutive distinct sorted values; ties to lowest feature then threshold.
+    Gains are exact rationals, so equal gains tie and only a positive gain
+    splits."""
 
     def gini(labels):
         if not labels:
-            return 0.0
-        p1 = sum(labels) / len(labels)
-        return 1.0 - (p1**2 + (1 - p1) ** 2)
+            return Fraction(0)
+        p1 = Fraction(sum(labels), len(labels))
+        return 1 - (p1**2 + (1 - p1) ** 2)
 
     n = len(y)
     parent = gini(y)
@@ -76,7 +79,7 @@ def brute_force_best_split(X, y):
             left = [label for row, label in zip(X, y) if row[feature] <= threshold]
             right = [label for row, label in zip(X, y) if row[feature] > threshold]
             gain = parent - (len(left) * gini(left) + len(right) * gini(right)) / n
-            if gain > 1e-12 and (best is None or gain > best[0]):
+            if gain > 0 and (best is None or gain > best[0]):
                 best = (gain, feature, threshold)
     return best
 

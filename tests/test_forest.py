@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import pickle
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestTrainBasics:
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
             train(*xy([]), ForestConfig())
+
+    def test_too_many_rows_rejected(self):
+        X = np.zeros((forest._MAX_ROWS + 1, 1))
+        y = np.arange(len(X)) % 2
+        with pytest.raises(TrainingError, match=f"at most {forest._MAX_ROWS}"):
+            train(X, y, ForestConfig(tree_count=1, seed=1))
 
     def test_label_count_must_match_rows(self):
         X, y = xy(SEPARABLE)
@@ -204,6 +211,30 @@ class TestEveryNodeOracle:
         for k, d in [(1, 1), (1, 3), (2, 3), (3, 3), (3, 8), (5, 6)]:
             got = _choose_many(np.array(seeds, dtype=np.uint64), k, d).tolist()
             assert got == [choose(SplitMix64(seed), k, d) for seed in seeds]
+
+    def test_unequal_gains_sharing_one_float(self):
+        # A node of 50 000 draws whose one cut on each of two features gives
+        # (neg, pos) left counts (15005, 10003) and (15007, 10005). The second
+        # cut's gain is larger by about 2e-16 of itself, yet the two round to
+        # one float; the lower feature wins only an exact tie.
+        Xb = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 1], [1, 1]], dtype=np.float64)
+        weight = np.array([15005, 10003, 2, 2, 14993, 9995])
+        positive = weight * np.array([0, 1, 0, 1, 0, 1])
+        cuts = [(15005, 10003), (15007, 10005)]
+
+        def score(l0, l1):
+            r0, r1 = 30000 - l0, 20000 - l1
+            return Fraction(l0 * l0 + l1 * l1, l0 + l1) + Fraction(r0 * r0 + r1 * r1, r0 + r1)
+
+        exact = [score(*cut) for cut in cuts]
+        assert float(exact[0]) == float(exact[1]) and exact[0] < exact[1]
+        order = np.tile(np.arange(6), (2, 1))
+        split, feature, left_n, threshold = forest._best_splits(
+            Xb, weight, positive, order, np.array([0]), np.array([6]),
+            np.array([50000]), np.array([20000]), np.array([[0, 1]]),
+        )
+        assert (split.tolist(), feature.tolist(), left_n.tolist()) == ([True], [1], [4])
+        assert threshold.tolist() == [0.5]
 
 
 class MapOnlyPool:
