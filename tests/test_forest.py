@@ -215,8 +215,8 @@ class TestEveryNodeOracle:
     def test_unequal_gains_sharing_one_float(self):
         # A node of 50 000 draws whose one cut on each of two features gives
         # (neg, pos) left counts (15005, 10003) and (15007, 10005). The second
-        # cut's gain is larger by about 2e-16 of itself, yet the two round to
-        # one float; the lower feature wins only an exact tie.
+        # cut's S is larger by about 3e-17 of itself, under half an ulp, so the
+        # two S round to one float; the lower feature wins only an exact tie.
         Xb = np.array([[0, 0], [0, 0], [1, 0], [1, 0], [1, 1], [1, 1]], dtype=np.float64)
         weight = np.array([15005, 10003, 2, 2, 14993, 9995])
         positive = weight * np.array([0, 1, 0, 1, 0, 1])
