@@ -237,10 +237,6 @@ def cmd_features(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    # Only evaluate trains a forest, so only it loads numpy (through forest and evaluation).
-    from . import evaluation
-    from .forest import ForestConfig
-
     _require_inputs(config)
     out = _out_dir(config)
     corpus, _, valid, stats, _ = _load_dataset(config)
@@ -248,7 +244,15 @@ def cmd_evaluate(config: RunConfig) -> int:
         raise DataError("no pairs survived the abstract filter; nothing to evaluate")
 
     rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
-    del corpus, valid  # rows and stats hold no reference to them; free the texts before CV
+    del corpus, valid  # rows and stats hold no reference to them; free the texts
+
+    # Only evaluate loads numpy (through forest and evaluation), and only now, into
+    # the memory the texts held. Its one BLAS call is a dot product over the pairs,
+    # so one OpenBLAS thread will do, and the training pool forks no BLAS threads.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import evaluation
+    from .forest import ForestConfig
+
     report = evaluation.run_evaluation(
         rows,
         ForestConfig(tree_count=config.trees, seed=config.seed),

@@ -3,10 +3,10 @@ fixed recall levels, Pearson correlation with two-tailed significance, and
 mean average precision.
 
 ``run_evaluation`` puts the pairs in pair-id order once; the folds, the
-forests and the rankings all work on arrays in that order, so the report does
-not depend on the order of the input rows, and rankings break score ties by
-ascending pair id. Interpolated precision rows are checked for monotonicity
-every time a report is assembled.
+forests, the rankings and the correlation sums all work on arrays in that
+order, so no bit of the report depends on the order of the input rows, and
+rankings break score ties by ascending pair id. Interpolated precision rows
+are checked for monotonicity every time a report is assembled.
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def mean_average_precision(curve: Sequence[tuple[float, float]]) -> float:
 
 
 def build_report(
-    rows: FeatureRows,
+    X: np.ndarray,
     labels: np.ndarray,
     score_sets: Mapping[str, np.ndarray],
     recall_levels: Sequence[float] = DEFAULT_RECALL_LEVELS,
@@ -274,10 +274,11 @@ def build_report(
 ) -> EvaluationReport:
     """Assemble the full evaluation report.
 
+    ``X`` holds one row of ``FEATURE_NAMES`` values per label, and
     ``score_sets`` maps feature-set names (single features plus "all") to one
-    score per row of ``labels``; ties rank in that row order. Correlations are
-    computed feature-vs-label directly from ``rows``; the MAP figure comes from
-    the "all" set when present, else the first set.
+    score per row; ties rank in that row order. Correlations are computed
+    feature-vs-label from the columns of ``X``; the MAP figure comes from the
+    "all" set when present, else the first set.
     """
     pr_grid: dict[str, dict[float, float]] = {}
     pr_points: dict[str, list[tuple[float, float]]] = {}
@@ -290,12 +291,10 @@ def build_report(
         pr_grid[name] = grid
         pr_points[name] = curve
 
-    row_labels = [pair.label for pair, _ in rows]
     correlations: dict[str, CorrelationResult | None] = {}
     for j, name in enumerate(FEATURE_NAMES):
-        values = [float(vec[j]) for _, vec in rows]
         try:
-            correlations[name] = pearson(values, row_labels)
+            correlations[name] = pearson(X[:, j], labels)
         except EvaluationError as exc:
             logger.warning("correlation for %s undefined: %s", name, exc)
             correlations[name] = None
@@ -328,9 +327,9 @@ def run_evaluation(
     raw value, and build the report. single_feature_mode "forest" scores each
     feature with its own one-feature cross-validated forest instead.
 
-    The pairs are put in pair-id order once, here; the folds, the forests and
-    the rankings see them only in that order, so the report does not depend
-    on the order of ``rows``.
+    The pairs are put in pair-id order once, here; the folds, the forests,
+    the rankings and the correlations see them only in that order, so the
+    report does not depend on the order of ``rows``.
 
     With ``workers`` above 1 (capped at the usable CPUs), every forest grows
     its trees on one pool of forked processes, opened here and reaped before
@@ -364,7 +363,7 @@ def run_evaluation(
         score_sets[FEATURE_SET_ALL] = cross_validate(X, y, forest_config, k, seed, pool=pool)
 
     return build_report(
-        rows, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo
+        X, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo
     )
 
 

@@ -144,17 +144,18 @@ def compute_feature_matrix(
 
     Pairs are grouped by citing paper. Each citing paper is indexed once
     (bibliography parsed, markers linked), all of its pairs are scored against
-    that index, and the index is dropped before the next paper is indexed, so
-    memory holds one index at a time. Rows and warnings keep the input pair
-    order. Pairs that fail extraction are excluded and reported in the
-    warnings list. One WARNING log line counts the pairs with problems by
-    reason; the per-pair detail is logged at DEBUG level.
+    that index, and the index and the paper's tf-idf vector are dropped before
+    the next paper is indexed; of the vectors, only cited papers' are kept.
+    Rows and warnings keep the input pair order. Pairs that fail extraction
+    are excluded and reported in the warnings list. One WARNING log line
+    counts the pairs with problems by reason; the per-pair detail is logged
+    at DEBUG level.
     """
     if tfidf is None:
         tfidf = fit_corpus_tfidf(corpus)
 
-    @cache
-    def abstract_vector(paper_id: str) -> dict[int, float]:
+    @cache  # cited papers recur across citing papers, so their vectors are kept
+    def cited_vector(paper_id: str) -> dict[int, float]:
         return vectorize(tfidf, corpus[paper_id].abstract or "")
 
     @cache
@@ -165,9 +166,10 @@ def compute_feature_matrix(
     reasons: Counter[str] = Counter()  # pairs per problem
 
     def score_citing_paper(citing_id: str, positions: list[int]) -> None:
-        # The index lives in this frame only, so it is freed on return.
+        # The index and the tf-idf vector live in this frame only, so they are freed on return.
         citing = corpus.get(citing_id)
         index = citeparse.index_citing_paper(citing) if citing is not None else None
+        citing_vector = vectorize(tfidf, citing.abstract or "") if citing is not None else None
         for position in positions:
             pair = pairs[position]
             cited = corpus.get(pair.cited_id)
@@ -186,7 +188,7 @@ def compute_feature_matrix(
                 detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
                 notes.append(_note(pair, "unresolved-markers", detail))
             f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
-            f9 = cosine_similarity(abstract_vector(citing.id), abstract_vector(cited.id))
+            f9 = cosine_similarity(citing_vector, cited_vector(cited.id))
             results[position] = FeatureVector(analysis.count, f4, f9), notes
 
     by_citing: dict[str, list[int]] = {}

@@ -241,12 +241,18 @@ def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feat
     return split, chosen, left_size, threshold
 
 
-def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list[DecisionTree]:
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Grow one tree per seed, level by level, advancing all their frontiers at
     once, each on its distinct bootstrap rows weighted by their draw counts;
     the seeds are derived as the module docstring says. Nodes are
-    numbered breadth first within each tree. Top level, so a process pool can
-    run it on one batch of a forest's seeds."""
+    numbered breadth first within each tree.
+
+    Returns the batch's node table: each tree's node count, and the six node
+    columns (``_COLUMNS``) with the trees' tables one after another in seed
+    order. Top level, so a process pool can run it on one batch of a forest's
+    seeds and send back six arrays, not six per tree."""
     # The grower frees many mid-size temporaries at once. glibc malloc returns
     # a freed heap top above its trim threshold (128 KiB at start) to the
     # system, and the next batch faults the pages in again: about 70 000 minor
@@ -318,9 +324,7 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> list
     local = np.empty(len(tree), dtype=np.int64)
     local[by_tree] = np.arange(len(tree)) - (np.cumsum(counts) - counts)[tree[by_tree]]
     left, right = (np.where(c >= 0, local[c], -1) for c in (left, right))
-    columns = (np.split(c[by_tree], np.cumsum(counts)[:-1])
-               for c in (feature, threshold, left, right, count0, count1))
-    return [DecisionTree(*arrays) for arrays in zip(*columns)]
+    return counts, [c[by_tree] for c in (feature, threshold, left, right, count0, count1)]
 
 
 def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> ForestModel:
@@ -356,7 +360,9 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     batches = [seeds[i : i + _BATCH_TREES] for i in range(0, len(seeds), _BATCH_TREES)]
     grow = partial(_grow_trees, X, y)
     grown = map(grow, batches) if pool is None else pool.map(grow, batches, chunksize=1)
-    trees = [tree for batch in grown for tree in batch]
+    trees = []
+    for counts, columns in grown:  # each tree's arrays are views into its batch's table
+        trees += map(DecisionTree, *(np.split(c, np.cumsum(counts)[:-1]) for c in columns))
     return ForestModel(trees=trees)
 
 

@@ -277,6 +277,28 @@ class TestImport:
         result = _python(script, capture_output=True, text=True, check=True)
         assert result.stdout.strip() == "False"
 
+    def test_evaluate_loads_numpy_after_features(self, tmp_path):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        script = (
+            "import os, sys\n"
+            "os.environ.pop('OPENBLAS_NUM_THREADS', None)\n"
+            "from citegauge import cli, features\n"
+            "compute, seen = features.compute_feature_matrix, []\n"
+            "def spy(*args, **kwargs):\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    result = compute(*args, **kwargs)\n"
+            "    seen.append('numpy' in sys.modules)\n"
+            "    return result\n"
+            "features.compute_feature_matrix = spy\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, seen, 'numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        args = _evaluate_args(corpus_dir, pairs_file, tmp_path / "out", "--threads", "2")
+        result = _python(script, *args, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        # numpy is first imported after features, with OpenBLAS held to one thread
+        assert result.stdout.splitlines()[-1] == "0 [False, False] True 1"
+
     def test_package_imports_with_numpy_blocked(self):
         script = _BLOCK_NUMPY + "import citegauge, citegauge.cli"
         result = _python(script, capture_output=True, text=True)

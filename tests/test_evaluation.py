@@ -463,7 +463,7 @@ class TestBuildReport:
             (pairs[3], (1.0, 0.0, 0.0)),
         ]
         X, y = xy([(vec, pair.label) for pair, vec in features])
-        report = build_report(features, y, {"f1": X[:, 0]}, recall_levels=(0.5, 1.0))
+        report = build_report(X, y, {"f1": X[:, 0]}, recall_levels=(0.5, 1.0))
         # P@R=0.5: best precision with recall >= 0.5 is 1/1; P@R=1.0 is 2/3
         assert report.pr_grid["f1"][0.5] == 1.0
         assert report.pr_grid["f1"][1.0] == pytest.approx(2 / 3)
@@ -498,12 +498,23 @@ class TestBuildReport:
             for r in (rows, shuffled)
         )
         assert (a.pr_grid, a.pr_points, a.map_score) == (b.pr_grid, b.pr_points, b.map_score)
-        for name, corr in a.correlations.items():
-            other = b.correlations[name]
-            assert (corr is None) == (other is None)
-            if corr is not None:
-                assert other.r == pytest.approx(corr.r, abs=1e-12)
-                assert other.p_value == pytest.approx(corr.p_value, abs=1e-12)
+        assert a.correlations == b.correlations
+
+    def test_correlations_do_not_depend_on_row_order(self):
+        # Values spread over nine decades: their float sums change with the
+        # order they are added in, so equal bits need one summation order.
+        rng = random.Random(3)
+        rows = [
+            (pair, (float(rng.randrange(5)), rng.random() * 10.0 ** -rng.randrange(9),
+                    rng.random() * 10.0 ** -rng.randrange(9)))
+            for pair in _pairs([int(i % 3 == 0) for i in range(60)])
+        ]
+        shuffled = list(rows)
+        random.Random(5).shuffle(shuffled)
+        a, b = (run_evaluation(r, ForestConfig(tree_count=5, seed=7), k=3, seed=7)
+                for r in (rows, shuffled))
+        assert all(corr is not None for corr in a.correlations.values())
+        assert a.correlations == b.correlations
 
     @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
     def test_workers_do_not_change_the_report(self, demo_dataset, mode, monkeypatch):
