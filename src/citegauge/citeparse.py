@@ -1,17 +1,16 @@
 """Reference-section segmentation, bibliography parsing, and in-text citation counting.
 
-Parsing has no side effects beyond the folded match keys each
-``BibliographyEntry`` caches on first use. Detection failures never raise: an
-unparseable bibliography or an unlinkable marker degrades to a warning and a
-zero count.
+Parsing has no side effects: each ``BibliographyEntry`` gets its folded match
+keys when it is parsed. Detection failures never raise: an unparseable
+bibliography or an unlinkable marker degrades to a warning and a zero count.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .corpus import PaperRecord
 from .textnorm import fold, surname_key, tokenize
@@ -20,8 +19,13 @@ logger = logging.getLogger(__name__)
 
 # Reference-section heading on a line of its own; the *last* occurrence wins.
 # "$" matches only before "\n", so a CRLF line end needs the optional "\r".
+# segment_references searches "\n" + body, so that every line, the first one
+# too, follows a "\n": a pattern that starts with a literal is found by a fast
+# scan, where "^" or an alternation of keywords is tried at every character.
+# Each whitespace run in the tail can be read one way only, so a long run
+# after the keyword costs linear time.
 _HEADING_RE = re.compile(
-    r"^[ \t]*(?:References|REFERENCES|Bibliography|BIBLIOGRAPHY)[ \t]*:?[ \t]*\r?$",
+    r"\n[ \t]*(?:References|REFERENCES|Bibliography|BIBLIOGRAPHY)[ \t]*(?::[ \t]*)?\r?$",
     re.MULTILINE,
 )
 
@@ -30,10 +34,12 @@ _BRACKET_KEY_RE = re.compile(r"^[ \t]*\[(\d{1,3})\]")
 _DOTTED_KEY_RE = re.compile(r"^[ \t]*(\d{1,3})\.(?=\s)")
 
 _YEAR_RE = re.compile(r"(?<!\d)(1[89]\d{2}|20\d{2}|2100)(?!\d)")
+_PERIOD_RE = re.compile(r"\.")
 
 # Name token for author-year markers; capitalization is checked in code because
 # the class must stay unicode-friendly.
 _NAME = r"[^\W\d_][\w'’\-]+"
+_NAME_RE = re.compile(_NAME)
 
 # Numeric in-text markers: [3], [2,5], [1-4], [2, 7; 9]. \s spans line breaks.
 _NUM_MARKER_RE = re.compile(r"\[\s*\d{1,3}(?:\s*(?:[,;]|[-–])\s*\d{1,3})*\s*\]")
@@ -41,10 +47,12 @@ _RANGE_ITEM_RE = re.compile(r"(\d{1,3})\s*[-–]\s*(\d{1,3})|(\d{1,3})")
 
 # Parenthetical author-year: one "(...)" group, split on ';' into segments like
 # "Smith, 2010", "Smith and Lee, 2011", "Smith et al., 2012", "see Smith 2013".
+# The gap before "and" is a comma in optional whitespace or whitespace alone,
+# so a whitespace run can be read one way only and a long one costs linear time.
 _PAREN_RE = re.compile(r"\(([^()]{1,300})\)", re.DOTALL)
 _PAREN_SEG_RE = re.compile(
     rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
-    rf"({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
+    rf"({_NAME})(?:(?:\s*,\s*|\s+)(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
     rf",?\s+((?:1[89]|20)\d{{2}})[a-z]?$",
     re.DOTALL,
@@ -80,8 +88,14 @@ SURNAME_WEIGHT = 0.3
 class BibliographyEntry:
     """One parsed reference-list entry.
 
-    The folded match keys are computed on first use and then kept, so an entry
-    shared by many pairs is tokenized and folded once.
+    The folded match keys are computed once, when the entry is built, so an
+    entry shared by many pairs is tokenized and folded once:
+
+    - ``raw_tokens``: the entry's terms (``tokenize``), what cited titles match;
+    - ``surnames``: folded surname tokens, the keys author-year markers link on;
+    - ``first_author``: the folded first surname, or None when none was found;
+    - ``name_keys``: folded surnames plus folded raw tokens, what cited
+      surnames match against.
     """
 
     index: int
@@ -89,25 +103,21 @@ class BibliographyEntry:
     surname_tokens: list[str] = field(default_factory=list)
     year: int | None = None
     numeric_key: int | None = None
+    raw_tokens: frozenset[str] = field(init=False)
+    surnames: frozenset[str] = field(init=False)
+    first_author: str | None = field(init=False)
+    name_keys: frozenset[str] = field(init=False)
 
-    @cached_property
-    def raw_tokens(self) -> frozenset[str]:
-        return frozenset(tokenize(self.raw))
-
-    @cached_property
-    def surnames(self) -> frozenset[str]:
-        """Folded surname tokens, the keys author-year markers link on."""
-        return frozenset(fold(t) for t in self.surname_tokens)
-
-    @cached_property
-    def first_author(self) -> str | None:
-        """Folded first-author surname, or None when no surname was found."""
-        return fold(self.surname_tokens[0]) if self.surname_tokens else None
-
-    @cached_property
-    def name_keys(self) -> frozenset[str]:
-        """Folded surnames plus folded raw tokens: what cited surnames match against."""
-        return self.surnames | {fold(t) for t in self.raw_tokens}
+    def __post_init__(self) -> None:
+        folded = [fold(t) for t in self.surname_tokens]
+        self.raw_tokens = frozenset(tokenize(self.raw))
+        self.surnames = frozenset(folded)
+        self.first_author = folded[0] if folded else None
+        # tokenize lower-cases, and fold changes nothing else in ASCII text.
+        tokens = self.raw_tokens
+        if not self.raw.isascii():
+            tokens = {t if t.isascii() else fold(t) for t in tokens}
+        self.name_keys = self.surnames | tokens
 
 
 @dataclass(frozen=True)
@@ -150,12 +160,17 @@ class CitingIndex:
 
     Built once per citing paper and shared by every pair it is the citing side
     of. It keeps no body text. An empty entry list means the bibliography could
-    not be located, and then no markers were scanned.
+    not be located, and then no markers were scanned. ``marker_counts`` maps
+    each cited entry's index to its number of linked markers.
     """
 
     entries: list[BibliographyEntry]
     citations: list[InTextCitation]
     unresolved: list[UnresolvedMarker]
+    marker_counts: Counter[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.marker_counts = Counter(c.entry_index for c in self.citations)
 
 
 @dataclass
@@ -178,11 +193,13 @@ def segment_references(body: str) -> tuple[str, list[str]]:
     means the bibliography could not be located. main_text is a prefix of body,
     so character offsets into it are valid body offsets.
     """
-    headings = list(_HEADING_RE.finditer(body))
+    headings = list(_HEADING_RE.finditer("\n" + body))
     if not headings:
         return body, []
     last = headings[-1]
-    return body[: last.start()], _split_entries(body[last.end() :])
+    # Offset i of "\n" + body is offset i - 1 of body, so the heading's
+    # "\n" sits where its line starts in body.
+    return body[: last.start()], _split_entries(body[last.end() - 1 :])
 
 
 def _split_entries(block: str) -> list[str]:
@@ -233,13 +250,13 @@ def _split_unkeyed(paragraph: list[str]) -> list[str]:
     return entries
 
 
-def _author_segment(text: str) -> str:
-    """Author-position prefix of an entry: everything before the year, or before
-    the first period that does not terminate a single-letter initial."""
-    year = _YEAR_RE.search(text)
+def _author_segment(text: str, year: re.Match | None) -> str:
+    """Author-position prefix of an entry: everything before the year (``year``
+    is ``_YEAR_RE.search(text)``), or before the first period that does not
+    terminate a single-letter initial."""
     if year:
         return text[: year.start()]
-    for match in re.finditer(r"\.", text):
+    for match in _PERIOD_RE.finditer(text):
         # Step back over the whitespace before this period to the word before it.
         end = match.start()
         while end and text[end - 1].isspace():
@@ -265,7 +282,7 @@ def parse_bib_entry(raw: str, index: int) -> BibliographyEntry:
     year_match = _YEAR_RE.search(rest)
     surnames = [
         token
-        for token in re.findall(_NAME, _author_segment(rest))
+        for token in _NAME_RE.findall(_author_segment(rest, year_match))
         if token[0].isupper() and fold(token) not in _SURNAME_STOP
     ]
     return BibliographyEntry(
@@ -482,8 +499,7 @@ def analyze_citations(
         )
 
     matched = sorted(idx for idx, s in scores.items() if s == best_score)
-    matched_set = set(matched)
-    count = sum(1 for c in index.citations if c.entry_index in matched_set)
+    count = sum(index.marker_counts[idx] for idx in matched)
     return CitationAnalysis(count, best_score, matched, index.citations, index.unresolved, True)
 
 

@@ -7,7 +7,7 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -39,12 +39,17 @@ class FeatureVector(NamedTuple):
 class TfidfModel:
     """Vocabulary, document frequencies, and document count fitted on a collection.
 
-    Immutable after fitting.
+    Immutable after fitting. ``weights`` holds each vocabulary term's
+    (dimension, idf), computed once, for ``vectorize``.
     """
 
     vocabulary: dict[str, int]
     document_frequency: dict[str, int]
     document_count: int
+    weights: dict[str, tuple[int, float]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.weights = {term: (dim, self.idf(term)) for term, dim in self.vocabulary.items()}
 
     def idf(self, term: str) -> float:
         # smoothed idf: ln((1 + N) / (1 + df)) + 1
@@ -76,11 +81,13 @@ def vectorize(model: TfidfModel, text: str) -> dict[int, float]:
     Out-of-vocabulary terms are ignored; empty or fully out-of-vocabulary text
     gives the zero vector.
     """
-    counts: dict[str, int] = {}
-    for term in tokenize(text):
-        if term in model.vocabulary:
-            counts[term] = counts.get(term, 0) + 1
-    return {model.vocabulary[term]: tf * model.idf(term) for term, tf in counts.items()}
+    weights = model.weights
+    vector: dict[int, float] = {}
+    for term, tf in Counter(tokenize(text)).items():
+        weight = weights.get(term)
+        if weight is not None:
+            vector[weight[0]] = tf * weight[1]
+    return vector
 
 
 def cosine_similarity(a: Mapping, b: Mapping) -> float:
@@ -103,10 +110,17 @@ def author_overlap(
     irrelevant. mode="boolean" collapses any overlap to 1.0. Either side empty
     gives 0.
     """
+    return _label_overlap(_author_labels(citing_authors), _author_labels(cited_authors), mode)
+
+
+def _author_labels(authors: Iterable[str]) -> frozenset[str]:
+    """The normalized "surname first-initial" labels of an author list, blanks dropped."""
+    return frozenset(normalize_author(a) for a in authors) - {""}
+
+
+def _label_overlap(set_a: frozenset[str], set_b: frozenset[str], mode: str) -> float:
     if mode not in ("jaccard", "boolean"):
         raise ConfigurationError(f"unknown author-overlap mode: {mode!r}")
-    set_a = {normalize_author(a) for a in citing_authors} - {""}
-    set_b = {normalize_author(a) for a in cited_authors} - {""}
     if not set_a or not set_b:
         return 0.0
     shared = len(set_a & set_b)
@@ -162,6 +176,10 @@ def compute_feature_matrix(
     def match_keys(paper_id: str) -> citeparse.CitedKeys:
         return citeparse.cited_keys(corpus[paper_id])
 
+    @cache
+    def labels(paper_id: str) -> frozenset[str]:
+        return _author_labels(corpus[paper_id].authors)
+
     results: list = [None] * len(pairs)
     reasons: Counter[str] = Counter()  # pairs per problem
 
@@ -187,7 +205,7 @@ def compute_feature_matrix(
                 reasons["unresolved markers"] += 1
                 detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
                 notes.append(_note(pair, "unresolved-markers", detail))
-            f4 = author_overlap(citing.authors, cited.authors, mode=f4_mode)
+            f4 = _label_overlap(labels(citing.id), labels(cited.id), f4_mode)
             f9 = cosine_similarity(citing_vector, cited_vector(cited.id))
             results[position] = FeatureVector(analysis.count, f4, f9), notes
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 import unicodedata
 
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+_TOKEN_RE = re.compile(r"[^\W_]{2,}", re.UNICODE)
 _LETTERS_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
 # Surname particles kept attached to the family name ("van der Berg" -> one unit).
@@ -28,12 +28,7 @@ def tokenize(text: str) -> list[str]:
     Tokens are maximal alphanumeric runs; runs shorter than 2 characters and
     pure numbers are dropped. No stop-word removal, no stemming.
     """
-    out = []
-    for tok in _TOKEN_RE.findall(text.lower()):
-        if len(tok) < 2 or tok.isdigit():
-            continue
-        out.append(tok)
-    return out
+    return [tok for tok in _TOKEN_RE.findall(text.lower()) if not tok.isdigit()]
 
 
 def _split_surname_given(name: str) -> tuple[str, str]:

@@ -115,6 +115,41 @@ def oracle_narrative_markers(text):
     ]
 
 
+# The parenthetical-segment pattern the package used before the gap before
+# "and" was made unambiguous: "\s*(?:,|\s)\s*" splits a whitespace run in
+# many ways, so it takes quadratic time on long runs. Keep its inputs short.
+_PAREN_SEG_RE = re.compile(
+    rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
+    rf"({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
+    rf"(?:,?\s+et\s+al\.?)?"
+    rf",?\s+((?:1[89]|20)\d{{2}})[a-z]?$",
+    re.DOTALL,
+)
+
+
+def oracle_paren_segment(segment):
+    """(span, groups) of a parenthetical author-year segment's match, or None."""
+    match = _PAREN_SEG_RE.match(segment)
+    return (match.span(), match.groups()) if match else None
+
+
+# The reference-heading pattern the package used before its search started at
+# a literal "\n": anchored at "^", with a tail "[ \t]*:?[ \t]*" that splits a
+# run of spaces in many ways, so it takes quadratic time on long runs.
+_HEADING_RE = re.compile(
+    r"^[ \t]*(?:References|REFERENCES|Bibliography|BIBLIOGRAPHY)[ \t]*:?[ \t]*\r?$",
+    re.MULTILINE,
+)
+
+
+def oracle_reference_split(body):
+    """(main text, reference block) around the last heading line, or None."""
+    headings = list(_HEADING_RE.finditer(body))
+    if not headings:
+        return None
+    return body[: headings[-1].start()], body[headings[-1].end() :]
+
+
 _YEAR_RE = re.compile(r"(?<!\d)(1[89]\d{2}|20\d{2}|2100)(?!\d)")
 
 

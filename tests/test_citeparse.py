@@ -15,9 +15,15 @@ from citegauge.citeparse import (
     paper_bibliography,
     segment_references,
 )
+from citegauge.textnorm import fold, tokenize
 
 from conftest import make_paper
-from oracles import oracle_author_segment, oracle_link_author_year, oracle_narrative_markers
+from oracles import (
+    oracle_author_segment,
+    oracle_link_author_year,
+    oracle_narrative_markers,
+    oracle_reference_split,
+)
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
     aux_paper,
@@ -26,7 +32,37 @@ from fixture_corpus import (
 )
 
 
+# Bodies of heading-like lines: each keyword with spaces, tabs, a colon or
+# other text around it, between ordinary lines, joined by "\n" or "\r\n", with
+# or without a line end after the last line.
+_heading_line = st.tuples(
+    st.sampled_from(["", " ", "\t", " \t ", "x", "See "]),
+    st.sampled_from(
+        ["References", "REFERENCES", "Bibliography", "BIBLIOGRAPHY", "references", "Reference"]
+    ),
+    st.sampled_from(
+        ["", ":", " :", ": ", " \t:\t ", " ", "\t", "\r", " x", ":x", "::", " References"]
+    ),
+).map("".join)
+_other_line = st.sampled_from(
+    ["", " ", "Body text.", "[1] Smith, J. 2010. A paper.", "2. Lee, K. 2011. Another."]
+) | st.text(alphabet=" \t\r:xRB", max_size=4)
+_heading_body = st.builds(
+    lambda lines, end, closed: end.join(lines) + (end if closed else ""),
+    st.lists(_heading_line | _other_line, max_size=8),
+    st.sampled_from(["\n", "\r\n"]),
+    st.booleans(),
+)
+
+
 class TestSegmentReferences:
+    @settings(max_examples=500, deadline=None)
+    @given(_heading_body)
+    def test_same_split_as_anchored_oracle(self, body):
+        split = oracle_reference_split(body)
+        expected = (body, []) if split is None else (split[0], citeparse._split_entries(split[1]))
+        assert segment_references(body) == expected
+
     def test_basic_split(self):
         body = "Main text cites [1].\n\nReferences\n[1] Smith 2010. A paper.\n[2] Jones 2012. Another."
         main, entries = segment_references(body)
@@ -113,6 +149,19 @@ class TestParseBibEntry:
 
     def test_index_is_kept(self):
         assert parse_bib_entry("anything", 9).index == 9
+
+    def test_match_keys_keep_their_definitions(self):
+        # "ℌ" survives lower-casing and folds to "h": an unfolded "ℌilbert"
+        # must not stand in for "hilbert" among the name keys.
+        entry = parse_bib_entry(
+            "[1] Müller, ℌ., Ødegård, K. 2010. Ångström ﬁne structure of ℌilbert spaces.", 1
+        )
+        assert entry.surname_tokens == ["Müller", "Ødegård"]
+        assert entry.raw_tokens == frozenset(tokenize(entry.raw))
+        assert entry.surnames == frozenset(fold(t) for t in entry.surname_tokens)
+        assert entry.first_author == fold(entry.surname_tokens[0])
+        assert entry.name_keys == entry.surnames | {fold(t) for t in entry.raw_tokens}
+        assert {"muller", "hilbert", "fine"} <= entry.name_keys
 
 
 class TestMatchEntryToPaper:
@@ -480,10 +529,11 @@ class TestAuthorSegment:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from(_AUTHOR_PIECES) | st.text(max_size=2), max_size=25).map("".join))
     def test_same_as_resplitting_oracle(self, text):
-        assert citeparse._author_segment(text) == oracle_author_segment(text)
+        year = citeparse._YEAR_RE.search(text)
+        assert citeparse._author_segment(text, year) == oracle_author_segment(text)
 
     def test_initials_are_skipped(self):
-        assert citeparse._author_segment("Smith, J. K. Lee. A title") == "Smith, J. K. Lee"
+        assert citeparse._author_segment("Smith, J. K. Lee. A title", None) == "Smith, J. K. Lee"
 
 
 # Parsing must run in time linear in the input. Each case times one input and
@@ -520,6 +570,21 @@ class TestLinearTime:
     def test_yearless_entry_of_initials(self):
         # 6 KB and 24 KB entries of "A. A. ...": no year, and every period follows an initial.
         _assert_linear(lambda raw: parse_bib_entry(raw, 1), lambda n: "A. " * n, 2_000)
+
+    def test_spaces_after_heading_keyword(self):
+        # 4 000 and 16 000 spaces between "References" and the "x" that makes
+        # the line no heading.
+        _assert_linear(
+            segment_references,
+            lambda n: "Body.\nReferences" + " " * n + "x\n[1] Smith 2010. A paper.\n",
+            4_000,
+        )
+
+    def test_parenthetical_whitespace_runs(self):
+        # 282 KB of "(Smith", 280 spaces, "x)": no segment matches, and the
+        # whitespace before a possible "and" must be read one way only.
+        text = ("(Smith" + " " * 280 + "x) ") * 1_000
+        assert _best_seconds(lambda t: find_in_text_citations(t, FIVE), text) < 0.25
 
     def test_blank_lines_after_heading(self):
         _assert_linear(

@@ -1,8 +1,10 @@
 """Hypothesis fuzzing of the loaders and the citation parser.
 
-Three properties: hostile input raises nothing but DataError, every reported
-marker sits at its offset in the main text, and inserting marker-free text
-between markers changes no f1 count.
+Five properties: hostile input raises nothing but DataError, every reported
+marker sits at its offset in the main text, f1 counts exactly the markers
+linked to the matched entries, inserting marker-free text between markers
+changes no f1 count, and the parenthetical-segment pattern matches as its
+former, ambiguous version did.
 """
 
 import tempfile
@@ -11,7 +13,9 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from citegauge import citeparse
 from citegauge.citeparse import (
+    analyze_citations,
     find_in_text_citations,
     index_citing_paper,
     parse_bib_entry,
@@ -21,6 +25,7 @@ from citegauge.corpus import load_pairs, paper_from_dict
 from citegauge.errors import DataError
 
 from conftest import make_corpus, make_paper
+from oracles import oracle_paren_segment
 
 _FUZZ = settings(max_examples=150, deadline=None)
 
@@ -118,6 +123,65 @@ def test_find_in_text_citations_offsets(text, raws):
     entries = [parse_bib_entry(raw, i) for i, raw in enumerate(raws, start=1)]
     cites, unresolved = find_in_text_citations(text, entries)
     _assert_markers_in_place(text, entries, cites, unresolved)
+
+
+# Hostile main text before a reference list whose entries can tie on the
+# match score, each with markers of its own.
+_TIED_ENTRIES = (
+    "[1] Smith, J. 2010. A paper.", "[2] Smith, J. 2010. A paper.", "[3] Lee, K. 2011. Results.",
+)  # fmt: skip
+_linked_body = st.builds(
+    lambda main, entries: main + "\nReferences\n" + "\n".join(entries),
+    st.lists(
+        st.sampled_from(_BODY_PIECES + ("[1]", "[2]", "[1-3]", "(Smith, 2010)"))
+        | st.text(max_size=4),
+        max_size=20,
+    ).map("".join),
+    st.lists(st.sampled_from(_TIED_ENTRIES), min_size=1, max_size=3),
+)
+
+
+@_FUZZ
+@given(
+    _body | _linked_body,
+    st.sampled_from(["A paper", "Smith", "Lee", "Results", ""]),
+    st.lists(st.sampled_from(["J. Smith", "K. Lee", "Wong", "Zoë B"]), max_size=2),
+)
+def test_f1_counts_markers_of_matched_entries(body, title, authors):
+    citing = make_paper("c", body=body)
+    index = index_citing_paper(citing)
+    analysis = analyze_citations(citing, make_paper("d", title=title, authors=authors), index=index)
+    matched = set(analysis.matched_entry_indices)
+    assert analysis.count == sum(1 for c in index.citations if c.entry_index in matched)
+
+
+_SEGMENT_PIECES = (
+    "see ", "cf.", "e.g.,", "Smith", "Lee", "Zoë", "and", "&", "et", "al.", "et al.",
+    "2010", "1999b", ",", " ", "  ", "\t", "\n", ".", "x",
+)  # fmt: skip
+_segment = st.lists(st.sampled_from(_SEGMENT_PIECES) | st.text(max_size=3), max_size=14).map(
+    "".join
+) | st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", "see ", "cf., "]),
+        st.sampled_from(["Smith", "Zoë"]),
+        st.sampled_from(["", ",", " ", ", ", " ,", " , \n", "\t\t"]),
+        st.sampled_from(["", "and", "&"]),
+        st.sampled_from(["", " ", "\n "]),
+        st.sampled_from(["", "Lee"]),
+        st.sampled_from(["", " et al.", ", et al"]),
+        st.sampled_from([" ", ", ", ",", "\n"]),
+        st.sampled_from(["2010", "1999b", "x"]),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_segment)
+def test_parenthetical_segment_pattern_matches_oracle(segment):
+    match = citeparse._PAREN_SEG_RE.match(segment)
+    assert (match and (match.span(), match.groups())) == oracle_paren_segment(segment)
 
 
 _BIBLIOGRAPHY = (
