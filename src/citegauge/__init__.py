@@ -11,13 +11,11 @@ from .corpus import (
     load_corpus,
     load_pairs,
 )
-from .citeparse import count_direct_citations
 from .features import (
     FeatureVector,
     TfidfModel,
     author_overlap,
     cosine_similarity,
-    extract_features,
     fit_tfidf,
     tokenize,
     vectorize,
@@ -64,9 +62,7 @@ __all__ = [
     "TfidfModel",
     "author_overlap",
     "cosine_similarity",
-    "count_direct_citations",
     "cross_validate",
-    "extract_features",
     "filter_valid_pairs",
     "fit_tfidf",
     "interpolated_precision",

@@ -180,7 +180,6 @@ class CitationAnalysis:
     count: int
     best_score: float
     matched_entry_indices: list[int]
-    citations: list[InTextCitation]
     unresolved: list[UnresolvedMarker]
     bibliography_parsed: bool
     warnings: list[str] = field(default_factory=list)
@@ -482,7 +481,7 @@ def analyze_citations(
     if not index.entries:
         warning = f"{citing.id}: bibliography unparseable, direct-citation count forced to 0"
         logger.debug(warning)
-        return CitationAnalysis(0, 0.0, [], [], [], False, [warning])
+        return CitationAnalysis(0, 0.0, [], [], False, [warning])
 
     if keys is None:
         keys = cited_keys(cited)
@@ -494,15 +493,8 @@ def analyze_citations(
             f"(best score {best_score:.3f})"
         )
         logger.debug(warning)
-        return CitationAnalysis(
-            0, best_score, [], index.citations, index.unresolved, True, [warning]
-        )
+        return CitationAnalysis(0, best_score, [], index.unresolved, True, [warning])
 
     matched = sorted(idx for idx, s in scores.items() if s == best_score)
     count = sum(index.marker_counts[idx] for idx in matched)
-    return CitationAnalysis(count, best_score, matched, index.citations, index.unresolved, True)
-
-
-def count_direct_citations(citing: PaperRecord, cited: PaperRecord) -> int:
-    """Number of in-text citation instances of ``cited`` in ``citing``'s main text."""
-    return analyze_citations(citing, cited).count
+    return CitationAnalysis(count, best_score, matched, index.unresolved, True)

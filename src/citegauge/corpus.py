@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 from .errors import DataError
 
@@ -79,30 +78,12 @@ class LoadIssue:
     message: str
 
 
-@dataclass
-class Corpus:
-    """Immutable paper index keyed by id, plus the per-file load report."""
+class Corpus(dict[str, PaperRecord]):
+    """Immutable paper index: a dict from id to record, plus the per-file load report."""
 
-    papers: dict[str, PaperRecord] = field(default_factory=dict)
-    load_report: list[LoadIssue] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.papers)
-
-    def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.papers
-
-    def __getitem__(self, paper_id: str) -> PaperRecord:
-        return self.papers[paper_id]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.papers)
-
-    def get(self, paper_id: str) -> PaperRecord | None:
-        return self.papers.get(paper_id)
-
-    def records(self) -> list[PaperRecord]:
-        return list(self.papers.values())
+    def __init__(self, papers=(), load_report: list[LoadIssue] | None = None):
+        super().__init__(papers)
+        self.load_report = [] if load_report is None else load_report
 
 
 def has_abstract(record: PaperRecord | None) -> bool:
@@ -113,9 +94,10 @@ def has_abstract(record: PaperRecord | None) -> bool:
 def paper_from_dict(data: dict, source: str = "<dict>") -> PaperRecord:
     """Build a validated PaperRecord from a decoded document object.
 
-    Normalization: author strings are stripped and blanks dropped, a
-    whitespace-only abstract becomes None, an empty references list becomes
-    None. Violating the schema raises DataError.
+    Normalization: the id and author strings are stripped and blank authors
+    dropped, a whitespace-only abstract becomes None, an empty references list
+    becomes None. Violating the schema, or an id that no pairs row could name
+    (one holding a tab or a line break), raises DataError.
     """
     if not isinstance(data, dict):
         raise DataError(f"{source}: document is not a JSON object")
@@ -123,6 +105,9 @@ def paper_from_dict(data: dict, source: str = "<dict>") -> PaperRecord:
     paper_id = data.get("id")
     if not isinstance(paper_id, str) or not paper_id.strip():
         raise DataError(f"{source}: missing or empty 'id'")
+    paper_id = paper_id.strip()
+    if "\t" in paper_id or paper_id.splitlines() != [paper_id]:
+        raise DataError(f"{source}: 'id' holds a tab or a line break: {paper_id!r}")
 
     title = data.get("title")
     if not isinstance(title, str):
@@ -171,12 +156,6 @@ def paper_to_dict(record: PaperRecord) -> dict:
     }
 
 
-def write_paper(record: PaperRecord, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(paper_to_dict(record), ensure_ascii=False, indent=2), encoding="utf-8"
-    )
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load every ``*.json`` document under ``path`` into an id-keyed index.
 
@@ -199,12 +178,12 @@ def load_corpus(path: str | Path) -> Corpus:
         except (OSError, ValueError) as exc:
             corpus.load_report.append(LoadIssue(doc_path.name, f"unreadable document: {exc}"))
             continue
-        if record.id in corpus.papers:
+        if record.id in corpus:
             raise DataError(
                 f"duplicate paper id '{record.id}' in {seen_files[record.id]} and {doc_path.name}"
             )
         seen_files[record.id] = doc_path.name
-        corpus.papers[record.id] = record
+        corpus[record.id] = record
 
     if corpus.load_report:
         logger.warning("corpus load skipped %d malformed document(s)", len(corpus.load_report))

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from . import citeparse
 from .citeparse import analyze_citations
 from .corpus import CitationPair, Corpus, has_abstract
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError
 from .textnorm import normalize_author, tokenize
 
 logger = logging.getLogger(__name__)
@@ -129,22 +129,9 @@ def _label_overlap(set_a: frozenset[str], set_b: frozenset[str], mode: str) -> f
     return shared / len(set_a | set_b)
 
 
-def extract_features(
-    pair: CitationPair, corpus: Corpus, tfidf: TfidfModel, f4_mode: str = "jaccard"
-) -> FeatureVector:
-    """Compute the full feature vector for one citation pair. Deterministic."""
-    for paper_id in (pair.citing_id, pair.cited_id):
-        if paper_id not in corpus:
-            raise DataError(
-                f"pair {pair.citing_id} -> {pair.cited_id}: missing record {paper_id}"
-            )
-    rows, _ = compute_feature_matrix(corpus, [pair], tfidf, f4_mode)
-    return rows[0][1]
-
-
 def fit_corpus_tfidf(corpus: Corpus) -> TfidfModel:
     """Fit tf-idf over every abstract present in the corpus (not just paired papers)."""
-    abstracts = [r.abstract for r in corpus.records() if has_abstract(r)]
+    abstracts = [r.abstract for r in corpus.values() if has_abstract(r)]
     return fit_tfidf(abstracts)
 
 

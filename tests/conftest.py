@@ -22,7 +22,7 @@ def make_paper(paper_id, title="", authors=(), abstract=None, body="", reference
 
 
 def make_corpus(*records):
-    return Corpus(papers={r.id: r for r in records})
+    return Corpus({r.id: r for r in records})
 
 
 def xy(data):

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from citegauge.cli import main as cli_main
-from citegauge.citeparse import count_direct_citations, find_in_text_citations, parse_bib_entry
+from citegauge.citeparse import find_in_text_citations, parse_bib_entry
 from citegauge.corpus import (
     CitationPair,
     filter_valid_pairs,
@@ -374,10 +374,13 @@ class TestSubstituteCriterion5:
         target = target_paper()
         docs = citing_papers()
         assert len(docs) == 10
+        pairs = [CitationPair(doc.id, target.id, 0) for doc in docs]
+        rows, _ = compute_feature_matrix(make_corpus(target, *docs), pairs)
+        counts = {pair.citing_id: vec.f1_direct_count for pair, vec in rows}
         mismatches = [
-            (doc.id, count_direct_citations(doc, target), EXPECTED_TARGET_COUNTS[doc.id])
+            (doc.id, counts.get(doc.id), EXPECTED_TARGET_COUNTS[doc.id])
             for doc in docs
-            if count_direct_citations(doc, target) != EXPECTED_TARGET_COUNTS[doc.id]
+            if counts.get(doc.id) != EXPECTED_TARGET_COUNTS[doc.id]
         ]
         _verdict("5d parsing golden documents", not mismatches, str(mismatches))
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from citegauge import citeparse
 from citegauge.citeparse import (
     analyze_citations,
-    count_direct_citations,
     find_in_text_citations,
     match_entry_to_paper,
     narrative_markers,
@@ -339,7 +338,7 @@ class TestCountDirectCitations:
         target = target_paper()
         for record in citing_papers():
             assert (
-                count_direct_citations(record, target) == EXPECTED_TARGET_COUNTS[record.id]
+                analyze_citations(record, target).count == EXPECTED_TARGET_COUNTS[record.id]
             ), record.id
 
     def test_cited_absent_from_bibliography(self):
@@ -358,7 +357,7 @@ class TestCountDirectCitations:
 
     def test_reference_block_markers_do_not_count(self):
         by_id = {p.id: p for p in citing_papers()}
-        assert count_direct_citations(by_id["c08"], target_paper()) == 0
+        assert analyze_citations(by_id["c08"], target_paper()).count == 0
 
     def test_count_invariant_under_crlf_line_endings(self):
         target = target_paper()
@@ -371,7 +370,7 @@ class TestCountDirectCitations:
                 body=record.body.replace("\n", "\r\n"),
                 references=record.references,
             )
-            assert count_direct_citations(crlf, target) == EXPECTED_TARGET_COUNTS[record.id], (
+            assert analyze_citations(crlf, target).count == EXPECTED_TARGET_COUNTS[record.id], (
                 record.id
             )
 
@@ -380,7 +379,7 @@ class TestCountDirectCitations:
         for record in citing_papers():
             if record.references:
                 continue
-            before = count_direct_citations(record, target)
+            before = analyze_citations(record, target).count
             extended = make_paper(
                 record.id,
                 title=record.title,
@@ -388,7 +387,7 @@ class TestCountDirectCitations:
                 abstract=record.abstract,
                 body=record.body + "\nTrailing note. Unrelated words only here.",
             )
-            assert count_direct_citations(extended, target) == before, record.id
+            assert analyze_citations(extended, target).count == before, record.id
 
 
 class TestParsingProperties:

@@ -5,13 +5,14 @@ import pytest
 
 from citegauge.corpus import (
     CitationPair,
+    Corpus,
+    LoadIssue,
     filter_valid_pairs,
     has_abstract,
     load_corpus,
     load_pairs,
     paper_from_dict,
     paper_to_dict,
-    write_paper,
 )
 from citegauge.errors import DataError
 
@@ -89,6 +90,39 @@ class TestLoadCorpus:
         assert len(corpus) == 0
         assert len(corpus.load_report) == 3
 
+    @pytest.mark.parametrize("paper_id", ["P\t1", "P\n1", "P\r1", "P\x1c1", "P\u20281"])
+    def test_id_no_pairs_row_can_name_is_reported(self, tmp_path, paper_id):
+        # A pairs row cannot hold a tab or a line break inside one cell.
+        _write_docs(tmp_path / "c", [_doc(paper_id), _doc("P2")])
+        corpus = load_corpus(tmp_path / "c")
+        assert list(corpus) == ["P2"]
+        assert [i.source for i in corpus.load_report] == ["doc0.json"]
+
+
+class TestCorpusMapping:
+    def test_load_corpus_gives_an_id_keyed_mapping_in_file_order(self, tmp_path):
+        _write_docs(tmp_path / "c", [_doc("b"), _doc("a"), _doc("c")])
+        corpus = load_corpus(tmp_path / "c")
+        assert len(corpus) == 3
+        assert "a" in corpus and "zz" not in corpus
+        assert corpus["a"].id == "a"
+        assert corpus.get("a") is corpus["a"]
+        assert corpus.get("zz") is None
+        assert list(corpus) == ["b", "a", "c"]
+        assert [record.id for record in corpus.values()] == ["b", "a", "c"]
+
+    def test_each_corpus_has_its_own_load_report(self):
+        first, second = Corpus(), Corpus()
+        first.load_report.append(LoadIssue("x.json", "bad"))
+        assert second.load_report == []
+
+    def test_papers_and_load_report_can_be_given(self):
+        record = make_paper("a")
+        issues = [LoadIssue("x.json", "bad")]
+        corpus = Corpus({"a": record}, load_report=issues)
+        assert corpus["a"] is record
+        assert corpus.load_report == issues
+
 
 class TestPaperNormalization:
     def test_blank_abstract_becomes_absent(self):
@@ -98,6 +132,9 @@ class TestPaperNormalization:
     def test_blank_authors_dropped(self):
         record = paper_from_dict(_doc("a", authors=[" Ada Byron ", "  ", ""]))
         assert record.authors == ["Ada Byron"]
+
+    def test_id_is_stripped(self):
+        assert paper_from_dict(_doc(" \u00a0P1\t ")).id == "P1"
 
     def test_empty_references_become_absent(self):
         record = paper_from_dict(_doc("a", references=[]))
@@ -116,7 +153,7 @@ class TestPaperNormalization:
                 )
             )
             path = tmp_path / "roundtrip.json"
-            write_paper(record, path)
+            path.write_text(json.dumps(paper_to_dict(record)), encoding="utf-8")
             reloaded = paper_from_dict(json.loads(path.read_text(encoding="utf-8")))
             assert reloaded == record
             assert paper_from_dict(paper_to_dict(record)) == record
@@ -151,6 +188,16 @@ class TestLoadPairs:
         assert stats.total_pairs == 0
         assert len(issues) == 1
         assert "ZZ" in issues[0].message
+
+    def test_pairs_of_a_padded_id_are_kept(self, tmp_path):
+        _write_docs(tmp_path / "c", [_doc(" P1 "), _doc("P2")])
+        f = tmp_path / "p.tsv"
+        f.write_text("P1\tP2\t1\n P2 \t P1 \t0\n", encoding="utf-8")
+        corpus = load_corpus(tmp_path / "c")
+        pairs, _, issues = load_pairs(f, corpus)
+        assert list(corpus) == ["P1", "P2"]
+        assert pairs == [CitationPair("P1", "P2", 1), CitationPair("P2", "P1", 0)]
+        assert issues == []
 
     def test_header_row_detected(self, tmp_path):
         f = tmp_path / "p.tsv"

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 from citegauge import citeparse
 from citegauge.citeparse import analyze_citations
 from citegauge.corpus import CitationPair
-from citegauge.errors import ConfigurationError, DataError
+from citegauge.errors import ConfigurationError
 from citegauge.textnorm import fold
 from citegauge.features import (
     FeatureVector,
     author_overlap,
     compute_feature_matrix,
     cosine_similarity,
-    extract_features,
     fit_corpus_tfidf,
     fit_tfidf,
     tokenize,
@@ -204,7 +203,7 @@ class TestExtractFeatures:
     def test_maximal_synthetic_pair(self):
         corpus = _maximal_pair_corpus()
         tfidf = fit_tfidf([corpus["citing"].abstract, corpus["cited"].abstract])
-        vec = extract_features(CitationPair("citing", "cited", 1), corpus, tfidf)
+        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 1)], tfidf)
         assert vec.f1_direct_count == 2
         assert vec.f4_author_overlap == 1.0
         assert vec.f9_abstract_sim == pytest.approx(1.0, abs=1e-12)
@@ -220,16 +219,10 @@ class TestExtractFeatures:
         )
         corpus = make_corpus(cited, citing)
         tfidf = fit_tfidf([citing.abstract, cited.abstract])
-        vec = extract_features(CitationPair("citing", "cited", 0), corpus, tfidf)
+        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 0)], tfidf)
         assert vec.f1_direct_count == 0
         assert vec.f4_author_overlap == 0.0
         assert vec.f9_abstract_sim == 0.0
-
-    def test_missing_record_raises(self):
-        corpus = _maximal_pair_corpus()
-        tfidf = fit_tfidf(["a b", "c d"])
-        with pytest.raises(DataError):
-            extract_features(CitationPair("citing", "ghost", 0), corpus, tfidf)
 
     def test_self_similarity_is_one_with_in_vocab_term(self):
         rng = random.Random(3)

@@ -47,15 +47,28 @@ _document = st.fixed_dictionaries(
     },
 )
 
+# Documents of the right shape, so the checks on a returned record run often.
+_typed_document = st.fixed_dictionaries(
+    {
+        "id": st.text(max_size=6),
+        "title": st.text(max_size=12),
+        "authors": _strings,
+        "abstract": st.none() | st.text(max_size=12),
+        "body": st.text(max_size=40),
+        "references": st.none() | _strings,
+    }
+)
+
 
 @_FUZZ
-@given(_document | _json)
+@given(_document | _typed_document | _json)
 def test_paper_from_dict_raises_only_data_error(data):
     try:
         record = paper_from_dict(data)
     except DataError:
         return
-    assert record.id.strip()
+    assert record.id and record.id == record.id.strip()
+    assert "\t" not in record.id and record.id.splitlines() == [record.id]
     assert all(author and author == author.strip() for author in record.authors)
     assert record.abstract is None or record.abstract.strip()
     assert record.references is None or all(ref.strip() for ref in record.references)
