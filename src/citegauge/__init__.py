@@ -13,7 +13,6 @@ from .corpus import (
 )
 from .features import (
     FeatureVector,
-    TfidfModel,
     author_overlap,
     cosine_similarity,
     fit_tfidf,
@@ -59,7 +58,6 @@ __all__ = [
     "ForestConfig",
     "ForestModel",
     "PaperRecord",
-    "TfidfModel",
     "author_overlap",
     "cosine_similarity",
     "cross_validate",

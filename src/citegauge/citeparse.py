@@ -156,7 +156,7 @@ class UnresolvedMarker:
 
 @dataclass
 class CitingIndex:
-    """One citing paper's parsed bibliography and linked markers.
+    """One citing paper's parsed bibliography and marker counts.
 
     Built once per citing paper and shared by every pair it is the citing side
     of. It keeps no body text. An empty entry list means the bibliography could
@@ -165,12 +165,8 @@ class CitingIndex:
     """
 
     entries: list[BibliographyEntry]
-    citations: list[InTextCitation]
+    marker_counts: Counter[int]
     unresolved: list[UnresolvedMarker]
-    marker_counts: Counter[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.marker_counts = Counter(c.entry_index for c in self.citations)
 
 
 @dataclass
@@ -456,9 +452,9 @@ def index_citing_paper(citing: PaperRecord) -> CitingIndex:
     """Parse a citing paper's bibliography and link its in-text markers, once."""
     main_text, entries = paper_bibliography(citing)
     if not entries:
-        return CitingIndex([], [], [])
+        return CitingIndex([], Counter(), [])
     citations, unresolved = find_in_text_citations(main_text, entries)
-    return CitingIndex(entries, citations, unresolved)
+    return CitingIndex(entries, Counter(c.entry_index for c in citations), unresolved)
 
 
 def analyze_citations(

@@ -226,9 +226,6 @@ def cmd_features(config: RunConfig) -> int:
         raise DataError("no pairs survived the abstract filter; nothing to extract")
 
     rows, warnings = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
-    if not rows:
-        raise DataError("feature extraction failed for every pair")
-
     features_mod.write_feature_matrix(rows, out / "features.csv")
     _write_json(out / "features_warnings.json", warnings)
     print(f"feature matrix: {len(rows)} pairs -> {out / 'features.csv'}")

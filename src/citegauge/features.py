@@ -7,7 +7,6 @@ import csv
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -35,63 +34,34 @@ class FeatureVector(NamedTuple):
     f9_abstract_sim: float
 
 
-@dataclass
-class TfidfModel:
-    """Vocabulary, document frequencies, and document count fitted on a collection.
-
-    Immutable after fitting. ``weights`` holds each vocabulary term's
-    (dimension, idf), computed once, for ``vectorize``.
-    """
-
-    vocabulary: dict[str, int]
-    document_frequency: dict[str, int]
-    document_count: int
-    weights: dict[str, tuple[int, float]] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.weights = {term: (dim, self.idf(term)) for term, dim in self.vocabulary.items()}
-
-    def idf(self, term: str) -> float:
-        # smoothed idf: ln((1 + N) / (1 + df)) + 1
-        df = self.document_frequency[term]
-        return math.log((1 + self.document_count) / (1 + df)) + 1.0
-
-
-def fit_tfidf(abstracts: Sequence[str]) -> TfidfModel:
-    """Fit a tf-idf model over a document collection (at least 2 documents).
-
-    The vocabulary covers every term in any document and is sorted
-    lexicographically, so the model is independent of document order.
+def fit_tfidf(abstracts: Sequence[str]) -> dict[str, float]:
+    """Fit tf-idf over a document collection (at least 2 documents): each term of
+    any document, in lexicographic order, mapped to its smoothed idf
+    ln((1 + N) / (1 + df)) + 1. The result is independent of document order.
     """
     if len(abstracts) < 2:
         raise ConfigurationError(
             f"tf-idf needs at least 2 documents, got {len(abstracts)}"
         )
-    document_frequency: dict[str, int] = {}
+    document_frequency: Counter[str] = Counter()
     for text in abstracts:
-        for term in set(tokenize(text)):
-            document_frequency[term] = document_frequency.get(term, 0) + 1
-    vocabulary = {term: dim for dim, term in enumerate(sorted(document_frequency))}
-    return TfidfModel(vocabulary, document_frequency, len(abstracts))
+        document_frequency.update(set(tokenize(text)))
+    n = len(abstracts)
+    return {t: math.log((1 + n) / (1 + df)) + 1.0 for t, df in sorted(document_frequency.items())}
 
 
-def vectorize(model: TfidfModel, text: str) -> dict[int, float]:
-    """Sparse tf-idf vector of a text: raw term frequency times idf, by dimension.
+def vectorize(idf: Mapping[str, float], text: str) -> dict[str, float]:
+    """Sparse tf-idf vector of a text: raw term frequency times idf, by term, in
+    the order of each term's first occurrence in the text.
 
-    Out-of-vocabulary terms are ignored; empty or fully out-of-vocabulary text
+    Terms without an idf are ignored; empty or fully out-of-vocabulary text
     gives the zero vector.
     """
-    weights = model.weights
-    vector: dict[int, float] = {}
-    for term, tf in Counter(tokenize(text)).items():
-        weight = weights.get(term)
-        if weight is not None:
-            vector[weight[0]] = tf * weight[1]
-    return vector
+    return {term: tf * idf[term] for term, tf in Counter(tokenize(text)).items() if term in idf}
 
 
 def cosine_similarity(a: Mapping, b: Mapping) -> float:
-    """Cosine of two nonnegative sparse vectors (dimension -> weight mappings, as
+    """Cosine of two nonnegative sparse vectors (term -> weight mappings, as
     ``vectorize`` gives them), clamped to [0, 1]. Zero-norm inputs give 0."""
     norm_sq_a = sum(v * v for v in a.values())
     norm_sq_b = sum(v * v for v in b.values())
@@ -129,52 +99,45 @@ def _label_overlap(set_a: frozenset[str], set_b: frozenset[str], mode: str) -> f
     return shared / len(set_a | set_b)
 
 
-def fit_corpus_tfidf(corpus: Corpus) -> TfidfModel:
+def fit_corpus_tfidf(corpus: Corpus) -> dict[str, float]:
     """Fit tf-idf over every abstract present in the corpus (not just paired papers)."""
     abstracts = [r.abstract for r in corpus.values() if has_abstract(r)]
     return fit_tfidf(abstracts)
 
 
 def compute_feature_matrix(
-    corpus: Corpus,
-    pairs: Sequence[CitationPair],
-    tfidf: TfidfModel | None = None,
-    f4_mode: str = "jaccard",
+    corpus: Corpus, pairs: Sequence[CitationPair], f4_mode: str = "jaccard"
 ) -> tuple[list[tuple[CitationPair, FeatureVector]], list[dict]]:
     """Extract features for every pair, collecting per-pair warnings.
 
     Pairs are grouped by citing paper. Each citing paper is indexed once
-    (bibliography parsed, markers linked), all of its pairs are scored against
-    that index, and the index and the paper's tf-idf vector are dropped before
-    the next paper is indexed; of the vectors, only cited papers' are kept.
+    (bibliography parsed, markers counted), all of its pairs are scored against
+    that index, and the index, the paper's author labels and its tf-idf vector
+    are dropped before the next paper is indexed. Each cited paper's match
+    keys, author labels and tf-idf vector are built once and kept.
     Rows and warnings keep the input pair order. Pairs that fail extraction
     are excluded and reported in the warnings list. One WARNING log line
     counts the pairs with problems by reason; the per-pair detail is logged
     at DEBUG level.
     """
-    if tfidf is None:
-        tfidf = fit_corpus_tfidf(corpus)
+    idf = fit_corpus_tfidf(corpus)
 
-    @cache  # cited papers recur across citing papers, so their vectors are kept
-    def cited_vector(paper_id: str) -> dict[int, float]:
-        return vectorize(tfidf, corpus[paper_id].abstract or "")
-
-    @cache
-    def match_keys(paper_id: str) -> citeparse.CitedKeys:
-        return citeparse.cited_keys(corpus[paper_id])
-
-    @cache
-    def labels(paper_id: str) -> frozenset[str]:
-        return _author_labels(corpus[paper_id].authors)
+    @cache  # cited papers recur across citing papers
+    def cited_side(paper_id: str) -> tuple[citeparse.CitedKeys, frozenset[str], dict[str, float]]:
+        cited = corpus[paper_id]
+        keys = citeparse.cited_keys(cited)
+        return keys, _author_labels(cited.authors), vectorize(idf, cited.abstract or "")
 
     results: list = [None] * len(pairs)
     reasons: Counter[str] = Counter()  # pairs per problem
 
     def score_citing_paper(citing_id: str, positions: list[int]) -> None:
-        # The index and the tf-idf vector live in this frame only, so they are freed on return.
+        # The index, labels and tf-idf vector live in this frame only, so they are freed on return.
         citing = corpus.get(citing_id)
-        index = citeparse.index_citing_paper(citing) if citing is not None else None
-        citing_vector = vectorize(tfidf, citing.abstract or "") if citing is not None else None
+        if citing is not None:
+            index = citeparse.index_citing_paper(citing)
+            labels = _author_labels(citing.authors)
+            vector = vectorize(idf, citing.abstract or "")
         for position in positions:
             pair = pairs[position]
             cited = corpus.get(pair.cited_id)
@@ -182,7 +145,8 @@ def compute_feature_matrix(
                 reasons["missing record"] += 1
                 results[position] = None, [_note(pair, "extraction-error", "missing record")]
                 continue
-            analysis = analyze_citations(citing, cited, index=index, keys=match_keys(cited.id))
+            keys, cited_labels, cited_vector = cited_side(cited.id)
+            analysis = analyze_citations(citing, cited, index=index, keys=keys)
             if not analysis.bibliography_parsed:
                 reasons["unparseable bibliography"] += 1
             elif analysis.warnings:
@@ -192,8 +156,8 @@ def compute_feature_matrix(
                 reasons["unresolved markers"] += 1
                 detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
                 notes.append(_note(pair, "unresolved-markers", detail))
-            f4 = _label_overlap(labels(citing.id), labels(cited.id), f4_mode)
-            f9 = cosine_similarity(citing_vector, cited_vector(cited.id))
+            f4 = _label_overlap(labels, cited_labels, f4_mode)
+            f9 = cosine_similarity(vector, cited_vector)
             results[position] = FeatureVector(analysis.count, f4, f9), notes
 
     by_citing: dict[str, list[int]] = {}

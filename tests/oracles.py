@@ -21,11 +21,10 @@ def oracle_tfidf_vector(docs, text):
     df = Counter()
     for doc in docs:
         df.update(set(tokenize(doc)))
-    vocab = {t: i for i, t in enumerate(sorted(df))}
     out = {}
     for term, tf in Counter(tokenize(text)).items():
-        if term in vocab:
-            out[vocab[term]] = tf * (math.log((1 + n) / (1 + df[term])) + 1.0)
+        if term in df:
+            out[term] = tf * (math.log((1 + n) / (1 + df[term])) + 1.0)
     return out
 
 

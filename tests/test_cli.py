@@ -143,12 +143,13 @@ class TestFeaturesCommand:
         golden = "\n".join(lines) + "\n"
         assert (out / "features.csv").read_text(encoding="utf-8") == golden
 
-    def test_all_pairs_filtered_out_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("command", ["features", "evaluate"])
+    def test_all_pairs_filtered_out_exits_2(self, tmp_path, command):
         corpus_dir, _ = write_dataset(tmp_path)
         pairs = tmp_path / "only_c09.tsv"
         pairs.write_text("c09\tp-target\t0\n", encoding="utf-8")
         code = _run(
-            "features", "--corpus", str(corpus_dir), "--pairs", str(pairs),
+            command, "--corpus", str(corpus_dir), "--pairs", str(pairs),
             "--output", str(tmp_path / "out"),
         )
         assert code == 2

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from citegauge import citeparse
+from citegauge import citeparse, features as features_mod
 from citegauge.citeparse import analyze_citations
 from citegauge.corpus import CitationPair
 from citegauge.errors import ConfigurationError
@@ -52,19 +52,18 @@ class TestFold:
 
 class TestFitTfidf:
     def test_term_in_every_document(self):
-        model = fit_tfidf([f"alpha word{i}" for i in range(10)])
-        assert model.document_count == 10
-        assert model.idf("alpha") == pytest.approx(1.0)
+        idf = fit_tfidf([f"alpha word{i}" for i in range(10)])
+        assert idf["alpha"] == pytest.approx(1.0)
 
     def test_rare_term(self):
-        model = fit_tfidf(["unique term here", "other words", "more words"])
+        idf = fit_tfidf(["unique term here", "other words", "more words"])
         # ln(4/2) + 1
-        assert model.idf("unique") == pytest.approx(1.6931471805599454)
+        assert idf["unique"] == pytest.approx(1.6931471805599454)
 
     def test_identical_abstracts_identical_vectors(self):
         text = "same words in both"
-        model = fit_tfidf([text, text])
-        assert vectorize(model, text) == vectorize(model, text)
+        idf = fit_tfidf([text, text])
+        assert vectorize(idf, text) == vectorize(idf, text)
 
     def test_requires_two_documents(self):
         with pytest.raises(ConfigurationError):
@@ -74,8 +73,8 @@ class TestFitTfidf:
         docs = ["zebra apple", "mango zebra", "apple pear"]
         forward = fit_tfidf(docs)
         backward = fit_tfidf(list(reversed(docs)))
-        assert forward.vocabulary == backward.vocabulary
-        assert list(forward.vocabulary) == sorted(forward.vocabulary)
+        assert forward == backward
+        assert list(forward) == list(backward) == sorted(forward)
 
 
 class TestVectorize:
@@ -88,21 +87,20 @@ class TestVectorize:
         assert vectorize(fit_tfidf(self.DOCS), "zebra quagga") == {}
 
     def test_against_oracle(self):
-        model = fit_tfidf(self.DOCS)
+        idf = fit_tfidf(self.DOCS)
         for text in self.DOCS + ["cat cat dog", "dog dog dog fish"]:
-            got = vectorize(model, text)
+            got = vectorize(idf, text)
             want = oracle_tfidf_vector(self.DOCS, text)
             assert got.keys() == want.keys()
-            for dim in want:
-                assert got[dim] == pytest.approx(want[dim], rel=1e-12)
+            for term in want:
+                assert got[term] == pytest.approx(want[term], rel=1e-12)
 
     def test_frozen_hand_values(self):
-        # df(cat)=2, df(dog)=1, N=3; dims sorted: bird=0, cat=1, dog=2, fish=3
-        model = fit_tfidf(self.DOCS)
-        vec = vectorize(model, "cat cat dog")
-        assert vec[1] == pytest.approx(2 * (math.log(4 / 3) + 1))
-        assert vec[2] == pytest.approx(1 * (math.log(4 / 2) + 1))
-        assert set(vec) == {1, 2}
+        # df(cat)=2, df(dog)=1, N=3
+        vec = vectorize(fit_tfidf(self.DOCS), "cat cat dog")
+        assert vec["cat"] == pytest.approx(2 * (math.log(4 / 3) + 1))
+        assert vec["dog"] == pytest.approx(1 * (math.log(4 / 2) + 1))
+        assert set(vec) == {"cat", "dog"}
 
 
 class TestCosineSimilarity:
@@ -202,8 +200,7 @@ def _maximal_pair_corpus():
 class TestExtractFeatures:
     def test_maximal_synthetic_pair(self):
         corpus = _maximal_pair_corpus()
-        tfidf = fit_tfidf([corpus["citing"].abstract, corpus["cited"].abstract])
-        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 1)], tfidf)
+        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 1)])
         assert vec.f1_direct_count == 2
         assert vec.f4_author_overlap == 1.0
         assert vec.f9_abstract_sim == pytest.approx(1.0, abs=1e-12)
@@ -218,8 +215,7 @@ class TestExtractFeatures:
             abstract="separate disjoint wording", body="No references here.",
         )
         corpus = make_corpus(cited, citing)
-        tfidf = fit_tfidf([citing.abstract, cited.abstract])
-        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 0)], tfidf)
+        [(_, vec)], _ = compute_feature_matrix(corpus, [CitationPair("citing", "cited", 0)])
         assert vec.f1_direct_count == 0
         assert vec.f4_author_overlap == 0.0
         assert vec.f9_abstract_sim == 0.0
@@ -228,9 +224,9 @@ class TestExtractFeatures:
         rng = random.Random(3)
         words = ["alpha", "beta", "gamma", "delta"]
         docs = [" ".join(rng.choices(words, k=5)) for _ in range(6)]
-        model = fit_tfidf(docs)
+        idf = fit_tfidf(docs)
         for doc in docs:
-            vec = vectorize(model, doc)
+            vec = vectorize(idf, doc)
             assert cosine_similarity(vec, vec) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -308,7 +304,7 @@ class TestFeatureMatrixOracle:
 
 def _per_pair_reference(corpus, pairs):
     """Rows and warnings built pair by pair, each pair parsing its citing paper afresh."""
-    tfidf = fit_corpus_tfidf(corpus)
+    idf = fit_corpus_tfidf(corpus)
     rows, warnings = [], []
     for pair in pairs:
         ids = {"citing_id": pair.citing_id, "cited_id": pair.cited_id}
@@ -323,7 +319,7 @@ def _per_pair_reference(corpus, pairs):
             warnings.append({**ids, "type": "unresolved-markers", "detail": detail})
         f4 = author_overlap(citing.authors, cited.authors)
         f9 = cosine_similarity(
-            vectorize(tfidf, citing.abstract or ""), vectorize(tfidf, cited.abstract or "")
+            vectorize(idf, citing.abstract or ""), vectorize(idf, cited.abstract or "")
         )
         rows.append((pair, FeatureVector(analysis.count, f4, f9)))
     return rows, warnings
@@ -361,3 +357,25 @@ class TestStreamedFeatureMatrix:
         rows, _ = compute_feature_matrix(_FIXTURE_CORPUS, pairs)
         assert len(rows) == len(pairs)
         assert sorted(parsed) == sorted({p.citing_id for p in pairs})
+
+    def test_each_paper_keyed_and_vectorized_once(self, monkeypatch):
+        keyed, vectorized = [], []
+        cited_keys, vectorize_ = citeparse.cited_keys, features_mod.vectorize
+
+        def counting_keys(record):
+            keyed.append(record.id)
+            return cited_keys(record)
+
+        def counting_vectorize(idf, text):
+            vectorized.append(text)
+            return vectorize_(idf, text)
+
+        monkeypatch.setattr(citeparse, "cited_keys", counting_keys)
+        monkeypatch.setattr(features_mod, "vectorize", counting_vectorize)
+        forward = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        pairs = forward + forward[::-1]
+        rows, _ = compute_feature_matrix(_FIXTURE_CORPUS, pairs)
+        assert len(rows) == len(pairs)
+        cited = {p.cited_id for p in pairs}
+        assert sorted(keyed) == sorted(cited)
+        assert len(vectorized) == len({p.citing_id for p in pairs}) + len(cited)

@@ -165,7 +165,8 @@ def test_f1_counts_markers_of_matched_entries(body, title, authors):
     index = index_citing_paper(citing)
     analysis = analyze_citations(citing, make_paper("d", title=title, authors=authors), index=index)
     matched = set(analysis.matched_entry_indices)
-    assert analysis.count == sum(1 for c in index.citations if c.entry_index in matched)
+    citations, _ = find_in_text_citations(*citeparse.paper_bibliography(citing))
+    assert analysis.count == sum(1 for c in citations if c.entry_index in matched)
 
 
 _SEGMENT_PIECES = (
@@ -226,11 +227,12 @@ _filler = st.lists(
 def test_f1_unchanged_by_marker_free_text(segments, insertions, gap):
     def citation_counts(parts):
         body = gap.join(parts) + "\n\nReferences\n" + "\n".join(_BIBLIOGRAPHY)
-        index = index_citing_paper(make_paper("c", body=body))
-        assert len(index.entries) == len(_BIBLIOGRAPHY)
+        main_text, entries = citeparse.paper_bibliography(make_paper("c", body=body))
+        assert len(entries) == len(_BIBLIOGRAPHY)
+        citations, unresolved = find_in_text_citations(main_text, entries)
         return (
-            Counter((c.entry_index, c.marker) for c in index.citations),
-            Counter((u.marker, u.detail) for u in index.unresolved),
+            Counter((c.entry_index, c.marker) for c in citations),
+            Counter((u.marker, u.detail) for u in unresolved),
         )
 
     padded = list(segments)
