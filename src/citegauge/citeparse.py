@@ -429,8 +429,15 @@ def find_in_text_citations(
                 )
             seg_start += len(segment) + 1
 
-    for marker in narrative_markers(main_text):
-        handle_author_year(*marker)
+    for offset, marker, name1, name2, year in narrative_markers(main_text):
+        if name2 and not name1[0].isupper():
+            # "larone and Veregada (2015)": a lowercase word before "and" is no
+            # name, so the marker is the second name's alone. The rest of the
+            # marker holds no capital letter, so a capitalized name's last
+            # occurrence is its own (a lowercase one is dropped all the same).
+            cut = marker.rindex(name2)
+            offset, marker, name1, name2 = offset + cut, marker[cut:], name2, None
+        handle_author_year(offset, marker, name1, name2, year)
 
     citations.sort(key=lambda c: (c.offset, c.entry_index))
     unresolved.sort(key=lambda u: (u.offset, u.marker))

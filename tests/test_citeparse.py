@@ -479,8 +479,28 @@ class TestNarrativeScan:
 
     def test_lowercase_name_links_nothing(self):
         entries = _entries("Lee, K. 2010. A paper.", "Smith, J. 2010. Another.")
-        for text in ("smith and Lee (2010)", "x a-Smith (2010)"):
-            assert find_in_text_citations(text, entries) == ([], [])
+        # A lowercase word before "and" is no name; the capitalized name after it
+        # is a one-name marker of its own.
+        cites, unresolved = find_in_text_citations("smith and Lee (2010)", entries)
+        assert [(c.offset, c.marker, c.entry_index) for c in cites] == [(10, "Lee (2010)", 1)]
+        assert unresolved == []
+        assert find_in_text_citations("x a-Smith (2010)", entries) == ([], [])
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("as lalyralu and Bebe et al. (2004) show", (16, "Bebe et al. (2004)")),
+            ("larone and Veregada (2015)", (11, "Veregada (2015)")),
+            ("next, and Bebe (2004)", (10, "Bebe (2004)")),
+            ("text & Bebe (2004)", (7, "Bebe (2004)")),
+            ("mcBebe and Bebe (2004)", (11, "Bebe (2004)")),
+        ],
+    )
+    def test_word_before_and_leaves_second_name_marker(self, text, expected):
+        entries = _entries("Veregada, P. 2015. A study.", "Bebe, A., Lee, K. 2004. A paper.")
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert [(c.offset, c.marker) for c in cites] == [expected]
+        assert unresolved == []
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -502,6 +522,12 @@ class TestNarrativeScan:
         rng.shuffle(entries)  # the tie-break is the lowest index, not list order
         expected_cites, expected_unresolved = [], []
         for offset, marker, name1, name2, year in oracle_narrative_markers(text):
+            if name2 and not name1[0].isupper():
+                # A lowercase word before "and" is no name: the marker is the first
+                # one found in the text that follows that word.
+                cut = offset + len(name1)
+                offset, marker, name1, name2, year = oracle_narrative_markers(text[cut:])[0]
+                offset += cut
             if not name1[0].isupper() or (name2 and not name2[0].isupper()):
                 continue
             entry = oracle_link_author_year(entries, name1, name2, int(year))
