@@ -20,14 +20,18 @@ F = int(log2(M) + 1)): with ``SplitMix64(node_seed)`` it runs the first k
 steps of a Fisher-Yates shuffle of ``range(d)`` (step i swaps position i with
 ``i + randbelow(d - i)``) and sorts the first k.
 No draw depends on the order nodes or trees are grown in, so trees grow level
-by level, a batch of trees at a time, with the frontier of every tree in the
-batch advanced by the same array operations, and the batches may grow in
-separate worker processes. A tree grows on its distinct bootstrap rows, each
-carrying its draw count: node counts and the gains are in draws, so the tree
-is the one its n draws would grow. A node is split when it holds both classes
-and some cut strictly lowers its Gini impurity. The bootstrap draws row
-indices, so the model depends on the order of the training rows; evaluation
-puts them in pair-id order before any forest is trained.
+by level, with the frontier of every growing tree advanced by the same array
+operations. A range of trees grows in level passes of a fixed width: the next
+trees join a pass as roots while earlier ones are still growing, and ranges
+may grow in separate worker processes. A tree grows on its distinct bootstrap
+rows, each carrying its draw count: node counts and the gains are in draws, so
+the tree is the one its n draws would grow. A node is split when it holds both
+classes and some cut strictly lowers its Gini impurity. A column with few
+distinct training values (such as f1, an in-text citation count) is split
+from per-node counts of draws and positives per value; any other from the
+node's rows sorted by it. Both give the same cuts, so the same trees. The
+bootstrap draws row indices, so the model depends on the order of the training
+rows; evaluation puts them in pair-id order before any forest is trained.
 
 Each tree is a node table of parallel arrays, numbered breadth first from the
 root at row 0. Prediction walks every (tree, row) pair of a batch down the
@@ -51,11 +55,21 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Most training rows: a node of N draws keeps its split sums below N³/4 < 2⁵³.
 _MAX_ROWS = 1 << 18
 
-# Trees grown together, and one task when `train` runs on a pool. It bounds
-# the grower's working memory; the trees do not depend on it. At 25 trees the
-# grower's tracemalloc peak is 2.7 MiB on a 418-row training fold and 3.6 MiB
-# on a 576-row one, 1 MiB of each the block `_grow_trees` allocates first.
+# Trees that start growing together; the width of their root pass caps every
+# later level pass (`_grow_trees`). It bounds the grower's working memory; the
+# trees do not depend on it. Growing one range of 100 trees peaks (tracemalloc)
+# at 2.6 MiB, under 2.7 MiB, on the tests' seeded 418-row f1/f4/f9-like fold,
+# 2.2 MiB on a 418-row `paper` fold and 3.1 MiB on a 575-row `forest` one,
+# 1 MiB of each the block `_grow_trees` allocates first. A 25-tree batch
+# peaked at 2.7 and 3.6 MiB on those two folds before histogram splits.
 _BATCH_TREES = 25
+
+# A column with at most one distinct training value per this many rows is
+# split from value histograms. Measured on 100-tree forests with one such
+# column beside a continuous and a 9-valued one: histograms were 3-8% faster
+# down to 6.5 rows per value at 418 rows and to 31 at 2 000 rows, 4% slower at
+# 16 rows per value at 2 000 rows, and 47% slower at 1.6 and 3.9.
+_BIN_ROWS = 16
 
 
 def _mix64(z: int) -> int:
@@ -166,18 +180,35 @@ class ForestModel:
     trees: list[DecisionTree]
 
 
-def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feats):
+def _bins(column: np.ndarray):
+    """``(codes, values)`` when a training column is split from value histograms:
+    ``values`` are its distinct values ascending and ``codes`` each row's index
+    into them. None when the column has more than one distinct value per
+    ``_BIN_ROWS`` rows; its nodes are then split from a sorted row order."""
+    order = np.argsort(column, kind="stable")
+    values = column[order]
+    first = np.concatenate(([True], values[1:] != values[:-1]))  # of a run of equal values
+    if np.count_nonzero(first) * _BIN_ROWS > len(column):
+        return None
+    codes = np.empty(len(column), dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    return codes, values[first]
+
+
+def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, feats):
     """Best cut of each node: (split, feature, left size, threshold).
 
-    Node i owns positions ``starts[i]:starts[i] + sizes[i]`` of every row order
-    in ``order`` (one per feature, the node's distinct rows sorted by that
-    feature), and only the features ``feats[i]`` (ascending) are scored. Row r
-    stands for ``weight[r]`` draws, ``positive[r]`` of them positive; node i
-    holds ``total[i]`` draws, ``count1[i]`` of them positive. The gains count
-    draws; the left size counts positions. Candidate thresholds are midpoints
-    between consecutive distinct values. Ties resolve to the lowest feature,
-    then the lowest threshold. ``split[i]`` is true when node i's best cut
-    strictly lowers its Gini impurity.
+    Slot s holds training row ``row[s]``, standing for ``weight[s]`` draws,
+    ``positive[s]`` of them positive; node i owns the next ``sizes[i]`` slots,
+    holds ``total[i]`` draws, ``count1[i]`` of them positive, and scores only
+    the features ``feats[i]`` (ascending; -1 pads a node that is not split).
+    A feature with ``bins[f]`` (``_bins``) is scored from each node's draw and
+    positive counts per value; any other from ``orders[f]``, the slots sorted
+    by f within each node (None: the slots' own order is). The gains count
+    draws; the left size counts slots. Candidate thresholds are midpoints
+    between a node's consecutive distinct values. Ties resolve to the lowest
+    feature, then the lowest threshold. ``split[i]`` is true when node i's best
+    cut strictly lowers its Gini impurity.
 
     Within a node the gain rises with S = (l0² + l1²)/ln + (r0² + r1²)/rn in
     the draws left and right of a cut, and S = num/den in integers exact in
@@ -185,146 +216,192 @@ def _best_splits(Xb, weight, positive, order, starts, sizes, total, count1, feat
     best cut at the node's top float; unequal S sharing that float are ordered
     by exact integer products. A cut lowers the impurity unless l1·rn = r1·ln.
     """
-    nodes, k = feats.shape
-    positions = order.shape[1]
-    # Segment j * nodes + i holds node i's rows sorted by its j-th sampled feature.
-    segment = np.repeat(np.arange(k * nodes), sizes[np.arange(k * nodes) % nodes])
-    seg_starts = (starts + positions * np.arange(k)[:, None]).ravel()
-    node = segment % nodes
-    feature = feats.T.ravel()[segment]
-    at = np.arange(k * positions)
-    rows = order[feature, at % positions]
-    values = Xb[rows, feature]
+    nodes = len(sizes)
+    node_of = np.repeat(np.arange(nodes), sizes)
+    cuts = []  # per scored feature, its cuts in (node, threshold) order
+    for f in range(X.shape[1]):
+        scored = (feats == f).any(axis=1)[node_of]
+        if not scored.any():
+            continue
+        if bins[f] is None:  # one item per slot, in the feature's order
+            slots = np.flatnonzero(scored) if orders[f] is None else orders[f][scored]
+            node = node_of[scored]
+            value = X[row[slots], f]
+            w, p, size = weight[slots], positive[slots], np.ones(len(slots), dtype=np.int64)
+        else:  # one item per value present in a node
+            codes, values = bins[f]
+            key = node_of[scored] * len(values) + codes[row[scored]]
+            size = np.bincount(key)  # slots per (node, value)
+            present = np.flatnonzero(size)
+            node, value = np.divmod(present, len(values))
+            value, size = values[value], size[present]
+            w, p = (np.bincount(key, c[scored])[present].astype(np.int64) for c in (weight, positive))
+        last = np.concatenate((node[1:] != node[:-1], [True]))  # nothing right of a node's last item
+        first = np.flatnonzero(np.concatenate(([True], last[:-1])))
+        start = np.repeat(first, np.diff(np.concatenate((first, [len(node)]))))
 
-    def through(counts):  # running sum of counts within each segment
-        before = np.cumsum(counts) - counts
-        return before - before[seg_starts][segment] + counts
+        def through(c):  # running sum of c within each node
+            run = np.cumsum(c)
+            return run - (run - c)[start]
 
-    left_n, left1 = through(weight[rows]), through(positive[rows])
-    right_n = total[node] - left_n
-    valid = right_n > 0  # every left side holds a draw; this drops each segment's last row
-    valid[:-1] &= values[:-1] < values[1:]
+        valid = ~last
+        valid[:-1] &= value[:-1] < value[1:]
+        at = np.flatnonzero(valid)
+        left = (through(c)[at] for c in (w, p, size))
+        cuts.append((node[at], *left, np.full(len(at), f), (value[at] + value[at + 1]) / 2.0))
 
-    at, node = at[valid], node[valid]
-    ln, rn, l1 = left_n[valid], right_n[valid], left1[valid]
-    r1 = count1[node] - l1
+    empty = np.zeros(0, dtype=np.int64)
+    node, ln, l1, left_n, feature, threshold = map(np.concatenate, zip(*cuts)) if cuts else [empty] * 6
+    rn, r1 = total[node] - ln, count1[node] - l1
     l0, r0 = ln - l1, rn - r1
     num = (l0 * l0 + l1 * l1) * rn + (r0 * r0 + r1 * r1) * ln
     den = ln * rn
     s = num / den
-    score = np.full(k * positions, -np.inf)
-    score[at] = s
-    top = np.maximum.reduceat(score, seg_starts).reshape(k, nodes).max(axis=0)
+    top = np.full(nodes, -np.inf)
+    np.maximum.at(top, node, s)
 
     # Each node's first cut at its top float, in (feature, threshold) order.
     # Other cuts at that float with another num or den are compared exactly.
     tied = np.flatnonzero(s == top[node])
-    first = np.full(k * positions, k * positions)
-    first[at[tied]] = at[tied]
-    first = np.minimum.reduceat(first, seg_starts).reshape(k, nodes).min(axis=0)
-    best = np.searchsorted(at, first)  # len(s) where a node has no valid cut
+    best = np.full(nodes, len(s))  # len(s) where a node has no cut
+    np.minimum.at(best, node[tied], tied)
     lead = best[node[tied]]
     for c in tied[(num[tied] != num[lead]) | (den[tied] != den[lead])].tolist():
         b = best[node[c]]
         if int(num[c]) * int(den[b]) > int(num[b]) * int(den[c]):
             best[node[c]] = c
 
-    has = best < len(s)  # the node has a valid cut
+    has = best < len(s)
     b = best[has]
-    cut = at[b]
     split, chosen = np.zeros(nodes, dtype=bool), feats[:, 0].copy()
-    left_size, threshold = np.zeros(nodes, dtype=np.int64), np.zeros(nodes)
+    left_size, cut = np.zeros(nodes, dtype=np.int64), np.zeros(nodes)
     split[has] = l1[b] * rn[b] != r1[b] * ln[b]
-    chosen[has] = feats[has, cut // positions]
-    left_size[has] = cut % positions - starts[has] + 1
-    threshold[has] = (values[cut] + values[cut + 1]) / 2.0  # both classes: at least 2 rows
-    return split, chosen, left_size, threshold
+    chosen[has], left_size[has], cut[has] = feature[b], left_n[b], threshold[b]
+    return split, chosen, left_size, cut
 
 
 def _grow_trees(
     X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Grow one tree per seed, level by level, advancing all their frontiers at
-    once, each on its distinct bootstrap rows weighted by their draw counts;
-    the seeds are derived as the module docstring says. Nodes are
-    numbered breadth first within each tree.
+    """Grow one tree per seed, level by level, each on its distinct bootstrap
+    rows weighted by their draw counts; the seeds are derived as the module
+    docstring says. Nodes are numbered breadth first within each tree.
 
-    Returns the batch's node table: each tree's node count, and the six node
+    Every level pass advances the frontier of every tree growing at once. The
+    first ``_BATCH_TREES`` trees start together, and their root pass's width in
+    slots (distinct rows) caps every later pass: before each pass the next
+    trees, in seed order, join as roots while the frontier has room for them.
+
+    Returns the range's node table: each tree's node count, and the six node
     columns (``_COLUMNS``) with the trees' tables one after another in seed
-    order. Top level, so a process pool can run it on one batch of a forest's
+    order. Top level, so a process pool can run it on one range of a forest's
     seeds and send back six arrays, not six per tree."""
     # The grower frees many mid-size temporaries at once. glibc malloc returns
     # a freed heap top above its trim threshold (128 KiB at start) to the
-    # system, and the next batch faults the pages in again: about 70 000 minor
+    # system, and the next pass faults the pages in again: about 70 000 minor
     # faults, 0.1 s of the 1.4 s CV of a 465-pair `evaluate`. Freeing one
     # untouched block above the mmap threshold raises both thresholds (mmap to
     # the block's size, trim to twice that) for the rest of the process.
     np.empty(1 << 20, dtype=np.uint8)
     n, d = X.shape
     trees = len(tree_seeds)
-    draws = _streams(np.asarray(tree_seeds, dtype=np.uint64), n + 1)
-    boot = (draws[:, :n] % np.uint64(n)).astype(np.int64)
-    drawn = np.bincount((boot + (np.arange(trees) * n)[:, None]).ravel(), minlength=trees * n)
-    # Batch rows: tree t's distinct drawn rows, in row order, each with its draw count.
-    tree_row = np.flatnonzero(drawn)
-    tree_of_row, row = np.divmod(tree_row, n)
-    Xb, weight = X[row], drawn[tree_row]
-    positive = weight * y[row]
-    # order[f]: batch rows grouped by frontier node, sorted by feature f within each
-    order = np.stack([np.lexsort((Xb[:, f], tree_of_row)) for f in range(d)])
-    go_right = np.zeros(len(row), dtype=bool)
+    bins = [_bins(X[:, f]) for f in range(d)]
+    ranked = [f for f in range(d) if bins[f] is None]
+    # A tree's slots start in the order of the first ranked feature; the other
+    # ranked features keep their own slot orders.
+    by_row = np.argsort(X[:, ranked[0]], kind="stable") if ranked else np.arange(n)
+    # Each tree's draw count per row, in by_row order, and its root's seed,
+    # drawn a batch of trees at a time to bound the temporaries.
+    drawn = np.empty((trees, n), dtype=np.int32)  # counts up to n ≤ 2¹⁸
+    roots = np.empty(trees, dtype=np.uint64)
+    for a in range(0, trees, _BATCH_TREES):
+        draws = _streams(np.asarray(tree_seeds[a : a + _BATCH_TREES], dtype=np.uint64), n + 1)
+        m = len(draws)
+        roots[a : a + m] = draws[:, n]
+        boot = (draws[:, :n] % np.uint64(n)).astype(np.int64) + (np.arange(m) * n)[:, None]
+        drawn[a : a + m] = np.bincount(boot.ravel(), minlength=m * n).reshape(m, n)[:, by_row]
+    tree_sizes = np.count_nonzero(drawn, axis=1)
+    width = int(tree_sizes[:_BATCH_TREES].sum())
+    joined = 0
 
-    tree_of, seeds = np.arange(trees), draws[:, n]
-    sizes = np.bincount(tree_of_row, minlength=trees)  # in positions (distinct rows)
-    levels = []  # per level: the node columns, with children as batch-wide ids
+    row, weight = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    orders = [None] * d
+    for f in ranked[1:]:
+        orders[f] = np.zeros(0, dtype=np.int64)
+    tree_of, seeds = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+    sizes = np.zeros(0, dtype=np.int64)  # in slots (distinct rows)
+    levels = {c: [] for c in ("tree",) + _COLUMNS}  # per column, its level arrays
     next_id, k = 0, d.bit_length()  # features per node: floor(log2(d)) + 1
-    while len(sizes):
+    while True:
+        room = np.cumsum(tree_sizes[joined:]) <= width - len(row)
+        join = joined + max(int(np.count_nonzero(room)), int(not len(sizes) and joined < trees))
+        if join > joined:
+            tree, at = np.nonzero(drawn[joined:join])
+            new_row = by_row[at]
+            for f in ranked[1:]:
+                new = len(row) + np.lexsort((X[new_row, f], tree))
+                orders[f] = np.concatenate((orders[f], new))
+            row = np.concatenate((row, new_row))
+            weight = np.concatenate((weight, drawn[joined:join][tree, at]))
+            tree_of = np.concatenate((tree_of, np.arange(joined, join)))
+            seeds = np.concatenate((seeds, roots[joined:join]))
+            sizes = np.concatenate((sizes, tree_sizes[joined:join]))
+            joined = join
+        if not len(sizes):
+            break
+        positive = weight * y[row]
         starts = np.cumsum(sizes) - sizes
-        total = np.add.reduceat(weight[order[0]], starts)
-        count1 = np.add.reduceat(positive[order[0]], starts)
+        total = np.add.reduceat(weight, starts)
+        count1 = np.add.reduceat(positive, starts)
         split_feature, split_threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
         left, right = np.full(len(sizes), -1), np.full(len(sizes), -1)
-        levels.append(
-            (tree_of, split_feature, split_threshold, left, right, total - count1, count1)
-        )
+        level = (tree_of, split_feature, split_threshold, left, right, total - count1, count1)
+        for column, value in zip(levels.values(), level):  # children as range-wide ids
+            column.append(value)
         next_id += len(sizes)
 
         grow = (count1 > 0) & (count1 < total)
-        order = order[:, np.repeat(grow, sizes)]
-        ids, tree_of, seeds, sizes = np.nonzero(grow)[0], tree_of[grow], seeds[grow], sizes[grow]
-        if not len(sizes):
-            break
-        starts = np.cumsum(sizes) - sizes
-        feats = _choose_many(seeds, k, d)
+        feats = np.full((len(sizes), k), -1)
+        feats[grow] = _choose_many(seeds[grow], k, d)
         split, feature, left_n, threshold = _best_splits(
-            Xb, weight, positive, order, starts, sizes, total[grow], count1[grow], feats
+            X, bins, row, weight, positive, orders, sizes, total, count1, feats
         )
         children = next_id + 2 * np.arange(np.count_nonzero(split))
-        at = ids[split]
-        split_feature[at], split_threshold[at] = feature[split], threshold[split]
-        left[at], right[at] = children, children + 1
+        split_feature[split], split_threshold[split] = feature[split], threshold[split]
+        left[split], right[split] = children, children + 1
 
-        # Regroup every row order stably into the children: each split node's
-        # left rows, then its right rows.
+        # Regroup the slots stably into the children: each split node's left
+        # slots, then its right slots; the other slot orders follow.
         node = np.repeat(np.arange(len(sizes)), sizes)
-        rows = order[0]
-        go_right[rows] = Xb[rows, feature[node]] > threshold[node]
-        keep = split[node]
-        kept = order[:, keep]
-        child = 2 * (np.cumsum(split) - 1)[node[keep]] + go_right[kept]
-        child += 2 * len(sizes) * np.arange(d)[:, None]  # keep the features apart
-        order = kept.ravel()[np.argsort(child.ravel(), kind="stable")].reshape(d, -1)
+        keep = np.flatnonzero(split[node])
+        node = node[keep]
+        child = 2 * (np.cumsum(split) - 1)[node] + (X[row[keep], feature[node]] > threshold[node])
+        moved = np.argsort(child, kind="stable")
+        slot = np.full(len(row), -1)
+        slot[keep[moved]] = np.arange(len(keep))
+        child = child[moved]
+        for f in ranked[1:]:
+            kept = slot[orders[f]]
+            kept = kept[kept >= 0]
+            orders[f] = kept[np.argsort(child[kept], kind="stable")]
+        row, weight = row[keep[moved]], weight[keep[moved]]
         sizes = np.column_stack([left_n[split], sizes[split] - left_n[split]]).ravel()
         seeds = _streams(seeds[split], 2).ravel()
         tree_of = np.repeat(tree_of[split], 2)
 
-    tree, feature, threshold, left, right, count0, count1 = map(np.concatenate, zip(*levels))
+    # One column at a time, so the levels, not three copies of them, set the peak.
+    tree = np.concatenate(levels.pop("tree"))
     by_tree = np.argsort(tree, kind="stable")  # breadth first within each tree
     counts = np.bincount(tree, minlength=trees)
     local = np.empty(len(tree), dtype=np.int64)
     local[by_tree] = np.arange(len(tree)) - (np.cumsum(counts) - counts)[tree[by_tree]]
-    left, right = (np.where(c >= 0, local[c], -1) for c in (left, right))
-    return counts, [c[by_tree] for c in (feature, threshold, left, right, count0, count1)]
+    columns = []
+    for name in _COLUMNS:
+        column = np.concatenate(levels.pop(name))
+        if name in ("left", "right"):
+            column = np.where(column >= 0, local[column], -1)
+        columns.append(column[by_tree])
+    return counts, columns
 
 
 def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> ForestModel:
@@ -336,9 +413,11 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     features, sampled with the node's own seed (see the module docstring).
     Fully deterministic given the seed and the row order.
 
-    Trees grow ``_BATCH_TREES`` at a time. ``pool``, a ``multiprocessing``
-    pool, grows each batch as one task on its workers; the batches come back
-    in seed order, so the model is the same with or without it.
+    The trees grow as one range of seeds, in level passes ``_BATCH_TREES``
+    trees wide (``_grow_trees``). ``pool``, a ``multiprocessing`` pool, grows
+    one contiguous range per worker, and never more ranges than trees; the
+    ranges come back in seed order, so the model is the same with or without
+    it.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -357,9 +436,11 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
         raise TrainingError("training data contains a single class")
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
-    batches = [seeds[i : i + _BATCH_TREES] for i in range(0, len(seeds), _BATCH_TREES)]
+    parts = 1 if pool is None else min(pool._processes, len(seeds))
+    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
+    ranges = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
     grow = partial(_grow_trees, X, y)
-    grown = map(grow, batches) if pool is None else pool.map(grow, batches, chunksize=1)
+    grown = map(grow, ranges) if pool is None else pool.map(grow, ranges, chunksize=1)
     trees = []
     for counts, columns in grown:  # each tree's arrays are views into its batch's table
         trees += map(DecisionTree, *(np.split(c, np.cumsum(counts)[:-1]) for c in columns))

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -113,9 +114,29 @@ class TestTrainBasics:
             assert (predict_proba(model, row) >= 0.5) == bool(label)
 
 
+@pytest.fixture(scope="class", autouse=True)
+def bin_rows(request):
+    """Sets ``forest._BIN_ROWS`` to the test class's ``BIN_ROWS``, if it has one,
+    for the class's tests. Class scope, so Hypothesis tests may use it."""
+    value = getattr(request.cls, "BIN_ROWS", None)
+    saved = forest._BIN_ROWS
+    if value is not None:
+        forest._BIN_ROWS = value
+    yield
+    forest._BIN_ROWS = saved
+
+
+EVERY_FEATURE_SORTED = forest._MAX_ROWS + 1  # one distinct value per row is already too few
+EVERY_FEATURE_BINNED = 0
+
+
 class TestEveryNodeOracle:
     """Every node of every tree against exhaustive enumeration, with the node's
-    rows and sampled features recomputed from the documented seed derivation."""
+    rows and sampled features recomputed from the documented seed derivation.
+    Every column is split from a sorted row order here; the subclass below runs
+    the same tests with every column split from value histograms."""
+
+    BIN_ROWS = EVERY_FEATURE_SORTED
 
     def _data(self, seed, size=40, d=3):
         """Rows of d features: f1-, f4- and f9-like, then coarse noise columns."""
@@ -185,6 +206,9 @@ class TestEveryNodeOracle:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_every_node_on_generated_data(self, draw):
+        self._check_generated(draw)
+
+    def _check_generated(self, draw):
         d = draw.draw(st.integers(1, 3))
         rows = draw.draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=2, max_size=30))
         labels = draw.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
@@ -198,7 +222,8 @@ class TestEveryNodeOracle:
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(config.seed, index))
 
-    @pytest.mark.parametrize("batch", [1, 3, 64])
+    # Below 11 trees, later trees join the level passes while earlier ones grow.
+    @pytest.mark.parametrize("batch", [1, 3, 64, 2, 5, 7])
     def test_model_independent_of_batch_size(self, batch, monkeypatch):
         data = self._data(9, size=60)
         config = ForestConfig(tree_count=11, seed=9)
@@ -228,25 +253,96 @@ class TestEveryNodeOracle:
 
         exact = [score(*cut) for cut in cuts]
         assert float(exact[0]) == float(exact[1]) and exact[0] < exact[1]
-        order = np.tile(np.arange(6), (2, 1))
+        bins = [forest._bins(column) for column in Xb.T]
+        assert [b is None for b in bins] == [self.BIN_ROWS == EVERY_FEATURE_SORTED] * 2
         split, feature, left_n, threshold = forest._best_splits(
-            Xb, weight, positive, order, np.array([0]), np.array([6]),
+            Xb, bins, np.arange(6), weight, positive, [None, np.arange(6)], np.array([6]),
             np.array([50000]), np.array([20000]), np.array([[0, 1]]),
         )
         assert (split.tolist(), feature.tolist(), left_n.tolist()) == ([True], [1], [4])
         assert threshold.tolist() == [0.5]
 
 
+class TestEveryNodeOracleBinned(TestEveryNodeOracle):
+    BIN_ROWS = EVERY_FEATURE_BINNED
+
+    # Hypothesis keeps one example database per test function, so the
+    # subclass gets its own.
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_node_on_generated_data(self, draw):
+        self._check_generated(draw)
+
+
+class TestSplitPaths:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_split_paths_grow_the_same_trees(self, draw):
+        # Columns of 1-200 distinct values over up to 400 rows, so some fall on
+        # each side of the default cut-off, and rows repeated.
+        n = draw.draw(st.integers(2, 400))
+        d = draw.draw(st.integers(1, 3))
+        distinct = [draw.draw(st.integers(1, 200)) for _ in range(d)]
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+        pools = [np.round(rng.random(v) * 10, 3) for v in distinct]
+        base = np.column_stack([p[rng.integers(0, len(p), n)] for p in pools])
+        X = base[rng.integers(0, draw.draw(st.integers(1, n)), n)]
+        y = rng.integers(0, 2, n)
+        y[0] = 1 - y[-1]
+        config = ForestConfig(tree_count=draw.draw(st.integers(1, 30)), seed=int(rng.integers(2**63)))
+        default = train(X, y, config)
+        saved = forest._BIN_ROWS
+        try:
+            for cut_off in (EVERY_FEATURE_SORTED, EVERY_FEATURE_BINNED):
+                forest._BIN_ROWS = cut_off
+                assert_same_model(train(X, y, config), default)
+        finally:
+            forest._BIN_ROWS = saved
+
+    def test_cut_off_counts_distinct_values_per_row(self):
+        column = np.repeat(np.arange(4.0), forest._BIN_ROWS)  # 4 values, 16 rows each
+        codes, values = forest._bins(column)
+        assert values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert codes.tolist() == np.repeat(np.arange(4), forest._BIN_ROWS).tolist()
+        assert forest._bins(column[1:]) is None
+
+
+class TestGrowerMemory:
+    def test_one_range_peak(self):
+        # A seeded fold shaped like a 465-pair evaluation's: f1 a skewed count
+        # of 0-10, f4 in eighths, f9 continuous. The bound is the figure in
+        # the comment on forest._BATCH_TREES.
+        rng = np.random.default_rng(418)
+        f1 = np.minimum(rng.geometric(0.35, 418) - 1, 10).astype(np.float64)
+        X = np.column_stack([f1, rng.integers(0, 9, 418) / 8, rng.random(418)])
+        y = (rng.random(418) < 0.1 + 0.05 * f1 + 0.2 * X[:, 2]).astype(np.int64)
+        seeds = [derive_seed(7, i) for i in range(100)]
+        tracemalloc.start()
+        try:
+            counts, _ = forest._grow_trees(X, y, seeds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [forest._bins(X[:, f]) is None for f in range(3)] == [False, False, True]
+        assert len(counts) == 100
+        assert peak <= 2.7 * 2**20
+
+
 class MapOnlyPool:
-    """Offers only the ``map`` that ``train`` may call, and pickles each task's
-    function as a process pool would."""
+    """Offers only the ``map`` that ``train`` may call, with the worker count a
+    ``multiprocessing`` pool keeps, and pickles each task's function as a
+    process pool would."""
+
+    _processes = 3
 
     def map(self, func, iterable, chunksize):
         assert chunksize == 1
         func = pickle.loads(pickle.dumps(func))
-        batches = list(iterable)
-        assert all(len(batch) == forest._BATCH_TREES for batch in batches[:-1])
-        return [func(batch) for batch in batches]
+        ranges = list(iterable)
+        sizes = [len(seeds) for seeds in ranges]
+        assert len(ranges) == min(self._processes, sum(sizes))
+        assert max(sizes) - min(sizes) <= 1  # one contiguous range per worker
+        return [func(seeds) for seeds in ranges]
 
 
 @pytest.fixture(scope="module", params=[2, 3, "map-only"])
