@@ -74,6 +74,9 @@ _NARRATIVE_NAMES_REVERSED_RE = re.compile(
     r"([\w'’\-]+[^\W\d_])(?!\w)"
 )
 
+# "et al." inside an author-year marker: the cited work has three or more authors.
+_ET_AL_RE = re.compile(r"\bet\s+al\b")
+
 # Capitalized tokens that are never surnames in author position.
 _SURNAME_STOP = frozenset({"and", "et", "al", "in", "ed", "eds", "the"})
 
@@ -307,7 +310,7 @@ def _entry_score(entry: BibliographyEntry, keys: CitedKeys) -> float:
 
 
 def _link_author_year(
-    same_year: list[BibliographyEntry], name1: str, name2: str | None
+    same_year: list[BibliographyEntry], name1: str, name2: str | None, et_al: bool
 ) -> BibliographyEntry | None:
     first = fold(name1)
     candidates = [e for e in same_year if e.first_author == first] or [
@@ -317,6 +320,10 @@ def _link_author_year(
         second = fold(name2)
         narrowed = [e for e in candidates if second in e.surnames]
         candidates = narrowed or candidates
+    # The marker's shape implies an author count: one name 1, two names 2,
+    # "et al." 3 or more. Entries with that many surnames go first.
+    fits = (lambda count: count >= 3) if et_al else (lambda count: count == 1 + bool(name2))
+    candidates = [e for e in candidates if fits(len(e.surname_tokens))] or candidates
     if not candidates:
         return None
     return min(candidates, key=lambda e: e.index)
@@ -370,8 +377,11 @@ def find_in_text_citations(
     Numeric markers link via numeric_key, ranges expand inclusively, and each
     linked entry yields one InTextCitation. Author-year markers link via
     first-author surname plus year, falling back to an entry with that surname
-    anywhere in its author list only when no entry has it first (ties broken by
-    lowest entry index).
+    anywhere in its author list only when no entry has it first. A second name
+    narrows the candidates to those listing it, then the author count the
+    marker implies (one name: 1, two: 2, "et al.": 3 or more) narrows them to
+    the entries with that many surnames; either step is skipped when no
+    candidate passes it. Ties go to the lowest entry index.
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -400,14 +410,14 @@ def find_in_text_citations(
     for entry in entries:
         if entry.year is not None:
             by_year.setdefault(entry.year, []).append(entry)
-    links: dict[tuple[str, str | None, int], BibliographyEntry | None] = {}
+    links: dict[tuple[str, str | None, int, bool], BibliographyEntry | None] = {}
 
     def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, year: str):
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
-        key = (name1, name2, int(year))
+        key = (name1, name2, int(year), bool(_ET_AL_RE.search(marker)))
         if key not in links:
-            links[key] = _link_author_year(by_year.get(key[2], []), name1, name2)
+            links[key] = _link_author_year(by_year.get(key[2], []), name1, name2, key[3])
         entry = links[key]
         if entry is None:
             unresolved.append(

@@ -173,12 +173,14 @@ def oracle_fold(text):
     return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
 
 
-def oracle_link_author_year(entries, name1, name2, year):
+def oracle_link_author_year(entries, name1, name2, year, et_al):
     """Entry an author-year marker links to, by a scan of every entry.
 
     Same-year entries whose first surname folds to name1 win; failing those,
     entries with name1 anywhere among their surnames. name2, when given,
-    narrows the candidates if any of them has it. The lowest index wins.
+    narrows the candidates if any of them has it. Then the candidates with as
+    many surnames as the marker implies (et_al: three or more; else one, or two
+    with name2) win, if there are any. The lowest index wins.
     """
 
     def surnames(entry):
@@ -192,6 +194,9 @@ def oracle_link_author_year(entries, name1, name2, year):
     if name2:
         narrowed = [e for e in candidates if oracle_fold(name2) in surnames(e)]
         candidates = narrowed or candidates
+    wanted = range(3, 10**6) if et_al else [2 if name2 else 1]
+    fitting = [e for e in candidates if len(surnames(e)) in wanted]
+    candidates = fitting or candidates
     return min(candidates, key=lambda e: e.index) if candidates else None
 
 

@@ -327,6 +327,36 @@ class TestFindInTextCitations:
         assert [c.entry_index for c in cites] == [2]
         assert unresolved == []
 
+    def test_author_year_prefers_the_author_count_of_the_marker(self):
+        # One name means one author, two names two, "et al." three or more;
+        # the lowest index wins among the entries that fit.
+        entries = _entries(
+            "Veniso, Q., Kunisusa, D. 2013. Two authors.",
+            "Veniso, S., Lee, K., Wong, A. 2013. Three authors.",
+            "Veniso, S. 2013. One author.",
+            "Veniso, T., Bebe, A., Lee, K., Ono, B. 2013. Four authors.",
+        )
+        text = (
+            "Veniso (2013) and (Veniso, 2013) differ from Veniso et al. (2013), "
+            "(Veniso et al., 2013) and Veniso and Kunisusa (2013)."
+        )
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert [c.entry_index for c in cites] == [3, 3, 2, 2, 1]
+        assert unresolved == []
+
+    def test_author_count_falls_back_when_no_entry_fits(self):
+        entries = _entries(
+            "Veniso, Q., Kunisusa, D. 2013. Two authors.",
+            "Veniso, S. 2013. One author.",
+            "Veniso, T., Bebe, A., Lee, K. 2013. Three authors.",
+        )
+        text = "Veniso et al. (2012) (Veniso et al., 2013) Veniso and Ono (2013)"
+        cites, unresolved = find_in_text_citations(text, entries[:2])
+        assert [c.entry_index for c in cites] == [1, 1]  # nothing fits: the lowest index
+        assert [u.marker for u in unresolved] == ["Veniso et al. (2012)"]
+        cites, _ = find_in_text_citations("Veniso and Bebe (2013)", entries)
+        assert [c.entry_index for c in cites] == [3]  # the second name narrows first
+
     def test_offsets_are_positions_in_text(self):
         text = "Start. See [3] here."
         cites, _ = find_in_text_citations(text, FIVE)
@@ -530,7 +560,8 @@ class TestNarrativeScan:
                 offset += cut
             if not name1[0].isupper() or (name2 and not name2[0].isupper()):
                 continue
-            entry = oracle_link_author_year(entries, name1, name2, int(year))
+            et_al = "et" in marker.replace(",", " ").split()  # a name is capitalized
+            entry = oracle_link_author_year(entries, name1, name2, int(year), et_al)
             if entry is None:
                 expected_unresolved.append((offset, marker))
             else:
