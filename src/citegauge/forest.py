@@ -325,9 +325,7 @@ def _grow_trees(
     joined = 0
 
     row, weight = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    orders = [None] * d
-    for f in ranked[1:]:
-        orders[f] = np.zeros(0, dtype=np.int64)
+    orders = [np.zeros(0, dtype=np.int64) if f in ranked[1:] else None for f in range(d)]
     tree_of, seeds = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
     sizes = np.zeros(0, dtype=np.int64)  # in slots (distinct rows)
     levels = {c: [] for c in ("tree",) + _COLUMNS}  # per column, its level arrays
@@ -436,13 +434,13 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
         raise TrainingError("training data contains a single class")
 
     seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
-    parts = 1 if pool is None else min(pool._processes, len(seeds))
+    parts = 1 if pool is None else min(pool._processes, len(seeds))  # _processes: its workers
     bounds = [len(seeds) * i // parts for i in range(parts + 1)]
     ranges = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
     grow = partial(_grow_trees, X, y)
     grown = map(grow, ranges) if pool is None else pool.map(grow, ranges, chunksize=1)
     trees = []
-    for counts, columns in grown:  # each tree's arrays are views into its batch's table
+    for counts, columns in grown:  # each tree's arrays are views into its range's table
         trees += map(DecisionTree, *(np.split(c, np.cumsum(counts)[:-1]) for c in columns))
     return ForestModel(trees=trees)
 
