@@ -322,8 +322,8 @@ def _link_author_year(
         candidates = narrowed or candidates
     # The marker's shape implies an author count: one name 1, two names 2,
     # "et al." 3 or more. Entries with that many surnames go first.
-    fits = (lambda count: count >= 3) if et_al else (lambda count: count == 1 + bool(name2))
-    candidates = [e for e in candidates if fits(len(e.surname_tokens))] or candidates
+    implied = 3 if et_al else 1 + bool(name2)
+    candidates = [e for e in candidates if min(len(e.surname_tokens), 3) == implied] or candidates
     if not candidates:
         return None
     return min(candidates, key=lambda e: e.index)

@@ -235,8 +235,10 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
             present = np.flatnonzero(size)
             node, value = np.divmod(present, len(values))
             value, size = values[value], size[present]
-            w, p = (np.bincount(key, c[scored])[present].astype(np.int64) for c in (weight, positive))
-        last = np.concatenate((node[1:] != node[:-1], [True]))  # nothing right of a node's last item
+            w, p = (  # bincount sums weights in float64, exact below 2⁵³
+                np.bincount(key, c[scored])[present].astype(np.int64) for c in (weight, positive)
+            )
+        last = np.concatenate((node[1:] != node[:-1], [True]))  # a node's last item: no cut
         first = np.flatnonzero(np.concatenate(([True], last[:-1])))
         start = np.repeat(first, np.diff(np.concatenate((first, [len(node)]))))
 
@@ -251,7 +253,8 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
         cuts.append((node[at], *left, np.full(len(at), f), (value[at] + value[at + 1]) / 2.0))
 
     empty = np.zeros(0, dtype=np.int64)
-    node, ln, l1, left_n, feature, threshold = map(np.concatenate, zip(*cuts)) if cuts else [empty] * 6
+    columns = map(np.concatenate, zip(*cuts)) if cuts else [empty] * 6
+    node, ln, l1, left_n, feature, threshold = columns
     rn, r1 = total[node] - ln, count1[node] - l1
     l0, r0 = ln - l1, rn - r1
     num = (l0 * l0 + l1 * l1) * rn + (r0 * r0 + r1 * r1) * ln

@@ -126,7 +126,7 @@ def bin_rows(request):
     forest._BIN_ROWS = saved
 
 
-EVERY_FEATURE_SORTED = forest._MAX_ROWS + 1  # one distinct value per row is already too few
+EVERY_FEATURE_SORTED = forest._MAX_ROWS + 1  # more rows per value than any column has
 EVERY_FEATURE_BINNED = 0
 
 
@@ -289,7 +289,8 @@ class TestSplitPaths:
         X = base[rng.integers(0, draw.draw(st.integers(1, n)), n)]
         y = rng.integers(0, 2, n)
         y[0] = 1 - y[-1]
-        config = ForestConfig(tree_count=draw.draw(st.integers(1, 30)), seed=int(rng.integers(2**63)))
+        trees = draw.draw(st.integers(1, 30))
+        config = ForestConfig(tree_count=trees, seed=int(rng.integers(2**63)))
         default = train(X, y, config)
         saved = forest._BIN_ROWS
         try:
