@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Flags beat the --config file, which beats the defaults."""
     file_values = {}
-    if getattr(args, "config_file", None):
+    if args.config_file:
         config_path = Path(args.config_file)
         if not config_path.is_file():
             raise ConfigurationError(f"config file not found: {config_path}")
@@ -131,42 +131,37 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
         file_values = loaded
 
-    merged = RunConfig()
-    for name in _CONFIG_FIELDS:
-        flag_value = getattr(args, name, None)
-        if name == "recall_levels" and isinstance(flag_value, str):
-            try:
-                flag_value = [float(part) for part in flag_value.split(",") if part.strip()]
-            except ValueError as exc:
-                raise ConfigurationError(f"bad --recall-levels: {exc}") from exc
-        if flag_value is not None:
-            setattr(merged, name, flag_value)
-        elif name in file_values:
-            setattr(merged, name, file_values[name])
+    flags = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS and v is not None}
+    if "recall_levels" in flags:
+        try:
+            levels = flags["recall_levels"].split(",")
+            flags["recall_levels"] = [float(level) for level in levels if level.strip()]
+        except ValueError as exc:
+            raise ConfigurationError(f"bad --recall-levels: {exc}") from exc
+    merged = RunConfig(**{**file_values, **flags})
     merged.validate()
     return merged
 
 
-def _require_inputs(config: RunConfig) -> None:
+def _load_dataset(config: RunConfig, nothing_to: str | None = None):
+    """Check the inputs, create the output directory, then load the dataset and
+    filter its pairs: (out, corpus, pairs, valid pairs, stats, pair issues).
+    The directory comes first, so a bad --output fails before any work. With
+    ``nothing_to``, a dataset whose pairs all fail the abstract filter is a
+    data error."""
     if not config.corpus_dir or not config.pairs_file:
         raise ConfigurationError("--corpus and --pairs are required")
-
-
-def _load_dataset(config: RunConfig):
-    corpus = corpus_mod.load_corpus(config.corpus_dir)
-    pairs, stats, issues = corpus_mod.load_pairs(config.pairs_file, corpus)
-    valid = corpus_mod.filter_valid_pairs(pairs, corpus, stats)
-    return corpus, pairs, valid, stats, issues
-
-
-def _out_dir(config: RunConfig) -> Path:
-    """Create the output directory; commands call this first, so a bad --output fails fast."""
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
-    return out
+    corpus = corpus_mod.load_corpus(config.corpus_dir)
+    pairs, stats, issues = corpus_mod.load_pairs(config.pairs_file, corpus)
+    valid = corpus_mod.filter_valid_pairs(pairs, corpus, stats)
+    if nothing_to and not valid:
+        raise DataError(f"no pairs survived the abstract filter; nothing to {nothing_to}")
+    return out, corpus, pairs, valid, stats, issues
 
 
 def _write_json(path: Path, payload) -> None:
@@ -174,9 +169,7 @@ def _write_json(path: Path, payload) -> None:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    _require_inputs(config)
-    out = _out_dir(config)
-    corpus, pairs, _, stats, issues = _load_dataset(config)
+    out, corpus, pairs, _, stats, issues = _load_dataset(config)
 
     unresolved_by_paper = {}
     unparseable = []
@@ -219,12 +212,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_features(config: RunConfig) -> int:
-    _require_inputs(config)
-    out = _out_dir(config)
-    corpus, _, valid, stats, _ = _load_dataset(config)
-    if not valid:
-        raise DataError("no pairs survived the abstract filter; nothing to extract")
-
+    out, corpus, _, valid, _, _ = _load_dataset(config, "extract")
     rows, warnings = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
     features_mod.write_feature_matrix(rows, out / "features.csv")
     _write_json(out / "features_warnings.json", warnings)
@@ -234,12 +222,7 @@ def cmd_features(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig) -> int:
-    _require_inputs(config)
-    out = _out_dir(config)
-    corpus, _, valid, stats, _ = _load_dataset(config)
-    if not valid:
-        raise DataError("no pairs survived the abstract filter; nothing to evaluate")
-
+    out, corpus, _, valid, stats, _ = _load_dataset(config, "evaluate")
     rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
     del corpus, valid  # rows and stats hold no reference to them; free the texts
 
@@ -283,31 +266,16 @@ def _render_report(data: dict) -> str:
         if required not in data:
             raise DataError(f"report missing '{required}'")
 
-    lines = []
     grid = {}  # feature set -> recall level (parsed once) -> precision
     for name, row in data["pr_grid"].items():
         grid[name] = {float(level): value for level, value in row.items()}
         if len(grid[name]) < len(row) or not all(0.0 < level <= 1.0 for level in grid[name]):
             raise DataError(f"pr_grid row {name!r} names a recall level twice or outside (0, 1]")
     levels = sorted({level for row in grid.values() for level in row})
-    singles = [n for n in features_mod.FEATURE_NAMES if n in grid]
-    names = singles + [n for n in grid if n not in singles]
-
-    header = ["feature_set"] + [f"P@R={level:g}" for level in levels]
-    table = [header]
-    for name in names:
-        row = [name]
-        for level in levels:
-            value = grid[name].get(level)
-            row.append("-" if value is None else f"{value:.2f}")
-        table.append(row)
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines.append("interpolated precision at recall levels")
-    for row in table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-
-    lines.append("")
-    lines.append("feature correlations with the gold labels")
+    table = [["feature_set"] + [f"P@R={level:g}" for level in levels]]
+    for name in features_mod.feature_set_order(grid):
+        values = [grid[name].get(level) for level in levels]
+        table.append([name] + ["-" if v is None else f"{v:.2f}" for v in values])
     corr_table = [["feature", "pearson_r", "p_value", "n"]]
     for name, corr in data["correlations"].items():
         if corr is None:
@@ -316,13 +284,17 @@ def _render_report(data: dict) -> str:
             corr_table.append(
                 [name, f"{corr['r']:.3f}", f"{corr['p_value']:.3g}", str(corr["n"])]
             )
-    widths = [max(len(row[i]) for row in corr_table) for i in range(4)]
-    for row in corr_table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    return "\n".join(
+        ["interpolated precision at recall levels", *_aligned(table), ""]
+        + ["feature correlations with the gold labels", *_aligned(corr_table), ""]
+        + [f"MAP: {data['map_score']:.4f}"]
+    )
 
-    lines.append("")
-    lines.append(f"MAP: {data['map_score']:.4f}")
-    return "\n".join(lines)
+
+def _aligned(table: list[list[str]]) -> list[str]:
+    """The rows of a table of strings, each column left-aligned to its widest cell."""
+    widths = [max(len(cell) for cell in column) for column in zip(*table)]
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in table]
 
 
 def cmd_report(report_path: str) -> int:
@@ -346,14 +318,8 @@ def cmd_report(report_path: str) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "report":
         return cmd_report(args.report_path)
-    config = _merge_config(args)
-    if args.command == "ingest":
-        return cmd_ingest(config)
-    if args.command == "features":
-        return cmd_features(config)
-    if args.command == "evaluate":
-        return cmd_evaluate(config)
-    raise ConfigurationError(f"unknown command: {args.command}")
+    command = {"ingest": cmd_ingest, "features": cmd_features, "evaluate": cmd_evaluate}
+    return command[args.command](_merge_config(args))
 
 
 def main(argv: list[str] | None = None) -> int:

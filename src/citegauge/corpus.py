@@ -144,18 +144,6 @@ def paper_from_dict(data: dict, source: str = "<dict>") -> PaperRecord:
     )
 
 
-def paper_to_dict(record: PaperRecord) -> dict:
-    """Serialize a PaperRecord to the document-file object layout."""
-    return {
-        "id": record.id,
-        "title": record.title,
-        "authors": list(record.authors),
-        "abstract": record.abstract,
-        "body": record.body,
-        "references": list(record.references) if record.references else None,
-    }
-
-
 def load_corpus(path: str | Path) -> Corpus:
     """Load every ``*.json`` document under ``path`` into an id-keyed index.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
-from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES
+from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES, feature_set_order
 from .forest import ForestConfig, SplitMix64, derive_seed, predict_proba, train
 
 logger = logging.getLogger(__name__)
@@ -398,19 +398,13 @@ def write_report_json(report: EvaluationReport, path: str | Path) -> None:
     )
 
 
-def _set_order(report: EvaluationReport) -> list[str]:
-    singles = [n for n in FEATURE_NAMES if n in report.pr_grid]
-    extras = [n for n in report.pr_grid if n not in singles]
-    return singles + extras
-
-
 def write_pr_grid_csv(report: EvaluationReport, path: str | Path) -> None:
     """One row per feature set, one column per recall level."""
     levels = sorted({level for grid in report.pr_grid.values() for level in grid})
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["feature_set"] + [f"p_at_r{level:g}" for level in levels])
-        for name in _set_order(report):
+        for name in feature_set_order(report.pr_grid):
             grid = report.pr_grid[name]
             writer.writerow([name] + [f"{grid[level]:.6f}" if level in grid else "" for level in levels])
 
@@ -420,9 +414,7 @@ def write_correlations_csv(report: EvaluationReport, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["feature", "p_at_r0.9", "pearson_r", "p_value", "n"])
-        for name in FEATURE_NAMES:
-            if name not in report.correlations:
-                continue
+        for name in feature_set_order(report.correlations):
             p_at_90 = ""
             if name in report.pr_points:
                 p_at_90 = f"{interpolated_precision(report.pr_points[name], [0.9])[0.9]:.6f}"
@@ -438,6 +430,6 @@ def write_pr_points_csv(report: EvaluationReport, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["recall", "precision", "feature_set"])
-        for name in _set_order(report):
+        for name in feature_set_order(report.pr_grid):
             for recall, precision in report.pr_points.get(name, []):
                 writer.writerow([f"{recall:.6f}", f"{precision:.6f}", name])

@@ -26,6 +26,13 @@ FEATURE_NAMES = ("f1", "f4", "f9")
 DEFAULT_RECALL_LEVELS = (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def feature_set_order(names: Iterable[str]) -> list[str]:
+    """Feature sets in report order: the single features in ``FEATURE_NAMES``
+    order, then the others (such as "all") in the order given."""
+    names = list(names)
+    return [n for n in FEATURE_NAMES if n in names] + [n for n in names if n not in FEATURE_NAMES]
+
+
 class FeatureVector(NamedTuple):
     """One pair's features; being a tuple, it is also the pair's training row."""
 

@@ -196,7 +196,7 @@ def _bins(column: np.ndarray):
 
 
 def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, feats):
-    """Best cut of each node: (split, feature, left size, threshold).
+    """Best cut of each node: (split, feature, threshold).
 
     Slot s holds training row ``row[s]``, standing for ``weight[s]`` draws,
     ``positive[s]`` of them positive; node i owns the next ``sizes[i]`` slots,
@@ -205,10 +205,10 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
     A feature with ``bins[f]`` (``_bins``) is scored from each node's draw and
     positive counts per value; any other from ``orders[f]``, the slots sorted
     by f within each node (None: the slots' own order is). The gains count
-    draws; the left size counts slots. Candidate thresholds are midpoints
-    between a node's consecutive distinct values. Ties resolve to the lowest
-    feature, then the lowest threshold. ``split[i]`` is true when node i's best
-    cut strictly lowers its Gini impurity.
+    draws. A cut between a node's consecutive distinct values a < b sits at
+    their midpoint, or at a where that is not below b (adjacent floats) or
+    overflows. Ties resolve to the lowest feature, then the lowest threshold.
+    ``split[i]`` is true when node i's best cut strictly lowers its Gini impurity.
 
     Within a node the gain rises with S = (l0² + l1²)/ln + (r0² + r1²)/rn in
     the draws left and right of a cut, and S = num/den in integers exact in
@@ -227,14 +227,13 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
             slots = np.flatnonzero(scored) if orders[f] is None else orders[f][scored]
             node = node_of[scored]
             value = X[row[slots], f]
-            w, p, size = weight[slots], positive[slots], np.ones(len(slots), dtype=np.int64)
+            w, p = weight[slots], positive[slots]
         else:  # one item per value present in a node
             codes, values = bins[f]
             key = node_of[scored] * len(values) + codes[row[scored]]
-            size = np.bincount(key)  # slots per (node, value)
-            present = np.flatnonzero(size)
+            present = np.flatnonzero(np.bincount(key))  # (node, value) keys holding a slot
             node, value = np.divmod(present, len(values))
-            value, size = values[value], size[present]
+            value = values[value]
             w, p = (  # bincount sums weights in float64, exact below 2⁵³
                 np.bincount(key, c[scored])[present].astype(np.int64) for c in (weight, positive)
             )
@@ -249,12 +248,12 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
         valid = ~last
         valid[:-1] &= value[:-1] < value[1:]
         at = np.flatnonzero(valid)
-        left = (through(c)[at] for c in (w, p, size))
-        cuts.append((node[at], *left, np.full(len(at), f), (value[at] + value[at + 1]) / 2.0))
+        left = (through(c)[at] for c in (w, p))
+        cuts.append((node[at], *left, np.full(len(at), f), value[at], value[at + 1]))
 
     empty = np.zeros(0, dtype=np.int64)
     columns = map(np.concatenate, zip(*cuts)) if cuts else [empty] * 6
-    node, ln, l1, left_n, feature, threshold = columns
+    node, ln, l1, feature, lo, hi = columns
     rn, r1 = total[node] - ln, count1[node] - l1
     l0, r0 = ln - l1, rn - r1
     num = (l0 * l0 + l1 * l1) * rn + (r0 * r0 + r1 * r1) * ln
@@ -276,11 +275,12 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
 
     has = best < len(s)
     b = best[has]
-    split, chosen = np.zeros(nodes, dtype=bool), feats[:, 0].copy()
-    left_size, cut = np.zeros(nodes, dtype=np.int64), np.zeros(nodes)
+    split, chosen, cut = np.zeros(nodes, dtype=bool), feats[:, 0].copy(), np.zeros(nodes)
     split[has] = l1[b] * rn[b] != r1[b] * ln[b]
-    chosen[has], left_size[has], cut[has] = feature[b], left_n[b], threshold[b]
-    return split, chosen, left_size, cut
+    with np.errstate(over="ignore"):  # a + b is ±inf past ±8.99e307
+        mid = (lo[b] + hi[b]) / 2.0
+    chosen[has], cut[has] = feature[b], np.where((lo[b] <= mid) & (mid < hi[b]), mid, lo[b])
+    return split, chosen, cut
 
 
 def _grow_trees(
@@ -364,15 +364,15 @@ def _grow_trees(
         grow = (count1 > 0) & (count1 < total)
         feats = np.full((len(sizes), k), -1)
         feats[grow] = _choose_many(seeds[grow], k, d)
-        split, feature, left_n, threshold = _best_splits(
+        split, feature, threshold = _best_splits(
             X, bins, row, weight, positive, orders, sizes, total, count1, feats
         )
         children = next_id + 2 * np.arange(np.count_nonzero(split))
         split_feature[split], split_threshold[split] = feature[split], threshold[split]
         left[split], right[split] = children, children + 1
 
-        # Regroup the slots stably into the children: each split node's left
-        # slots, then its right slots; the other slot orders follow.
+        # Regroup the slots stably into the children, left then right, by the
+        # thresholds; as a ≤ t < b, neither is empty. Other slot orders follow.
         node = np.repeat(np.arange(len(sizes)), sizes)
         keep = np.flatnonzero(split[node])
         node = node[keep]
@@ -386,7 +386,7 @@ def _grow_trees(
             kept = kept[kept >= 0]
             orders[f] = kept[np.argsort(child[kept], kind="stable")]
         row, weight = row[keep[moved]], weight[keep[moved]]
-        sizes = np.column_stack([left_n[split], sizes[split] - left_n[split]]).ravel()
+        sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
         seeds = _streams(seeds[split], 2).ravel()
         tree_of = np.repeat(tree_of[split], 2)
 

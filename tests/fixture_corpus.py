@@ -10,9 +10,10 @@ the target paper were enumerated by hand from the bodies below.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
-from citegauge.corpus import PaperRecord, paper_to_dict
+from citegauge.corpus import PaperRecord
 
 TARGET_ID = "p-target"
 AUX_ID = "p-aux"
@@ -257,7 +258,7 @@ def write_dataset(root: Path, include_malformed: bool = False) -> tuple[Path, Pa
     corpus_dir.mkdir(parents=True, exist_ok=True)
     for record in all_papers():
         (corpus_dir / f"{record.id}.json").write_text(
-            json.dumps(paper_to_dict(record), ensure_ascii=False, indent=2),
+            json.dumps(asdict(record), ensure_ascii=False, indent=2),
             encoding="utf-8",
         )
     if include_malformed:

@@ -59,6 +59,8 @@ def oracle_author_jaccard(a, b):
 def brute_force_best_split(X, y):
     """Exhaustive split enumeration: all features, all midpoints between
     consecutive distinct sorted values; ties to lowest feature then threshold.
+    A midpoint that is not below the upper value (adjacent floats) or not
+    above the lower one (an overflow to -inf) falls back to the lower value.
     Gains are exact rationals, so equal gains tie and only a positive gain
     splits."""
 
@@ -75,6 +77,8 @@ def brute_force_best_split(X, y):
         values = sorted({row[feature] for row in X})
         for lo, hi in zip(values, values[1:]):
             threshold = (lo + hi) / 2.0
+            if not lo <= threshold < hi:
+                threshold = lo
             left = [label for row, label in zip(X, y) if row[feature] <= threshold]
             right = [label for row, label in zip(X, y) if row[feature] > threshold]
             gain = parent - (len(left) * gini(left) + len(right) * gini(right)) / n

@@ -16,6 +16,7 @@ import os
 import random
 import time
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from citegauge.corpus import (
     load_pairs,
     pair_key,
     paper_from_dict,
-    paper_to_dict,
 )
 from citegauge.evaluation import (
     cross_validate,
@@ -205,7 +205,7 @@ class TestSubstituteCriterion5:
             "rt", title="Tïtle", authors=["Ada Byron"], abstract="A", body="B",
             references=["[1] X. 2000. Y."],
         )
-        assert paper_from_dict(paper_to_dict(record)) == record
+        assert paper_from_dict(asdict(record)) == record
 
         # filter idempotence
         corpus = make_corpus(

@@ -278,6 +278,11 @@ class TestFindInTextCitations:
         cites, _ = find_in_text_citations("Methods [2-4] agree.", FIVE)
         assert [c.entry_index for c in cites] == [2, 3, 4]
 
+    def test_descending_range_links_nothing(self):
+        cites, unresolved = find_in_text_citations("Methods [5-2] agree.", FIVE)
+        assert cites == []
+        assert [(u.marker, u.detail) for u in unresolved] == [("[5-2]", "no entry for key(s) 5")]
+
     def test_line_break_inside_marker(self):
         broken, _ = find_in_text_citations("See [2,\n3] for proofs.", FIVE)
         straight, _ = find_in_text_citations("See [2,3] for proofs.", FIVE)

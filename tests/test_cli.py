@@ -8,7 +8,7 @@ import pytest
 
 import citegauge
 import citegauge.cli as cli_module
-from citegauge import evaluation, forest
+from citegauge import evaluation, features as features_mod, forest
 from citegauge.cli import RunConfig, main
 from citegauge.errors import ConfigurationError, TrainingError
 
@@ -226,6 +226,35 @@ class TestEvaluateCommand:
         assert [r["config"].pop("threads") for r in reports] == [1, 2]
         assert [r["config"].pop("output_dir") for r in reports] == [str(out["1"]), str(out["2"])]
         assert reports[0] == reports[1]
+
+    def test_boolean_f4_mode(self, tmp_path):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        inputs = ("--corpus", str(corpus_dir), "--pairs", str(pairs_file), "--output", str(out))
+        assert _run("features", *inputs, "--f4-mode", "boolean") == 0
+        rows = (out / "features.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert {row.split(",")[3] for row in rows} == {"0.000000", "1.000000"}
+        assert _run(*_evaluate_args(corpus_dir, pairs_file, out, "--f4-mode", "boolean")) == 0
+        assert json.loads((out / "report.json").read_text())["config"]["f4_mode"] == "boolean"
+
+    def test_zero_variance_feature_is_undefined(self, tmp_path, monkeypatch, capsys):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        compute = features_mod.compute_feature_matrix
+
+        def flat_f4(*args, **kwargs):
+            rows, warnings = compute(*args, **kwargs)
+            return [(pair, vec._replace(f4_author_overlap=0.0)) for pair, vec in rows], warnings
+
+        monkeypatch.setattr(cli_module.features_mod, "compute_feature_matrix", flat_f4)
+        out = tmp_path / "out"
+        assert _run(*_evaluate_args(corpus_dir, pairs_file, out)) == 0
+        rows = (out / "correlations.csv").read_text(encoding="utf-8").splitlines()
+        cells = {row.split(",")[0]: row.split(",")[2:] for row in rows[1:]}
+        assert cells["f4"] == ["", "", ""]
+        assert all(cell for name in ("f1", "f9") for cell in cells[name])
+        printed = capsys.readouterr().out.splitlines()
+        assert "pearson f4: undefined (zero variance)" in printed
+        assert json.loads((out / "report.json").read_text())["correlations"]["f4"] is None
 
     @pytest.mark.parametrize("error, code", [(TrainingError, 2), (RuntimeError, 3)])
     def test_worker_error_keeps_the_exit_code(self, tmp_path, monkeypatch, capsys, error, code):
@@ -504,6 +533,7 @@ class TestReportCommand:
             {"pr_grid": {"f1": {"0.5": 0.5, "0.50": 0.4}}, "correlations": {}, "map_score": 0.5},
             {"pr_grid": {"f1": {"1.5": 0.5}}, "correlations": {}, "map_score": 0.5},
             {"pr_grid": {"f1": {"nan": 0.5}}, "correlations": {}, "map_score": 0.5},
+            [],
         ],
         ids=[
             "pr_grid-list",
@@ -514,6 +544,7 @@ class TestReportCommand:
             "level-twice",
             "level-above-one",
             "level-nan",
+            "array",
         ],
     )
     def test_malformed_report_exits_2(self, tmp_path, capsys, report):
@@ -574,6 +605,40 @@ class TestUsage:
         assert code == 1
         err = capsys.readouterr().err
         assert "output directory" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["ingest", "features", "evaluate"])
+    @pytest.mark.parametrize(
+        "extra",
+        [("--folds", "1"), ("--trees", "0"), ("--threads", "0"),
+         ("--recall-levels", "0,0.5"), ("--recall-levels", "0.5,x")],
+    )
+    def test_bad_setting_exits_1_before_the_output_exists(self, tmp_path, capsys, command, extra):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        out = tmp_path / "out"
+        code = _run(
+            command, "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(out), *extra,
+        )
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "internal error" not in err
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "invalid-json"])
+    def test_bad_config_file_exits_1_before_the_output_exists(self, tmp_path, capsys, text):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        config_path = tmp_path / "run.json"
+        if text is not None:
+            config_path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        code = _run(
+            "evaluate", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(out), "--config", str(config_path),
+        )
+        assert code == 1
+        assert not out.exists()
+        expected = "config file not found" if text is None else "config file is not valid JSON"
+        assert capsys.readouterr().err.startswith(f"error: {expected}")
 
     @pytest.mark.parametrize("value", ["BASIC_FORMAT", "_styles", "no-such-level"])
     def test_log_variable_naming_no_level_falls_back(self, tmp_path, value):

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -12,7 +13,6 @@ from citegauge.corpus import (
     load_corpus,
     load_pairs,
     paper_from_dict,
-    paper_to_dict,
 )
 from citegauge.errors import DataError
 
@@ -153,10 +153,10 @@ class TestPaperNormalization:
                 )
             )
             path = tmp_path / "roundtrip.json"
-            path.write_text(json.dumps(paper_to_dict(record)), encoding="utf-8")
+            path.write_text(json.dumps(asdict(record)), encoding="utf-8")
             reloaded = paper_from_dict(json.loads(path.read_text(encoding="utf-8")))
             assert reloaded == record
-            assert paper_from_dict(paper_to_dict(record)) == record
+            assert paper_from_dict(asdict(record)) == record
 
 
 def _pair_corpus():

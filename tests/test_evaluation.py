@@ -149,6 +149,18 @@ class TestCrossValidate:
             X, y, config, 4, 13
         ).tolist()
 
+    def test_empty_folds_leave_no_row_unscored(self):
+        # Five rows in five folds, dealt class by class: folds 3 and 4 stay empty.
+        X, y = _arrays([0, 0, 0, 1, 1])
+        folds = stratified_folds(y, 5, 4)
+        assert sorted(set(folds.tolist())) == [0, 1, 2]
+        scores = cross_validate(X, y, ForestConfig(tree_count=5, seed=4), 5, 4)
+        for fold in range(3):
+            test = folds == fold
+            config = ForestConfig(tree_count=5, seed=derive_seed(4, 1000 + fold))
+            model = train(X[~test], y[~test], config)
+            assert scores[test].tolist() == predict_proba(model, X[test]).tolist()
+
     def test_single_class_training_split_aborts(self):
         # one positive: the fold that holds it trains on negatives only
         X, y = _arrays([0, 0, 0, 1])

@@ -9,7 +9,7 @@ from citegauge import citeparse, features as features_mod
 from citegauge.citeparse import analyze_citations
 from citegauge.corpus import CitationPair
 from citegauge.errors import ConfigurationError
-from citegauge.textnorm import fold
+from citegauge.textnorm import fold, normalize_author, surname_key
 from citegauge.features import (
     FeatureVector,
     author_overlap,
@@ -48,6 +48,23 @@ class TestFold:
     @given(st.text(max_size=12) | st.text(st.characters(max_codepoint=127), max_size=12))
     def test_same_as_nfkd_oracle(self, text):
         assert fold(text) == oracle_fold(text)
+
+
+class TestNormalizeAuthor:
+    @pytest.mark.parametrize(
+        "name, label, key",
+        [
+            ("Ludwig van Beethoven", "van beethoven l", "beethoven"),  # particle kept
+            ("Jan de la Cruz", "de la cruz j", "cruz"),  # particle run kept
+            ("Smith, J.", "smith j", "smith"),
+            ("J. Smith", "smith j", "smith"),
+            ("Smith J", "smith j", "smith"),  # trailing initial
+            ("Plato", "plato", "plato"),  # no given name
+            (" . ", "", ""),
+        ],
+    )
+    def test_examples(self, name, label, key):
+        assert (normalize_author(name), surname_key(name)) == (label, key)
 
 
 class TestFitTfidf:

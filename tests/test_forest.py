@@ -4,6 +4,7 @@ import multiprocessing
 import pickle
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -255,12 +256,40 @@ class TestEveryNodeOracle:
         assert float(exact[0]) == float(exact[1]) and exact[0] < exact[1]
         bins = [forest._bins(column) for column in Xb.T]
         assert [b is None for b in bins] == [self.BIN_ROWS == EVERY_FEATURE_SORTED] * 2
-        split, feature, left_n, threshold = forest._best_splits(
+        split, feature, threshold = forest._best_splits(
             Xb, bins, np.arange(6), weight, positive, [None, np.arange(6)], np.array([6]),
             np.array([50000]), np.array([20000]), np.array([[0, 1]]),
         )
-        assert (split.tolist(), feature.tolist(), left_n.tolist()) == ([True], [1], [4])
-        assert threshold.tolist() == [0.5]
+        assert (split.tolist(), feature.tolist(), threshold.tolist()) == ([True], [1], [0.5])
+        assert np.count_nonzero(Xb[:, 1] <= threshold[0]) == 4  # the left child's slots
+
+    def _check_forest(self, data, config):
+        model = train(*xy(data), config)
+        for index, tree in enumerate(model.trees):
+            self._check_tree(tree, data, derive_seed(config.seed, index))
+        return model
+
+    def test_threshold_between_adjacent_floats(self):
+        # (a + b) / 2 rounds to b when a and b are adjacent floats and a's last
+        # mantissa bit is 1; the cut must then fall back to a, so a ≤ t < b.
+        a = 1 + 2.0**-52
+        b = float(np.nextafter(a, 2))
+        data = [((v,), label) for v, label in zip([a, a, b, b, 3, 3], [0, 0, 1, 1, 1, 1])]
+        model = self._check_forest(data, ForestConfig(tree_count=3, seed=1))
+        assert model.trees[0].threshold[0] == a
+        assert predict_proba(model, np.array([[b]])).tolist() == [1.0]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_threshold_past_overflow(self, sign):
+        # (a + b) / 2 overflows to ±inf past ±8.99e307; the cut falls back to a.
+        values = [sign * 1.6e308] * 2 + [sign * 1.7e308] * 2
+        data = [((v,), label) for v, label in zip(values, [0, 0, 1, 1])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning either
+            model = self._check_forest(data, ForestConfig(tree_count=1, seed=1))
+            scores = predict_proba(model, xy(data)[0])
+        assert model.trees[0].threshold[0] == min(values)
+        assert scores.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 class TestEveryNodeOracleBinned(TestEveryNodeOracle):
