@@ -7,15 +7,12 @@ bibliography or an unlinkable marker degrades to a warning and a zero count.
 
 from __future__ import annotations
 
-import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 from .corpus import PaperRecord
 from .textnorm import fold, surname_key, tokenize
-
-logger = logging.getLogger(__name__)
 
 # Reference-section heading on a line of its own; the *last* occurrence wins.
 # "$" matches only before "\n", so a CRLF line end needs the optional "\r".
@@ -392,19 +389,17 @@ def find_in_text_citations(
         if entry.numeric_key is not None:
             by_key.setdefault(entry.numeric_key, entry)
 
-    numeric: dict[str, tuple[list[int], list[int]]] = {}
+    numeric: dict[str, tuple[list[int], str | None]] = {}  # per marker, its links and detail
     for match in _NUM_MARKER_RE.finditer(main_text):
         offset, marker = match.start(), match.group(0)
         if marker not in numeric:
-            numeric[marker] = _numeric_links(marker, by_key)
-        linked, missing = numeric[marker]
+            linked, missing = _numeric_links(marker, by_key)
+            detail = f"no entry for key(s) {', '.join(map(str, missing))}" if missing else None
+            numeric[marker] = linked, detail
+        linked, detail = numeric[marker]
         citations += [InTextCitation(offset, marker, index) for index in linked]
-        if missing:
-            unresolved.append(
-                UnresolvedMarker(
-                    offset, marker, f"no entry for key(s) {', '.join(map(str, missing))}"
-                )
-            )
+        if detail:
+            unresolved.append(UnresolvedMarker(offset, marker, detail))
 
     by_year: dict[int, list[BibliographyEntry]] = {}
     for entry in entries:
@@ -485,7 +480,7 @@ def analyze_citations(
     The target entry is the bibliography entry with the best match score; every
     detected marker linked to a best-scoring entry counts, provided the best
     score reaches ``MATCH_THRESHOLD``. Failures degrade to count 0 with a
-    warning, returned in the analysis and logged at DEBUG level.
+    warning, returned in the analysis; the caller logs it.
     ``index`` (``citing``'s) and ``keys`` (``cited``'s) may be passed prebuilt
     by a caller that scores many pairs; each is built here when absent.
     """
@@ -493,7 +488,6 @@ def analyze_citations(
         index = index_citing_paper(citing)
     if not index.entries:
         warning = f"{citing.id}: bibliography unparseable, direct-citation count forced to 0"
-        logger.debug(warning)
         return CitationAnalysis(0, 0.0, [], [], False, [warning])
 
     if keys is None:
@@ -505,7 +499,6 @@ def analyze_citations(
             f"{citing.id} -> {cited.id}: no bibliography entry matches the cited paper "
             f"(best score {best_score:.3f})"
         )
-        logger.debug(warning)
         return CitationAnalysis(0, best_score, [], index.unresolved, True, [warning])
 
     matched = sorted(idx for idx, s in scores.items() if s == best_score)

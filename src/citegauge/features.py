@@ -124,8 +124,8 @@ def compute_feature_matrix(
     keys, author labels and tf-idf vector are built once and kept.
     Rows and warnings keep the input pair order. Pairs that fail extraction
     are excluded and reported in the warnings list. One WARNING log line
-    counts the pairs with problems by reason; the per-pair detail is logged
-    at DEBUG level.
+    counts the pairs with problems by reason, and each warning is logged at
+    DEBUG level, in the same order.
     """
     idf = fit_corpus_tfidf(corpus)
 
@@ -179,6 +179,8 @@ def compute_feature_matrix(
     rows: list[tuple[CitationPair, FeatureVector]] = []
     warnings: list[dict] = []
     for pair, (vector, notes) in zip(pairs, results):
+        for note in notes:
+            logger.debug("%(citing_id)s -> %(cited_id)s %(type)s: %(detail)s", note)
         warnings.extend(notes)
         if vector is not None:
             rows.append((pair, vector))

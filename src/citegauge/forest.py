@@ -195,7 +195,7 @@ def _bins(column: np.ndarray):
     return codes, values[first]
 
 
-def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, feats):
+def _best_splits(X, bins, row, weight, positive, layout, sizes, total, count1, feats):
     """Best cut of each node: (split, feature, threshold).
 
     Slot s holds training row ``row[s]``, standing for ``weight[s]`` draws,
@@ -203,11 +203,11 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
     holds ``total[i]`` draws, ``count1[i]`` of them positive, and scores only
     the features ``feats[i]`` (ascending; -1 pads a node that is not split).
     A feature with ``bins[f]`` (``_bins``) is scored from each node's draw and
-    positive counts per value; any other from ``orders[f]``, the slots sorted
-    by f within each node (None: the slots' own order is). The gains count
-    draws. A cut between a node's consecutive distinct values a < b sits at
-    their midpoint, or at a where that is not below b (adjacent floats) or
-    overflows. Ties resolve to the lowest feature, then the lowest threshold.
+    positive counts per value; any other from the node's slots sorted by it:
+    held in feature ``layout``'s order, they are sorted for any other f. The
+    gains count draws. A cut between a node's consecutive distinct values a < b
+    sits at their midpoint, or at a where that is not below b (adjacent floats)
+    or overflows. Ties resolve to the lowest feature, then the lowest threshold.
     ``split[i]`` is true when node i's best cut strictly lowers its Gini impurity.
 
     Within a node the gain rises with S = (l0² + l1²)/ln + (r0² + r1²)/rn in
@@ -224,7 +224,9 @@ def _best_splits(X, bins, row, weight, positive, orders, sizes, total, count1, f
         if not scored.any():
             continue
         if bins[f] is None:  # one item per slot, in the feature's order
-            slots = np.flatnonzero(scored) if orders[f] is None else orders[f][scored]
+            slots = np.flatnonzero(scored)
+            if f != layout:
+                slots = slots[np.lexsort((X[row[slots], f], node_of[slots]))]
             node = node_of[scored]
             value = X[row[slots], f]
             w, p = weight[slots], positive[slots]
@@ -309,10 +311,10 @@ def _grow_trees(
     n, d = X.shape
     trees = len(tree_seeds)
     bins = [_bins(X[:, f]) for f in range(d)]
-    ranked = [f for f in range(d) if bins[f] is None]
-    # A tree's slots start in the order of the first ranked feature; the other
-    # ranked features keep their own slot orders.
-    by_row = np.argsort(X[:, ranked[0]], kind="stable") if ranked else np.arange(n)
+    # A tree's slots start, and stay within each node, in the order of the first
+    # feature without bins, its layout.
+    layout = next((f for f in range(d) if bins[f] is None), -1)
+    by_row = np.argsort(X[:, layout], kind="stable") if layout >= 0 else np.arange(n)
     # Each tree's draw count per row, in by_row order, and its root's seed,
     # drawn a batch of trees at a time to bound the temporaries.
     drawn = np.empty((trees, n), dtype=np.int32)  # counts up to n ≤ 2¹⁸
@@ -328,7 +330,6 @@ def _grow_trees(
     joined = 0
 
     row, weight = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    orders = [np.zeros(0, dtype=np.int64) if f in ranked[1:] else None for f in range(d)]
     tree_of, seeds = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
     sizes = np.zeros(0, dtype=np.int64)  # in slots (distinct rows)
     levels = {c: [] for c in ("tree",) + _COLUMNS}  # per column, its level arrays
@@ -338,11 +339,7 @@ def _grow_trees(
         join = joined + max(int(np.count_nonzero(room)), int(not len(sizes) and joined < trees))
         if join > joined:
             tree, at = np.nonzero(drawn[joined:join])
-            new_row = by_row[at]
-            for f in ranked[1:]:
-                new = len(row) + np.lexsort((X[new_row, f], tree))
-                orders[f] = np.concatenate((orders[f], new))
-            row = np.concatenate((row, new_row))
+            row = np.concatenate((row, by_row[at]))
             weight = np.concatenate((weight, drawn[joined:join][tree, at]))
             tree_of = np.concatenate((tree_of, np.arange(joined, join)))
             seeds = np.concatenate((seeds, roots[joined:join]))
@@ -365,27 +362,20 @@ def _grow_trees(
         feats = np.full((len(sizes), k), -1)
         feats[grow] = _choose_many(seeds[grow], k, d)
         split, feature, threshold = _best_splits(
-            X, bins, row, weight, positive, orders, sizes, total, count1, feats
+            X, bins, row, weight, positive, layout, sizes, total, count1, feats
         )
         children = next_id + 2 * np.arange(np.count_nonzero(split))
         split_feature[split], split_threshold[split] = feature[split], threshold[split]
         left[split], right[split] = children, children + 1
 
         # Regroup the slots stably into the children, left then right, by the
-        # thresholds; as a ≤ t < b, neither is empty. Other slot orders follow.
+        # thresholds; as a ≤ t < b, neither is empty.
         node = np.repeat(np.arange(len(sizes)), sizes)
         keep = np.flatnonzero(split[node])
         node = node[keep]
         child = 2 * (np.cumsum(split) - 1)[node] + (X[row[keep], feature[node]] > threshold[node])
-        moved = np.argsort(child, kind="stable")
-        slot = np.full(len(row), -1)
-        slot[keep[moved]] = np.arange(len(keep))
-        child = child[moved]
-        for f in ranked[1:]:
-            kept = slot[orders[f]]
-            kept = kept[kept >= 0]
-            orders[f] = kept[np.argsort(child[kept], kind="stable")]
-        row, weight = row[keep[moved]], weight[keep[moved]]
+        moved = keep[np.argsort(child, kind="stable")]
+        row, weight = row[moved], weight[moved]
         sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
         seeds = _streams(seeds[split], 2).ravel()
         tree_of = np.repeat(tree_of[split], 2)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,6 +283,24 @@ class TestFindInTextCitations:
         cites, unresolved = find_in_text_citations("Methods [5-2] agree.", FIVE)
         assert cites == []
         assert [(u.marker, u.detail) for u in unresolved] == [("[5-2]", "no entry for key(s) 5")]
+
+    def test_repeated_marker_builds_its_detail_once(self):
+        # 2 000 copies of "[1-999]" before a 10-entry bibliography: keys 11-999
+        # have no entry, so each copy is unresolved with the same 4 874-character
+        # detail. One string per distinct marker keeps the index small; one per
+        # copy would hold about 10 MiB.
+        bib = "".join(f"[{k}] Aa{k}, Bb. {2000 + k}. Title {k}.\n" for k in range(1, 11))
+        citing = make_paper("c", body="See [1-999]. " * 2_000 + "\nReferences\n" + bib)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            index = citeparse.index_citing_paper(citing)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(index.entries) == 10 and len(index.unresolved) == 2_000
+        assert {len(u.detail) for u in index.unresolved} == {4_874}
+        assert retained <= 1 << 20
 
     def test_line_break_inside_marker(self):
         broken, _ = find_in_text_citations("See [2,\n3] for proofs.", FIVE)

@@ -308,8 +308,22 @@ class TestFeatureMatrixOracle:
             ("unresolved markers", 1),  # c02 -> p-target
         ]:
             assert f"{reason}: {count}" in message
-        detail = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert sorted(detail) == sorted(w["detail"] for w in warnings if w["type"] == "warning")
+
+    def test_each_warning_logged_at_debug_in_order(self, caplog):
+        corpus = make_corpus(*all_papers())
+        pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        pairs.append(CitationPair("c01", "ghost", 0))
+        with caplog.at_level(logging.DEBUG, logger="citegauge"):
+            _, warnings = compute_feature_matrix(corpus, pairs)
+
+        debug = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert {w["type"] for w in warnings} == {"warning", "unresolved-markers", "extraction-error"}
+        assert [r.args for r in debug] == warnings
+        for record, w in zip(debug, warnings):
+            assert record.name == "citegauge.features"
+            assert record.getMessage() == (
+                f"{w['citing_id']} -> {w['cited_id']} {w['type']}: {w['detail']}"
+            )
 
     def test_no_problem_no_warning_log(self, caplog):
         corpus = make_corpus(*all_papers())

@@ -257,7 +257,7 @@ class TestEveryNodeOracle:
         bins = [forest._bins(column) for column in Xb.T]
         assert [b is None for b in bins] == [self.BIN_ROWS == EVERY_FEATURE_SORTED] * 2
         split, feature, threshold = forest._best_splits(
-            Xb, bins, np.arange(6), weight, positive, [None, np.arange(6)], np.array([6]),
+            Xb, bins, np.arange(6), weight, positive, 0, np.array([6]),
             np.array([50000]), np.array([20000]), np.array([[0, 1]]),
         )
         assert (split.tolist(), feature.tolist(), threshold.tolist()) == ([True], [1], [0.5])
@@ -484,6 +484,7 @@ class TestGoldenModel:
 
     ALL_FEATURES = "2f6fe3a0b9da6ec53cff36a3d30c4f6fe26b020c00a4547fb5781d7b4f551c83"
     F1_ONLY = "69f56904a5af6d46c9f880636cd00afcced9ad7dcb343ed51c8f45c9a31a64cb"
+    JOINING_TREES = "297cb27979c2867be8c24939e5df2a2a99282cc0c5c75e40808de1803f48988d"
 
     @staticmethod
     def _digest(model):
@@ -501,6 +502,20 @@ class TestGoldenModel:
         config = ForestConfig(tree_count=30, seed=42)
         assert self._digest(train(X, y, config)) == self.ALL_FEATURES
         assert self._digest(train(X[:, [0]], y, config)) == self.F1_ONLY
+
+    def test_joining_trees_are_pinned(self):
+        # 300 rows, two continuous columns and one of 4 values (binned): the two
+        # continuous columns are both scored from sorted slots, and with 100
+        # trees later trees join level passes while earlier ones grow. The
+        # values come from splitmix64, so the data do not depend on numpy's
+        # generators.
+        draws = _streams(np.array([2024], dtype=np.uint64), 4 * 300).reshape(300, 4)
+        unit = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        X = np.column_stack((unit[:, 0], unit[:, 1], np.floor(unit[:, 2] * 4)))
+        y = (X[:, 0] + X[:, 1] / 2 + X[:, 2] / 8 + unit[:, 3] / 2 > 1.2).astype(np.int64)
+        assert [forest._bins(column) is None for column in X.T] == [True, True, False]
+        model = train(X, y, ForestConfig(tree_count=100, seed=42))
+        assert self._digest(model) == self.JOINING_TREES
 
 
 class TestSplitMix64:
