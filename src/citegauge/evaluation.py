@@ -54,7 +54,8 @@ class EvaluationReport:
 
 
 def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
-    """Partition rows into k folds, stratified by label; gives each row's fold.
+    """Partition rows into k folds, stratified by label (0 or 1); gives each
+    row's fold.
 
     Within each class, rows are taken in row order, shuffled by a seeded
     stream, and dealt round-robin, so per-fold class counts differ by at most
@@ -64,6 +65,9 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
         raise ConfigurationError(f"fold count must be >= 2, got {k}")
     if k > len(labels):
         raise ConfigurationError(f"fold count {k} exceeds pair count {len(labels)}")
+    binary = (labels == 0) | (labels == 1)
+    if not binary.all():
+        raise EvaluationError(f"label other than 0 or 1: row {np.argmin(binary)}")
 
     folds = np.empty(len(labels), dtype=np.int64)
     for label in (0, 1):
@@ -95,8 +99,8 @@ def cross_validate(
                 f"({np.count_nonzero(fit)} rows, labels {labels})"
             )
         fold_config = replace(config, seed=derive_seed(seed, 1000 + fold))
-        model = train(X[fit], y[fit], fold_config, pool=pool)
-        scores[test] = predict_proba(model, X[test])
+        # No name holds the forest, so it is freed before the next fold's grows.
+        scores[test] = predict_proba(train(X[fit], y[fit], fold_config, pool=pool), X[test])
     return scores
 
 

@@ -55,14 +55,19 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # Most training rows: a node of N draws keeps its split sums below N³/4 < 2⁵³.
 _MAX_ROWS = 1 << 18
 
-# Trees that start growing together; the width of their root pass caps every
-# later level pass (`_grow_trees`). It bounds the grower's working memory; the
-# trees do not depend on it. Growing one range of 100 trees peaks (tracemalloc)
-# at 2.6 MiB, under 2.7 MiB, on the tests' seeded 418-row f1/f4/f9-like fold,
-# 2.2 MiB on a 418-row `paper` fold and 3.1 MiB on a 575-row `forest` one,
-# 1 MiB of each the block `_grow_trees` allocates first. A 25-tree batch
-# peaked at 2.7 and 3.6 MiB on those two folds before histogram splits.
+# The first level pass holds the first _BATCH_TREES trees, or as many as fill
+# _PASS_SLOTS slots where that is more, and its width caps every later pass
+# (`_grow_trees`). The width bounds the grower's working memory; the trees do
+# not depend on it. Each pass costs about 0.5 ms however narrow, and 13 000
+# slots (about 50 trees) take a 418-row `paper` fold from 40 passes to 26;
+# 20 000 slots (21 passes) were not measurably faster. Growing one range of
+# 100 trees peaks (tracemalloc) at 1.9 MiB on the tests' seeded 418-row
+# f1/f4/f9-like fold, 1.7 MiB on a 418-row `paper` fold, 1.9 MiB on a
+# 575-row `forest` one and 14.7 MiB on the tests' 4 500-row fold, where 25
+# trees fill 71 000 slots. Passes of 25 trees with 64-bit slot arrays peaked
+# at 2.5, 2.1, 3.0 and 24.8 MiB.
 _BATCH_TREES = 25
+_PASS_SLOTS = 13_000
 
 # A column with at most one distinct training value per this many rows is
 # split from value histograms. Measured on 100-tree forests with one such
@@ -117,13 +122,12 @@ def _streams(seeds: np.ndarray, count: int) -> np.ndarray:
     return _mix64_array(seeds[:, None] + steps)
 
 
-def _choose_many(seeds: np.ndarray, k: int, n: int) -> np.ndarray:
-    """The k features a node with each seed scores, out of ``range(n)``: a
-    partial Fisher-Yates shuffle (see the module docstring), one sorted row per
-    seed."""
-    draws = _streams(seeds, k)
-    rows = np.arange(len(seeds))
-    pool = np.zeros((len(seeds), 1), dtype=np.int64) + np.arange(n)
+def _choose_many(draws: np.ndarray, k: int, n: int) -> np.ndarray:
+    """The k features each node scores, out of ``range(n)``, from the first k
+    columns of its seed's ``_streams`` row: a partial Fisher-Yates shuffle (see
+    the module docstring), one sorted row per node."""
+    rows = np.arange(len(draws))
+    pool = np.zeros((len(draws), 1), dtype=np.int64) + np.arange(n)
     for i in range(k):
         j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
         pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
@@ -195,20 +199,52 @@ def _bins(column: np.ndarray):
     return codes, values[first]
 
 
-def _best_splits(X, bins, row, weight, positive, layout, sizes, total, count1, feats):
+def _feature_cuts(f, X, bins, row, weight, positive, layout, node_of, total, count1, scored):
+    """Feature f's cuts in the nodes ``scored`` marks, in (node, threshold)
+    order: each cut's node, the draws and positives left of it, and the values
+    either side. ``_best_splits`` gives the arguments."""
+    if f == layout:  # the slots as they lie, already in f's order within each node
+        node, value, w, p = node_of, X[row, f], weight, positive
+    elif bins[f] is None:  # the scoring nodes' slots, sorted by f within each node
+        slots = np.flatnonzero(scored[node_of])
+        slots = slots[np.lexsort((X[row[slots], f], node_of[slots]))]
+        node, value, w, p = node_of[slots], X[row[slots], f], weight[slots], positive[slots]
+        total, count1 = total * scored, count1 * scored  # the other nodes hold no item
+    else:  # one item per value present in a node
+        codes, values = bins[f]
+        key = node_of * len(values) + codes[row]
+        w = np.bincount(key, weight)  # float64 sums, exact below 2⁵³
+        present = np.flatnonzero(w)  # (node, value) keys holding a slot, as weights are ≥ 1
+        w, p = (c[present].astype(np.int64) for c in (w, np.bincount(key, positive)))
+        node, value = np.divmod(present, len(values))
+        value = values[value]
+    # A cut between a node's consecutive items of distinct values, in a node scoring f.
+    at = np.flatnonzero((node[:-1] == node[1:]) & (value[:-1] < value[1:]))
+    at = at[scored[node[at]]]
+    node = node[at]
+    # Running sums over every item, less those of the nodes before the cut's.
+    left = (
+        np.cumsum(c, dtype=np.int64)[at] - (np.cumsum(t, dtype=np.int64) - t)[node]
+        for c, t in ((w, total), (p, count1))
+    )
+    return (node, *left, value[at], value[at + 1])
+
+
+def _best_splits(X, bins, row, weight, positive, layout, node_of, total, count1, feats):
     """Best cut of each node: (split, feature, threshold).
 
     Slot s holds training row ``row[s]``, standing for ``weight[s]`` draws,
-    ``positive[s]`` of them positive; node i owns the next ``sizes[i]`` slots,
-    holds ``total[i]`` draws, ``count1[i]`` of them positive, and scores only
-    the features ``feats[i]`` (ascending; -1 pads a node that is not split).
-    A feature with ``bins[f]`` (``_bins``) is scored from each node's draw and
-    positive counts per value; any other from the node's slots sorted by it:
-    held in feature ``layout``'s order, they are sorted for any other f. The
-    gains count draws. A cut between a node's consecutive distinct values a < b
-    sits at their midpoint, or at a where that is not below b (adjacent floats)
-    or overflows. Ties resolve to the lowest feature, then the lowest threshold.
-    ``split[i]`` is true when node i's best cut strictly lowers its Gini impurity.
+    ``positive[s]`` of them positive, in node ``node_of[s]``; a node's slots
+    are consecutive. Node i holds ``total[i]`` draws, ``count1[i]`` of them
+    positive, and scores only the features ``feats[i]`` (ascending; -1 pads a
+    node that is not split). A feature with ``bins[f]`` (``_bins``) is scored
+    from each node's draw and positive counts per value; any other from the
+    node's slots sorted by it: held in feature ``layout``'s order, they are
+    sorted for any other f. The gains count draws. A cut between a node's
+    consecutive distinct values a < b sits at their midpoint, or at a where
+    that is not below b (adjacent floats) or overflows. Ties resolve to the
+    lowest feature, then the lowest threshold. ``split[i]`` is true when node
+    i's best cut strictly lowers its Gini impurity.
 
     Within a node the gain rises with S = (l0² + l1²)/ln + (r0² + r1²)/rn in
     the draws left and right of a cut, and S = num/den in integers exact in
@@ -216,50 +252,29 @@ def _best_splits(X, bins, row, weight, positive, layout, sizes, total, count1, f
     best cut at the node's top float; unequal S sharing that float are ordered
     by exact integer products. A cut lowers the impurity unless l1·rn = r1·ln.
     """
-    nodes = len(sizes)
-    node_of = np.repeat(np.arange(nodes), sizes)
-    cuts = []  # per scored feature, its cuts in (node, threshold) order
+    nodes = len(total)
+    # Per column, each scored feature's part, joined and freed one column at a time.
+    cuts = {c: [] for c in ("node", "ln", "l1", "lo", "hi")}
+    scored_features = []
+    scores = np.zeros((nodes, X.shape[1] + 1), dtype=bool)  # the last column takes the -1 pads
+    scores[np.arange(nodes)[:, None], feats] = True
     for f in range(X.shape[1]):
-        scored = (feats == f).any(axis=1)[node_of]
-        if not scored.any():
-            continue
-        if bins[f] is None:  # one item per slot, in the feature's order
-            slots = np.flatnonzero(scored)
-            if f != layout:
-                slots = slots[np.lexsort((X[row[slots], f], node_of[slots]))]
-            node = node_of[scored]
-            value = X[row[slots], f]
-            w, p = weight[slots], positive[slots]
-        else:  # one item per value present in a node
-            codes, values = bins[f]
-            key = node_of[scored] * len(values) + codes[row[scored]]
-            present = np.flatnonzero(np.bincount(key))  # (node, value) keys holding a slot
-            node, value = np.divmod(present, len(values))
-            value = values[value]
-            w, p = (  # bincount sums weights in float64, exact below 2⁵³
-                np.bincount(key, c[scored])[present].astype(np.int64) for c in (weight, positive)
+        scored = scores[:, f]
+        if scored.any():
+            found = _feature_cuts(
+                f, X, bins, row, weight, positive, layout, node_of, total, count1, scored
             )
-        last = np.concatenate((node[1:] != node[:-1], [True]))  # a node's last item: no cut
-        first = np.flatnonzero(np.concatenate(([True], last[:-1])))
-        start = np.repeat(first, np.diff(np.concatenate((first, [len(node)]))))
-
-        def through(c):  # running sum of c within each node
-            run = np.cumsum(c)
-            return run - (run - c)[start]
-
-        valid = ~last
-        valid[:-1] &= value[:-1] < value[1:]
-        at = np.flatnonzero(valid)
-        left = (through(c)[at] for c in (w, p))
-        cuts.append((node[at], *left, np.full(len(at), f), value[at], value[at + 1]))
-
+            for column, part in zip(cuts.values(), found):
+                column.append(part)
+            scored_features.append(f)
+    ends = np.cumsum([len(part) for part in cuts["node"]])  # of each feature's cuts
     empty = np.zeros(0, dtype=np.int64)
-    columns = map(np.concatenate, zip(*cuts)) if cuts else [empty] * 6
-    node, ln, l1, feature, lo, hi = columns
-    rn, r1 = total[node] - ln, count1[node] - l1
-    l0, r0 = ln - l1, rn - r1
-    num = (l0 * l0 + l1 * l1) * rn + (r0 * r0 + r1 * r1) * ln
+    node, ln, l1, lo, hi = (np.concatenate(cuts.pop(c) or [empty]) for c in list(cuts))
+    rn, r1 = total[node] - ln, count1[node] - l1  # int64, as ln and l1 are
+    num = (np.square(ln - l1) + l1 * l1) * rn
+    num += (np.square(rn - r1) + r1 * r1) * ln
     den = ln * rn
+    del rn, r1  # not to sit under the peak below
     s = num / den
     top = np.full(nodes, -np.inf)
     np.maximum.at(top, node, s)
@@ -278,10 +293,12 @@ def _best_splits(X, bins, row, weight, positive, layout, sizes, total, count1, f
     has = best < len(s)
     b = best[has]
     split, chosen, cut = np.zeros(nodes, dtype=bool), feats[:, 0].copy(), np.zeros(nodes)
-    split[has] = l1[b] * rn[b] != r1[b] * ln[b]
+    rn, r1 = total[node[b]] - ln[b], count1[node[b]] - l1[b]
+    split[has] = l1[b] * rn != r1 * ln[b]
     with np.errstate(over="ignore"):  # a + b is ±inf past ±8.99e307
         mid = (lo[b] + hi[b]) / 2.0
-    chosen[has], cut[has] = feature[b], np.where((lo[b] <= mid) & (mid < hi[b]), mid, lo[b])
+    cut[has] = np.where((lo[b] <= mid) & (mid < hi[b]), mid, lo[b])
+    chosen[has] = np.array(scored_features)[np.searchsorted(ends, b, side="right")]
     return split, chosen, cut
 
 
@@ -293,9 +310,10 @@ def _grow_trees(
     docstring says. Nodes are numbered breadth first within each tree.
 
     Every level pass advances the frontier of every tree growing at once. The
-    first ``_BATCH_TREES`` trees start together, and their root pass's width in
-    slots (distinct rows) caps every later pass: before each pass the next
-    trees, in seed order, join as roots while the frontier has room for them.
+    first ``_BATCH_TREES`` trees, or as many as fill ``_PASS_SLOTS`` slots
+    (distinct rows) where that is more, start together, and their root pass's
+    width in slots caps every later pass: before each pass the next trees, in
+    seed order, join as roots while the frontier has room for them.
 
     Returns the range's node table: each tree's node count, and the six node
     columns (``_COLUMNS``) with the trees' tables one after another in seed
@@ -315,6 +333,7 @@ def _grow_trees(
     # feature without bins, its layout.
     layout = next((f for f in range(d) if bins[f] is None), -1)
     by_row = np.argsort(X[:, layout], kind="stable") if layout >= 0 else np.arange(n)
+    by_row, y = by_row.astype(np.int32), y.astype(np.int32)  # slot arrays are int32: n ≤ 2¹⁸
     # Each tree's draw count per row, in by_row order, and its root's seed,
     # drawn a batch of trees at a time to bound the temporaries.
     drawn = np.empty((trees, n), dtype=np.int32)  # counts up to n ≤ 2¹⁸
@@ -325,59 +344,66 @@ def _grow_trees(
         roots[a : a + m] = draws[:, n]
         boot = (draws[:, :n] % np.uint64(n)).astype(np.int64) + (np.arange(m) * n)[:, None]
         drawn[a : a + m] = np.bincount(boot.ravel(), minlength=m * n).reshape(m, n)[:, by_row]
+    del draws, boot  # not to sit under the level passes
     tree_sizes = np.count_nonzero(drawn, axis=1)
-    width = int(tree_sizes[:_BATCH_TREES].sum())
+    width = max(int(tree_sizes[:_BATCH_TREES].sum()), _PASS_SLOTS)
     joined = 0
 
-    row, weight = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    tree_of, seeds = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64)
+    row, weight = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    tree_of, seeds = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint64)
     sizes = np.zeros(0, dtype=np.int64)  # in slots (distinct rows)
-    levels = {c: [] for c in ("tree",) + _COLUMNS}  # per column, its level arrays
+    # Per column, its level arrays; a right child's id is its sibling's plus 1.
+    levels = {c: [] for c in ("tree",) + _COLUMNS if c != "right"}
     next_id, k = 0, d.bit_length()  # features per node: floor(log2(d)) + 1
     while True:
         room = np.cumsum(tree_sizes[joined:]) <= width - len(row)
         join = joined + max(int(np.count_nonzero(room)), int(not len(sizes) and joined < trees))
         if join > joined:
-            tree, at = np.nonzero(drawn[joined:join])
-            row = np.concatenate((row, by_row[at]))
-            weight = np.concatenate((weight, drawn[joined:join][tree, at]))
-            tree_of = np.concatenate((tree_of, np.arange(joined, join)))
+            block = drawn[joined:join]
+            row = np.concatenate((row, by_row[np.nonzero(block)[1]]))
+            weight = np.concatenate((weight, block[block > 0]))
+            tree_of = np.concatenate((tree_of, np.arange(joined, join, dtype=np.int32)))
             seeds = np.concatenate((seeds, roots[joined:join]))
             sizes = np.concatenate((sizes, tree_sizes[joined:join]))
             joined = join
         if not len(sizes):
             break
         positive = weight * y[row]
+        node_of = np.repeat(np.arange(len(sizes)), sizes)
         starts = np.cumsum(sizes) - sizes
-        total = np.add.reduceat(weight, starts)
-        count1 = np.add.reduceat(positive, starts)
+        total = np.add.reduceat(weight, starts, dtype=np.int32)
+        count1 = np.add.reduceat(positive, starts, dtype=np.int32)
         split_feature, split_threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
-        left, right = np.full(len(sizes), -1), np.full(len(sizes), -1)
-        level = (tree_of, split_feature, split_threshold, left, right, total - count1, count1)
+        left = np.full(len(sizes), -1)
+        level = (tree_of, split_feature, split_threshold, left, total - count1, count1)
         for column, value in zip(levels.values(), level):  # children as range-wide ids
             column.append(value)
         next_id += len(sizes)
 
+        # Each node's stream gives its feature draws and, as columns 0 and 1,
+        # its children's seeds.
+        draws = _streams(seeds, max(k, 2))
         grow = (count1 > 0) & (count1 < total)
         feats = np.full((len(sizes), k), -1)
-        feats[grow] = _choose_many(seeds[grow], k, d)
+        feats[grow] = _choose_many(draws[grow], k, d)
         split, feature, threshold = _best_splits(
-            X, bins, row, weight, positive, layout, sizes, total, count1, feats
+            X, bins, row, weight, positive, layout, node_of, total, count1, feats
         )
         children = next_id + 2 * np.arange(np.count_nonzero(split))
         split_feature[split], split_threshold[split] = feature[split], threshold[split]
-        left[split], right[split] = children, children + 1
+        left[split] = children
 
         # Regroup the slots stably into the children, left then right, by the
-        # thresholds; as a ≤ t < b, neither is empty.
-        node = np.repeat(np.arange(len(sizes)), sizes)
-        keep = np.flatnonzero(split[node])
-        node = node[keep]
+        # thresholds; as a ≤ t < b, neither is empty. As child < len(keep), a
+        # 16-bit key takes numpy's radix sort.
+        keep = np.flatnonzero(split[node_of])
+        node = node_of[keep]
         child = 2 * (np.cumsum(split) - 1)[node] + (X[row[keep], feature[node]] > threshold[node])
-        moved = keep[np.argsort(child, kind="stable")]
+        moved = keep[np.argsort(child.astype(np.min_scalar_type(len(keep))), kind="stable")]
         row, weight = row[moved], weight[moved]
         sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
-        seeds = _streams(seeds[split], 2).ravel()
+        del keep, node, child, moved  # not to sit under the next pass
+        seeds = draws[split, :2].ravel()
         tree_of = np.repeat(tree_of[split], 2)
 
     # One column at a time, so the levels, not three copies of them, set the peak.
@@ -388,15 +414,19 @@ def _grow_trees(
     local[by_tree] = np.arange(len(tree)) - (np.cumsum(counts) - counts)[tree[by_tree]]
     columns = []
     for name in _COLUMNS:
+        if name == "right":  # siblings keep adjacent ids within their tree
+            columns.append(np.where(columns[-1] >= 0, columns[-1] + 1, -1))
+            continue
         column = np.concatenate(levels.pop(name))
-        if name in ("left", "right"):
+        if name == "left":
             column = np.where(column >= 0, local[column], -1)
         columns.append(column[by_tree])
     return counts, columns
 
 
 def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> ForestModel:
-    """Train a bagged forest on the rows of ``X`` (n × d) with labels ``y``.
+    """Train a bagged forest on the rows of ``X`` (n × d) with labels ``y``,
+    each 0 or 1.
 
     Each tree trains on an n-sized bootstrap sample drawn with replacement from
     its own splitmix64 stream (seeded from config.seed and the tree index);
@@ -410,12 +440,15 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     ranges come back in seed order, so the model is the same with or without
     it.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if not len(X):
         raise TrainingError("training data is empty")
     if len(y) != len(X):
         raise ConfigurationError(f"{len(X)} training rows but {len(y)} labels")
+    binary = (y == 0) | (y == 1)
+    if not binary.all():
+        raise TrainingError(f"label other than 0 or 1 in training data: row {np.argmin(binary)}")
+    y = y.astype(np.int64)
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))

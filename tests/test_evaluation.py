@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -90,6 +91,14 @@ class TestStratifiedFolds:
         with pytest.raises(ConfigurationError):
             stratified_folds(np.array([0, 1]), 3, seed=0)
 
+    @pytest.mark.parametrize(
+        "labels, row", [([0, 1, 2] * 4, 2), ([0, 1, 0.5, 1], 2), ([-1, 0, 1], 0)]
+    )
+    def test_label_other_than_0_1_rejected_naming_row(self, labels, row):
+        # Only classes 0 and 1 are dealt, so any other label would keep no fold.
+        with pytest.raises(EvaluationError, match=f"row {row}$"):
+            stratified_folds(np.array(labels), 3, seed=5)
+
 
 def _features_for(pairs, spread=5.0):
     return [
@@ -141,6 +150,22 @@ class TestCrossValidate:
         cross_validate(X, y, ForestConfig(tree_count=3, seed=5), k=3, seed=5)
         folds = stratified_folds(y, 3, 5)
         assert trained_on == [X[folds != fold].tolist() for fold in range(3)]
+
+    def test_previous_fold_model_freed_before_next_trains(self, monkeypatch):
+        # A fold's forest must not sit under the next fold's grower peak.
+        X, y = _arrays([0, 1] * 6)
+        real_train = evaluation.train
+        models = []
+
+        def spy(X, y, config, pool=None):
+            assert all(model() is None for model in models)
+            model = real_train(X, y, config, pool=pool)
+            models.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        cross_validate(X, y, ForestConfig(tree_count=3, seed=5), k=3, seed=5)
+        assert len(models) == 3
 
     def test_deterministic(self):
         X, y = _arrays([0, 1, 0, 1, 0, 1, 1, 0])

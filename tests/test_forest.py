@@ -94,6 +94,15 @@ class TestTrainBasics:
         with pytest.raises(TrainingError, match="row 2$"):
             train(*xy(data), ForestConfig(tree_count=2, seed=1))
 
+    @pytest.mark.parametrize(
+        "labels, row",
+        [([0, 2, 0, 2, 2, 0], 1), ([0, 0.7, 1, 0, 1, 0], 1), ([0, 1, 0, 1, 1, -1], 5)],
+    )
+    def test_label_other_than_0_1_rejected_naming_row(self, labels, row):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(TrainingError, match=f"row {row}$"):
+            train(X, labels, ForestConfig(tree_count=2, seed=1))
+
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
             train(*xy([]), ForestConfig())
@@ -230,12 +239,13 @@ class TestEveryNodeOracle:
         config = ForestConfig(tree_count=11, seed=9)
         default = train(*xy(data), config)
         monkeypatch.setattr(forest, "_BATCH_TREES", batch)
+        monkeypatch.setattr(forest, "_PASS_SLOTS", 0)  # pass width: the first batch's roots
         assert_same_model(train(*xy(data), config), default)
 
     def test_vectorised_choose_matches_scalar(self):
         seeds = [derive_seed(77, i) for i in range(40)] + [0, 2**64 - 1]
         for k, d in [(1, 1), (1, 3), (2, 3), (3, 3), (3, 8), (5, 6)]:
-            got = _choose_many(np.array(seeds, dtype=np.uint64), k, d).tolist()
+            got = _choose_many(_streams(np.array(seeds, dtype=np.uint64), k), k, d).tolist()
             assert got == [choose(SplitMix64(seed), k, d) for seed in seeds]
 
     def test_unequal_gains_sharing_one_float(self):
@@ -257,7 +267,7 @@ class TestEveryNodeOracle:
         bins = [forest._bins(column) for column in Xb.T]
         assert [b is None for b in bins] == [self.BIN_ROWS == EVERY_FEATURE_SORTED] * 2
         split, feature, threshold = forest._best_splits(
-            Xb, bins, np.arange(6), weight, positive, 0, np.array([6]),
+            Xb, bins, np.arange(6), weight, positive, 0, np.zeros(6, dtype=np.int64),
             np.array([50000]), np.array([20000]), np.array([[0, 1]]),
         )
         assert (split.tolist(), feature.tolist(), threshold.tolist()) == ([True], [1], [0.5])
@@ -338,14 +348,19 @@ class TestSplitPaths:
 
 
 class TestGrowerMemory:
-    def test_one_range_peak(self):
-        # A seeded fold shaped like a 465-pair evaluation's: f1 a skewed count
-        # of 0-10, f4 in eighths, f9 continuous. The bound is the figure in
-        # the comment on forest._BATCH_TREES.
+    @staticmethod
+    def _fold(n):
+        # A seeded fold shaped like a 465-pair evaluation's at n = 418: f1 a
+        # skewed count of 0-10, f4 in eighths, f9 continuous.
         rng = np.random.default_rng(418)
-        f1 = np.minimum(rng.geometric(0.35, 418) - 1, 10).astype(np.float64)
-        X = np.column_stack([f1, rng.integers(0, 9, 418) / 8, rng.random(418)])
-        y = (rng.random(418) < 0.1 + 0.05 * f1 + 0.2 * X[:, 2]).astype(np.int64)
+        f1 = np.minimum(rng.geometric(0.35, n) - 1, 10).astype(np.float64)
+        X = np.column_stack([f1, rng.integers(0, 9, n) / 8, rng.random(n)])
+        y = (rng.random(n) < 0.1 + 0.05 * f1 + 0.2 * X[:, 2]).astype(np.int64)
+        assert [forest._bins(X[:, f]) is None for f in range(3)] == [False, False, True]
+        return X, y
+
+    def _peak(self, n):
+        X, y = self._fold(n)
         seeds = [derive_seed(7, i) for i in range(100)]
         tracemalloc.start()
         try:
@@ -353,9 +368,31 @@ class TestGrowerMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert [forest._bins(X[:, f]) is None for f in range(3)] == [False, False, True]
         assert len(counts) == 100
-        assert peak <= 2.7 * 2**20
+        return peak
+
+    # Each bound is the peak of level passes 25 trees wide with 64-bit slot
+    # arrays, rounded up at 418 rows; the comment on forest._BATCH_TREES gives
+    # today's figures.
+    def test_one_range_peak(self):
+        assert self._peak(418) <= 2.7 * 2**20
+
+    def test_one_range_peak_at_4500_rows(self):
+        assert self._peak(4500) <= 24.8 * 2**20
+
+    def test_level_passes(self, monkeypatch):
+        # Each level pass calls _best_splits once. Passes 25 trees wide took 54.
+        X, y = self._fold(418)
+        passes = []
+        best_splits = forest._best_splits
+
+        def count(*args):
+            passes.append(1)
+            return best_splits(*args)
+
+        monkeypatch.setattr(forest, "_best_splits", count)
+        forest._grow_trees(X, y, [derive_seed(7, i) for i in range(100)])
+        assert len(passes) == 39
 
 
 class MapOnlyPool:
