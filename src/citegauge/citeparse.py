@@ -492,8 +492,15 @@ def analyze_citations(
 
     if keys is None:
         keys = cited_keys(cited)
-    scores = {e.index: _entry_score(e, keys) for e in index.entries}
-    best_score = max(scores.values())
+    # An entry that shares no title term and no surname key with the cited
+    # paper scores 0.0, so only the others are scored.
+    title, surnames = keys.title_tokens, keys.surnames
+    scores = {
+        e.index: _entry_score(e, keys)
+        for e in index.entries
+        if not (title.isdisjoint(e.raw_tokens) and surnames.isdisjoint(e.name_keys))
+    }
+    best_score = max(scores.values(), default=0.0)
     if best_score < MATCH_THRESHOLD:
         warning = (
             f"{citing.id} -> {cited.id}: no bibliography entry matches the cited paper "

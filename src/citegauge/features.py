@@ -6,10 +6,11 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import sys
 from collections import Counter
 from functools import cache
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Sequence
 
 from . import citeparse
 from .citeparse import analyze_citations
@@ -46,14 +47,18 @@ def fit_tfidf(abstracts: Sequence[str]) -> dict[str, float]:
     any document, in lexicographic order, mapped to its smoothed idf
     ln((1 + N) / (1 + df)) + 1. The result is independent of document order.
     """
-    if len(abstracts) < 2:
-        raise ConfigurationError(
-            f"tf-idf needs at least 2 documents, got {len(abstracts)}"
-        )
+    return _fit_idf(set(tokenize(text)) for text in abstracts)
+
+
+def _fit_idf(term_sets: Iterable[Iterable[str]]) -> dict[str, float]:
+    """``fit_tfidf``'s idf, from each document's distinct terms."""
     document_frequency: Counter[str] = Counter()
-    for text in abstracts:
-        document_frequency.update(set(tokenize(text)))
-    n = len(abstracts)
+    n = 0
+    for terms in term_sets:
+        document_frequency.update(terms)
+        n += 1
+    if n < 2:
+        raise ConfigurationError(f"tf-idf needs at least 2 documents, got {n}")
     return {t: math.log((1 + n) / (1 + df)) + 1.0 for t, df in sorted(document_frequency.items())}
 
 
@@ -106,10 +111,36 @@ def _label_overlap(set_a: frozenset[str], set_b: frozenset[str], mode: str) -> f
     return shared / len(set_a | set_b)
 
 
-def fit_corpus_tfidf(corpus: Corpus) -> dict[str, float]:
-    """Fit tf-idf over every abstract present in the corpus (not just paired papers)."""
-    abstracts = [r.abstract for r in corpus.values() if has_abstract(r)]
-    return fit_tfidf(abstracts)
+def fit_corpus_tfidf(
+    corpus: Corpus, keep: Container[str]
+) -> tuple[dict[str, float], dict[str, Counter[str]]]:
+    """Fit tf-idf over every abstract present in the corpus (not just paired
+    papers), tokenizing each abstract once. Also returns the term counts of the
+    abstracts of the papers in ``keep``, by paper id, each in the order its
+    terms first occur; the terms are interned, so the counts share their
+    strings with the vocabulary."""
+    kept: dict[str, Counter[str]] = {}
+
+    def term_sets() -> Iterable[Iterable[str]]:
+        for record in corpus.values():
+            if has_abstract(record):
+                counts = Counter(map(sys.intern, tokenize(record.abstract)))
+                if record.id in keep:
+                    kept[record.id] = counts
+                yield counts.keys()
+
+    return _fit_idf(term_sets()), kept
+
+
+def _pop_vector(idf: Mapping[str, float], counts: dict, paper_id: str) -> dict[str, float]:
+    """A paper's tf-idf vector from the term counts the fit kept: ``vectorize``'s
+    vector of its abstract, without tokenizing it again. The counts are taken
+    out of ``counts`` and become the vector, so no second table is allocated.
+    A paper with no abstract has no counts and gets the zero vector."""
+    vector = counts.pop(paper_id, {})
+    for term, tf in vector.items():
+        vector[term] = tf * idf[term]
+    return vector
 
 
 def compute_feature_matrix(
@@ -121,19 +152,22 @@ def compute_feature_matrix(
     (bibliography parsed, markers counted), all of its pairs are scored against
     that index, and the index, the paper's author labels and its tf-idf vector
     are dropped before the next paper is indexed. Each cited paper's match
-    keys, author labels and tf-idf vector are built once and kept.
+    keys, author labels and tf-idf vector are built once and kept. Each
+    abstract is tokenized once, by the tf-idf fit, which keeps the paired
+    papers' term counts until each one's vector is built.
     Rows and warnings keep the input pair order. Pairs that fail extraction
     are excluded and reported in the warnings list. One WARNING log line
     counts the pairs with problems by reason, and each warning is logged at
     DEBUG level, in the same order.
     """
-    idf = fit_corpus_tfidf(corpus)
+    cited_ids = {pair.cited_id for pair in pairs}
+    idf, counts = fit_corpus_tfidf(corpus, cited_ids | {pair.citing_id for pair in pairs})
 
     @cache  # cited papers recur across citing papers
     def cited_side(paper_id: str) -> tuple[citeparse.CitedKeys, frozenset[str], dict[str, float]]:
         cited = corpus[paper_id]
         keys = citeparse.cited_keys(cited)
-        return keys, _author_labels(cited.authors), vectorize(idf, cited.abstract or "")
+        return keys, _author_labels(cited.authors), _pop_vector(idf, counts, paper_id)
 
     results: list = [None] * len(pairs)
     reasons: Counter[str] = Counter()  # pairs per problem
@@ -144,7 +178,9 @@ def compute_feature_matrix(
         if citing is not None:
             index = citeparse.index_citing_paper(citing)
             labels = _author_labels(citing.authors)
-            vector = vectorize(idf, citing.abstract or "")
+            # A citing paper that is also cited shares its cached vector.
+            shared = citing_id in cited_ids
+            vector = cited_side(citing_id)[2] if shared else _pop_vector(idf, counts, citing_id)
         for position in positions:
             pair = pairs[position]
             cited = corpus.get(pair.cited_id)

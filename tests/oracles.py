@@ -204,6 +204,37 @@ def oracle_link_author_year(entries, name1, name2, year, et_al):
     return min(candidates, key=lambda e: e.index) if candidates else None
 
 
+def oracle_entry_scores(entries, title, authors):
+    """f1's match score of every bibliography entry, by entry index: 0.7 x the
+    share of the cited title's terms among the entry's terms + 0.3 x the share
+    of the cited authors' folded last words among the entry's folded surnames
+    and terms. Authors are given-name-first. Every entry is scored; the float
+    expression is the package's, so equal scores compare equal."""
+    title_terms = set(tokenize(title))
+    surnames = {oracle_fold(name.split()[-1]) for name in authors}
+    scores = {}
+    for entry in entries:
+        terms = set(tokenize(entry.raw))
+        keys = {oracle_fold(t) for t in entry.surname_tokens} | {oracle_fold(t) for t in terms}
+        title_share = len(title_terms & terms) / len(title_terms) if title_terms else 0.0
+        surname_share = len(surnames & keys) / len(surnames) if surnames else 0.0
+        scores[entry.index] = 0.7 * title_share + 0.3 * surname_share
+    return scores
+
+
+def oracle_direct_count(entries, marker_counts, title, authors):
+    """(count, best score, matched entry indices) of f1's rule over every
+    entry: the entries with the best score match if it reaches 0.5, and the
+    count sums their markers; else nothing matches and the count is 0. With no
+    entry the best score is 0.0."""
+    scores = oracle_entry_scores(entries, title, authors)
+    best = max(scores.values(), default=0.0)
+    if best < 0.5:
+        return 0, best, []
+    matched = sorted(index for index, score in scores.items() if score == best)
+    return sum(marker_counts[index] for index in matched), best, matched
+
+
 def _t_sq(r, dof):
     return r * r * dof / (1.0 - r * r)
 

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from citegauge import citeparse
 from citegauge.citeparse import (
@@ -20,6 +20,8 @@ from citegauge.textnorm import fold, tokenize
 from conftest import make_paper
 from oracles import (
     oracle_author_segment,
+    oracle_direct_count,
+    oracle_entry_scores,
     oracle_link_author_year,
     oracle_narrative_markers,
     oracle_reference_split,
@@ -242,6 +244,88 @@ class TestMatchPolicy:
         analysis = analyze_citations(citing, self.cited)
         assert analysis.count == 2
         assert analysis.matched_entry_indices == [1, 2]
+
+
+# Surnames and title words, some of them non-ASCII: a non-ASCII term is kept
+# unfolded among an entry's terms but folded among its name keys ("über" and
+# "uber"), and "Østby" folds to a non-ASCII key. "Lee" and "Graph" are both
+# surnames and title words.
+_SURNAMES = ("Smith", "Lee", "Novak", "Müller", "Zoë", "Ångström", "Østby", "Graph")
+_TITLE_WORDS = ("quantum", "lattice", "graph", "lee", "über", "café", "naïve", "øre", "müller")
+_match_case = st.tuples(
+    st.lists(  # entries: surnames, year, title words, markers in the body
+        st.tuples(
+            st.lists(st.sampled_from(_SURNAMES), max_size=3),
+            st.integers(1990, 2020),
+            st.lists(st.sampled_from(_TITLE_WORDS), min_size=1, max_size=4),
+            st.integers(0, 3),
+        ),
+        max_size=8,
+    ),
+    st.lists(st.sampled_from(_TITLE_WORDS), max_size=4).map(" ".join),  # cited title
+    st.lists(st.sampled_from(_SURNAMES), max_size=3),  # cited authors' surnames
+)
+
+
+def _match_pair(case):
+    """(citing paper, cited paper, the citing paper's index) of a ``_match_case``."""
+    bib, title, surnames = case
+    references, body = [], []
+    for key, (names, year, words, markers) in enumerate(bib, start=1):
+        authors = ", ".join(f"{name}, A." for name in names)
+        references.append(f"[{key}] {authors} {year}. {' '.join(words).capitalize()}.")
+        body += [f"See [{key}]."] * markers
+    citing = make_paper("c", body=" ".join(body), references=references, abstract="a")
+    cited = make_paper("t", title=title, authors=[f"Anna {s}" for s in surnames])
+    return citing, cited, citeparse.index_citing_paper(citing)
+
+
+class TestCandidateEntries:
+    """analyze_citations scores only the entries that share a title term or a
+    surname key with the cited paper; the others score 0.0."""
+
+    # The cited title's one shared term is non-ASCII: "über" is among entry
+    # 1's terms, while its name keys hold "uber".
+    @example(([(["Smith"], 2010, ["über", "quantum"], 2)], "Über", ["Novak"]))
+    @example(([(["Østby"], 2010, ["lattice"], 1), (["Lee"], 2011, ["graph"], 1)], "", ["Østby"]))
+    @example(([], "quantum", ["Smith"]))
+    @settings(max_examples=300, deadline=None)
+    @given(_match_case)
+    def test_equals_scoring_every_entry(self, case):
+        citing, cited, index = _match_pair(case)
+        analysis = analyze_citations(citing, cited, index=index)
+        count, best, matched = oracle_direct_count(
+            index.entries, index.marker_counts, cited.title, cited.authors
+        )
+        if not index.entries:
+            warnings = ["c: bibliography unparseable, direct-citation count forced to 0"]
+        elif best < 0.5:
+            warnings = [
+                "c -> t: no bibliography entry matches the cited paper "
+                f"(best score {best:.3f})"
+            ]
+        else:
+            warnings = []
+        got = (analysis.count, analysis.best_score, analysis.matched_entry_indices)
+        assert got == (count, best, matched)
+        assert analysis.warnings == warnings
+
+    @settings(max_examples=100, deadline=None)
+    @given(_match_case)
+    def test_scores_only_entries_sharing_a_key(self, case):
+        citing, cited, index = _match_pair(case)
+        scored = []
+        entry_score = citeparse._entry_score
+
+        def counting(entry, keys):
+            scored.append(entry.index)
+            return entry_score(entry, keys)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(citeparse, "_entry_score", counting)
+            analyze_citations(citing, cited, index=index)
+        scores = oracle_entry_scores(index.entries, cited.title, cited.authors)
+        assert scored == [i for i, score in scores.items() if score > 0.0]
 
 
 def _entries(*raws):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from citegauge import citeparse, features as features_mod
 from citegauge.citeparse import analyze_citations
-from citegauge.corpus import CitationPair
+from citegauge.corpus import CitationPair, has_abstract
 from citegauge.errors import ConfigurationError
 from citegauge.textnorm import fold, normalize_author, surname_key
 from citegauge.features import (
@@ -118,6 +118,25 @@ class TestVectorize:
         assert vec["cat"] == pytest.approx(2 * (math.log(4 / 3) + 1))
         assert vec["dog"] == pytest.approx(1 * (math.log(4 / 2) + 1))
         assert set(vec) == {"cat", "dog"}
+
+
+class TestCorpusTfidf:
+    def test_kept_counts_give_each_abstracts_vector(self):
+        extra = [make_paper("blank", abstract=" "), make_paper("Ü", abstract="Über über dog")]
+        corpus = make_corpus(*all_papers(), *extra)
+        keep = {"c01", TARGET_ID, "blank", "Ü", "ghost"}
+        idf, counts = fit_corpus_tfidf(corpus, keep)
+        abstracts = [r.abstract for r in corpus.values() if has_abstract(r)]
+        assert idf == fit_tfidf(abstracts)
+        assert set(counts) == {"c01", TARGET_ID, "Ü"}
+        vocabulary = {term: term for term in idf}
+        for paper_id in sorted(keep):
+            kept = counts.get(paper_id, {})
+            assert all(vocabulary[term] is term for term in kept)  # one string per term
+            vector = features_mod._pop_vector(idf, counts, paper_id)
+            abstract = corpus[paper_id].abstract if paper_id in corpus else None
+            assert list(vector.items()) == list(vectorize(idf, abstract or "").items())
+            assert paper_id not in counts  # dropped once its vector is built
 
 
 class TestCosineSimilarity:
@@ -334,8 +353,9 @@ class TestFeatureMatrixOracle:
 
 
 def _per_pair_reference(corpus, pairs):
-    """Rows and warnings built pair by pair, each pair parsing its citing paper afresh."""
-    idf = fit_corpus_tfidf(corpus)
+    """Rows and warnings built pair by pair, each pair parsing its citing paper
+    afresh and vectorizing both abstracts."""
+    idf = fit_tfidf([r.abstract for r in corpus.values() if has_abstract(r)])
     rows, warnings = [], []
     for pair in pairs:
         ids = {"citing_id": pair.citing_id, "cited_id": pair.cited_id}
@@ -390,23 +410,37 @@ class TestStreamedFeatureMatrix:
         assert sorted(parsed) == sorted({p.citing_id for p in pairs})
 
     def test_each_paper_keyed_and_vectorized_once(self, monkeypatch):
-        keyed, vectorized = [], []
-        cited_keys, vectorize_ = citeparse.cited_keys, features_mod.vectorize
+        # Each abstract is tokenized once, by the tf-idf fit, and each paired
+        # paper's vector is built once, from the term counts the fit kept; c01
+        # is both a citing and a cited paper.
+        keyed, tokenized, built = [], [], []
+        cited_keys, tokenize_ = citeparse.cited_keys, features_mod.tokenize
+        pop_vector = features_mod._pop_vector
 
         def counting_keys(record):
             keyed.append(record.id)
             return cited_keys(record)
 
-        def counting_vectorize(idf, text):
-            vectorized.append(text)
-            return vectorize_(idf, text)
+        def counting_tokenize(text):
+            tokenized.append(text)
+            return tokenize_(text)
+
+        def counting_pop_vector(idf, counts, paper_id):
+            built.append(paper_id)
+            return pop_vector(idf, counts, paper_id)
 
         monkeypatch.setattr(citeparse, "cited_keys", counting_keys)
-        monkeypatch.setattr(features_mod, "vectorize", counting_vectorize)
+        monkeypatch.setattr(features_mod, "tokenize", counting_tokenize)
+        monkeypatch.setattr(features_mod, "_pop_vector", counting_pop_vector)
         forward = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
-        pairs = forward + forward[::-1]
-        rows, _ = compute_feature_matrix(_FIXTURE_CORPUS, pairs)
-        assert len(rows) == len(pairs)
+        pairs = forward + forward[::-1] + [CitationPair("c02", "c01", 0)]
         cited = {p.cited_id for p in pairs}
-        assert sorted(keyed) == sorted(cited)
-        assert len(vectorized) == len({p.citing_id for p in pairs}) + len(cited)
+        abstracts = [r.abstract for r in _FIXTURE_CORPUS.values() if has_abstract(r)]
+        for _ in range(2):  # per call
+            for calls in (keyed, tokenized, built):
+                calls.clear()
+            rows, _ = compute_feature_matrix(_FIXTURE_CORPUS, pairs)
+            assert len(rows) == len(pairs)
+            assert sorted(keyed) == sorted(cited)
+            assert sorted(tokenized) == sorted(abstracts)
+            assert sorted(built) == sorted(cited | {p.citing_id for p in pairs})

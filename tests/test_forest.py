@@ -1,11 +1,15 @@
 import hashlib
 import math
 import multiprocessing
+import os
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +351,31 @@ class TestSplitPaths:
         assert forest._bins(column[1:]) is None
 
 
+# Grows one 100-tree range on the fold saved in argv[1] in a forked child and
+# prints the growth of the child's max RSS in KiB. A one-tree range on a few
+# rows first pays the grower's one-time costs.
+_RSS_GROWTH_CHILD = """
+import os, resource, sys
+import numpy as np
+from citegauge import forest
+
+X, y = (np.load(os.path.join(sys.argv[1], name)) for name in ("X.npy", "y.npy"))
+seeds = [forest.derive_seed(7, i) for i in range(100)]
+forest._grow_trees(X[:40], y[:40], seeds[:1])
+read, write = os.pipe()
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    forest._grow_trees(X, y, seeds)
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    os.write(write, str(after - before).encode())
+    os._exit(0)
+os.close(write)
+growth = os.read(read, 64).decode()
+os.wait()
+print(int(growth))
+"""
+
+
 class TestGrowerMemory:
     @staticmethod
     def _fold(n):
@@ -379,6 +408,27 @@ class TestGrowerMemory:
 
     def test_one_range_peak_at_4500_rows(self):
         assert self._peak(4500) <= 24.8 * 2**20
+
+    def test_one_range_rss_growth_at_4500_rows(self, tmp_path):
+        # tracemalloc does not see the scratch buffers numpy's sorts take from
+        # plain malloc; the process's max RSS does. A process started with exec
+        # inherits its parent's max RSS, so the range grows in a child forked
+        # by a fresh interpreter: a forked child's max RSS starts at its RSS.
+        # One BLAS thread, so that the interpreter forks with no other thread.
+        X, y = self._fold(4500)
+        np.save(tmp_path / "X.npy", X)
+        np.save(tmp_path / "y.npy", y)
+        src = str(Path(forest.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        result = subprocess.run(
+            [sys.executable, "-c", _RSS_GROWTH_CHILD, str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        growth_kib = int(result.stdout.split()[-1])
+        # The bound is the largest of sixteen readings when this test was
+        # added, 25.0 MiB, plus a 15% margin. Before the grower's slot arrays
+        # were 32-bit and its passes wider, the growth read 32.6 MiB.
+        assert growth_kib <= 28.8 * 1024
 
     def test_level_passes(self, monkeypatch):
         # Each level pass calls _best_splits once. Passes 25 trees wide took 54.
