@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,12 +152,14 @@ def load_corpus(path: str | Path) -> Corpus:
     an unreadable directory or a duplicated id is fatal.
     """
     directory = Path(path)
-    if not directory.is_dir():
-        raise DataError(f"corpus directory not readable: {directory}")
+    try:  # names sort as strings: sorting Path objects compares them in Python code
+        names = sorted(e.name for e in os.scandir(directory) if e.name.endswith(".json"))
+    except OSError:  # missing, not a directory, or not listable
+        raise DataError(f"corpus directory not readable: {directory}") from None
 
     corpus = Corpus()
     seen_files: dict[str, str] = {}
-    for doc_path in sorted(directory.glob("*.json")):
+    for doc_path in map(directory.joinpath, names):
         try:
             data = json.loads(doc_path.read_text(encoding="utf-8-sig"))
             record = paper_from_dict(data, source=doc_path.name)

@@ -78,29 +78,44 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def cross_validate(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig, k: int, seed: int, pool=None
+    X: np.ndarray, y: np.ndarray, config: ForestConfig, k: int, seed: int, pool=None, workers=1
 ) -> np.ndarray:
     """Stratified k-fold cross-validation: each fold is scored by a forest
     trained on the other k-1 folds. Returns one score per row. Per-fold model
-    seeds derive from ``seed`` and the fold index. ``pool`` is passed on to
-    ``train``.
-    """
+    seeds derive from ``seed`` and the fold index. Every training split is
+    checked before any forest grows. With ``pool`` (of ``workers`` processes),
+    up to that many folds grow at once, each whole in one worker from its own
+    thread; the scores do not depend on it."""
     folds = stratified_folds(y, k, seed)
-    scores = np.empty(len(y))
-    for fold in range(k):
-        test = folds == fold
-        if not test.any():
-            continue
-        fit = ~test
-        labels = sorted(set(y[fit].tolist()))
+    splits = [(fold, test) for fold in range(k) if (test := folds == fold).any()]
+    for fold, test in splits:
+        labels = sorted(set(y[~test].tolist()))
         if len(labels) < 2:
             raise EvaluationError(
                 f"fold {fold}: training split contains a single class "
-                f"({np.count_nonzero(fit)} rows, labels {labels})"
+                f"({np.count_nonzero(~test)} rows, labels {labels})"
             )
-        fold_config = replace(config, seed=derive_seed(seed, 1000 + fold))
-        # No name holds the forest, so it is freed before the next fold's grows.
-        scores[test] = predict_proba(train(X[fit], y[fit], fold_config, pool=pool), X[test])
+
+    def fold_model(split):
+        fold_config = replace(config, seed=derive_seed(seed, 1000 + split[0]))
+        return train(X[~split[1]], y[~split[1]], fold_config, pool=pool)
+
+    scores = np.empty(len(y))
+    if pool is None:
+        for split in splits:  # no name holds a forest: each is freed before the next grows
+            scores[split[1]] = predict_proba(fold_model(split), X[split[1]])
+        return scores
+    from multiprocessing.pool import ThreadPool  # deferred, as in run_evaluation
+    threads = ThreadPool(min(workers, len(splits)))
+    try:
+        for (_, test), model in zip(splits, threads.imap(fold_model, splits)):
+            scores[test] = predict_proba(model, X[test])
+    except Exception:  # not an interrupt, which can stop a worker that then never answers
+        threads.terminate()  # drops the folds not started,
+        threads.join()  # and waits for those growing
+        raise
+    threads.close()
+    threads.join()
     return scores
 
 
@@ -335,9 +350,9 @@ def run_evaluation(
     the rankings and the correlations see them only in that order, so the
     report does not depend on the order of ``rows``.
 
-    With ``workers`` above 1 (capped at the usable CPUs), every forest grows
-    its trees on one pool of forked processes, opened here and reaped before
-    the report is built; the report does not depend on ``workers``."""
+    With ``workers`` above 1 (capped at the usable CPUs and at ``k``), up to
+    that many folds train at once on one pool of forked processes, opened here
+    and reaped before the report is built; the report does not depend on it."""
     if single_feature_mode not in ("direct_rank", "forest"):
         raise ConfigurationError(f"unknown single-feature mode: {single_feature_mode!r}")
 
@@ -348,7 +363,7 @@ def run_evaluation(
 
     if workers > 1:  # sched_getaffinity is Linux-only; elsewhere count every CPU
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(workers, cpus or 1)
+        workers = min(workers, cpus or 1, k)
     if workers > 1:
         import multiprocessing  # deferred: the serial path never needs it
 
@@ -362,9 +377,9 @@ def run_evaluation(
                 score_sets[name] = X[:, j]
             else:
                 score_sets[name] = cross_validate(
-                    X[:, [j]], y, forest_config, k, derive_seed(seed, 2000 + j), pool=pool
+                    X[:, [j]], y, forest_config, k, derive_seed(seed, 2000 + j), pool, workers
                 )
-        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, forest_config, k, seed, pool=pool)
+        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, forest_config, k, seed, pool, workers)
 
     return build_report(
         X, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo

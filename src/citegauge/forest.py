@@ -21,9 +21,9 @@ steps of a Fisher-Yates shuffle of ``range(d)`` (step i swaps position i with
 ``i + randbelow(d - i)``) and sorts the first k.
 No draw depends on the order nodes or trees are grown in, so trees grow level
 by level, with the frontier of every growing tree advanced by the same array
-operations. A range of trees grows in level passes of a fixed width: the next
-trees join a pass as roots while earlier ones are still growing, and ranges
-may grow in separate worker processes. A tree grows on its distinct bootstrap
+operations. A forest grows in level passes of a fixed width: the next trees
+join a pass as roots while earlier ones are still growing, and the whole
+forest may grow in a worker process. A tree grows on its distinct bootstrap
 rows, each carrying its draw count: node counts and the gains are in draws, so
 the tree is the one its n draws would grow. A node is split when it holds both
 classes and some cut strictly lowers its Gini impurity. A column with few
@@ -42,7 +42,6 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +59,7 @@ _MAX_ROWS = 1 << 18
 # (`_grow_trees`). The width bounds the grower's working memory; the trees do
 # not depend on it. Each pass costs about 0.5 ms however narrow, and 13 000
 # slots (about 50 trees) take a 418-row `paper` fold from 40 passes to 26;
-# 20 000 slots (21 passes) were not measurably faster. Growing one range of
+# 20 000 slots (21 passes) were not measurably faster. Growing a forest of
 # 100 trees peaks (tracemalloc) at 1.9 MiB on the tests' seeded 418-row
 # f1/f4/f9-like fold, 1.7 MiB on a 418-row `paper` fold, 1.9 MiB on a
 # 575-row `forest` one and 14.7 MiB on the tests' 4 500-row fold, where 25
@@ -315,10 +314,10 @@ def _grow_trees(
     width in slots caps every later pass: before each pass the next trees, in
     seed order, join as roots while the frontier has room for them.
 
-    Returns the range's node table: each tree's node count, and the six node
+    Returns the forest's node table: each tree's node count, and the six node
     columns (``_COLUMNS``) with the trees' tables one after another in seed
-    order. Top level, so a process pool can run it on one range of a forest's
-    seeds and send back six arrays, not six per tree."""
+    order. Top level, so a process pool can run it on a forest's seeds and
+    send back six arrays, not six per tree."""
     # The grower frees many mid-size temporaries at once. glibc malloc returns
     # a freed heap top above its trim threshold (128 KiB at start) to the
     # system, and the next pass faults the pages in again: about 70 000 minor
@@ -376,7 +375,7 @@ def _grow_trees(
         split_feature, split_threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
         left = np.full(len(sizes), -1)
         level = (tree_of, split_feature, split_threshold, left, total - count1, count1)
-        for column, value in zip(levels.values(), level):  # children as range-wide ids
+        for column, value in zip(levels.values(), level):  # children as forest-wide ids
             column.append(value)
         next_id += len(sizes)
 
@@ -434,11 +433,10 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     features, sampled with the node's own seed (see the module docstring).
     Fully deterministic given the seed and the row order.
 
-    The trees grow as one range of seeds, in level passes ``_BATCH_TREES``
-    trees wide (``_grow_trees``). ``pool``, a ``multiprocessing`` pool, grows
-    one contiguous range per worker, and never more ranges than trees; the
-    ranges come back in seed order, so the model is the same with or without
-    it.
+    The trees grow together, in level passes ``_BATCH_TREES`` trees wide
+    (``_grow_trees``). ``pool``, a ``multiprocessing`` pool, grows the whole
+    forest as one task in one of its workers, in passes as full as here, so
+    the model is the same with or without it.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if not len(X):
@@ -459,16 +457,10 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
 
-    seeds = [derive_seed(config.seed, i) for i in range(config.tree_count)]
-    parts = 1 if pool is None else min(pool._processes, len(seeds))  # _processes: its workers
-    bounds = [len(seeds) * i // parts for i in range(parts + 1)]
-    ranges = [seeds[a:b] for a, b in zip(bounds, bounds[1:])]
-    grow = partial(_grow_trees, X, y)
-    grown = map(grow, ranges) if pool is None else pool.map(grow, ranges, chunksize=1)
-    trees = []
-    for counts, columns in grown:  # each tree's arrays are views into its range's table
-        trees += map(DecisionTree, *(np.split(c, np.cumsum(counts)[:-1]) for c in columns))
-    return ForestModel(trees=trees)
+    args = (X, y, [derive_seed(config.seed, i) for i in range(config.tree_count)])
+    counts, columns = _grow_trees(*args) if pool is None else pool.apply(_grow_trees, args)
+    ends = np.cumsum(counts).tolist()  # each tree's arrays are views into the forest's table
+    return ForestModel([DecisionTree(*(c[a:b] for c in columns)) for a, b in zip([0] + ends, ends)])
 
 
 def predict_proba(model: ForestModel, x):

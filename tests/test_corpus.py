@@ -71,6 +71,27 @@ class TestLoadCorpus:
         with pytest.raises(DataError):
             load_corpus(tmp_path / "nope")
 
+    def test_file_path_is_fatal(self, tmp_path):
+        (tmp_path / "a.json").write_text(json.dumps(_doc("a")), encoding="utf-8")
+        with pytest.raises(DataError, match="corpus directory not readable"):
+            load_corpus(tmp_path / "a.json")
+
+    def test_which_files_load_and_in_what_order(self, tmp_path):
+        d = tmp_path / "c"
+        d.mkdir()
+        names = ["b.json", "a.json", "Z.json", "é.json", "10.json", "9.json", ".h.json", "a b.json"]
+        for name in names:
+            (d / name).write_text(json.dumps(_doc(name)), encoding="utf-8")
+        (d / "B.JSON").write_text("{not read", encoding="utf-8")
+        (d / "notes.txt").write_text("{not read", encoding="utf-8")
+        (d / "d.json").mkdir()
+        corpus = load_corpus(d)
+        # The order of sorted Path objects, as the names sort as strings.
+        by_path = [path.name for path in sorted(d.glob("*.json")) if path.name != "d.json"]
+        assert list(corpus) == by_path == sorted(names)
+        assert [i.source for i in corpus.load_report] == ["d.json"]
+        assert corpus.load_report[0].message.startswith("unreadable document:")
+
     def test_duplicate_id_is_fatal_and_names_both_files(self, tmp_path):
         d = tmp_path / "c"
         d.mkdir()

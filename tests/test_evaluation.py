@@ -1,7 +1,10 @@
+import contextlib
 import math
 import multiprocessing
 import os
 import random
+import threading
+import time
 import weakref
 from collections import Counter
 
@@ -9,9 +12,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from citegauge import evaluation
+from citegauge import evaluation, forest
 from citegauge.corpus import CitationPair, filter_valid_pairs, load_corpus, load_pairs, pair_key
-from citegauge.errors import ConfigurationError, EvaluationError
+from citegauge.errors import ConfigurationError, EvaluationError, TrainingError
 from citegauge.evaluation import (
     build_report,
     cross_validate,
@@ -119,6 +122,20 @@ def _arrays(labels):
     return xy([(vec, pair.label) for pair, vec in _features_for(_pairs(labels))])
 
 
+class SlowGrowerFailing:
+    """Stands in for ``forest._grow_trees`` and raises TrainingError: at once
+    for the forest whose first seed is ``first``, after half a second for any
+    other. A module-level class, so a pool can pickle it."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def __call__(self, X, y, seeds):
+        if seeds[0] != self.first:
+            time.sleep(0.5)
+        raise TrainingError("grower failed in a worker")
+
+
 class TestCrossValidate:
     def test_separable_pooled_accuracy(self):
         X, y = _arrays([0, 1] * 10)
@@ -191,6 +208,58 @@ class TestCrossValidate:
         X, y = _arrays([0, 0, 0, 1])
         with pytest.raises(EvaluationError, match="single class"):
             cross_validate(X, y, ForestConfig(tree_count=2, seed=3), 2, 3)
+
+    def test_pooled_folds_train_in_the_parent_at_most_two_at_once(self, monkeypatch):
+        X, y = _arrays([0, 1] * 10)
+        config = ForestConfig(tree_count=15, seed=11)
+        serial = cross_validate(X, y, config, 4, 11)
+        real_train = evaluation.train
+        lock, in_flight, calls = threading.Lock(), [0], []
+        # Two threads take four folds in pairs: each pair meets here, or the
+        # wait times out and the fold fails.
+        pair_up = threading.Barrier(2, timeout=60)
+
+        def spy(X, y, config, pool=None):
+            with lock:
+                in_flight[0] += 1
+                calls.append((os.getpid(), in_flight[0]))
+            try:
+                pair_up.wait()
+                return real_train(X, y, config, pool=pool)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        with multiprocessing.get_context("fork").Pool(2) as pool:
+            pooled = cross_validate(X, y, config, 4, 11, pool=pool, workers=2)
+        assert [pid for pid, _ in calls] == [os.getpid()] * 4
+        assert max(count for _, count in calls) == 2
+        assert pooled.tobytes() == serial.tobytes()
+
+    def test_pooled_worker_error_waits_for_the_folds_growing(self, monkeypatch):
+        X, y = _arrays([0, 1] * 10)
+        first = derive_seed(derive_seed(5, 1000), 0)  # fold 0's first tree seed
+        monkeypatch.setattr(forest, "_grow_trees", SlowGrowerFailing(first))
+        with multiprocessing.get_context("fork").Pool(2) as pool:  # forked after the patch
+            threads = threading.active_count()
+            with pytest.raises(TrainingError, match="in a worker"):
+                cross_validate(X, y, ForestConfig(tree_count=3, seed=5), 4, 5, pool=pool, workers=2)
+            # No fold thread is left waiting on a worker the pool's exit will stop.
+            assert threading.active_count() == threads
+
+    # A lone positive is dealt to fold 0; with one class, every split is single-class.
+    @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 0, 0], [1] * 6])
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_single_class_split_raises_before_any_forest_grows(self, monkeypatch, labels, pooled):
+        X, y = _arrays(labels)
+        trained = []
+        monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: trained.append(args))
+        opened = multiprocessing.get_context("fork").Pool(2) if pooled else contextlib.nullcontext()
+        with opened as pool:
+            with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
+                cross_validate(X, y, ForestConfig(tree_count=2, seed=3), 3, 3, pool=pool, workers=2)
+        assert trained == []
 
 
 class TestPrCurve:

@@ -445,27 +445,23 @@ class TestGrowerMemory:
         assert len(passes) == 39
 
 
-class MapOnlyPool:
-    """Offers only the ``map`` that ``train`` may call, with the worker count a
-    ``multiprocessing`` pool keeps, and pickles each task's function as a
-    process pool would."""
+class ApplyOnlyPool:
+    """Offers only the ``apply`` that ``train`` may call, pickles each task's
+    function and arguments as a process pool would, and counts the tasks."""
 
-    _processes = 3
+    def __init__(self):
+        self.tasks = 0
 
-    def map(self, func, iterable, chunksize):
-        assert chunksize == 1
-        func = pickle.loads(pickle.dumps(func))
-        ranges = list(iterable)
-        sizes = [len(seeds) for seeds in ranges]
-        assert len(ranges) == min(self._processes, sum(sizes))
-        assert max(sizes) - min(sizes) <= 1  # one contiguous range per worker
-        return [func(seeds) for seeds in ranges]
+    def apply(self, func, args):
+        self.tasks += 1
+        func, args = pickle.loads(pickle.dumps((func, args)))
+        return func(*args)
 
 
-@pytest.fixture(scope="module", params=[2, 3, "map-only"])
+@pytest.fixture(scope="module", params=[2, 3, "apply-only"])
 def pool(request):
-    if request.param == "map-only":
-        yield MapOnlyPool()
+    if request.param == "apply-only":
+        yield ApplyOnlyPool()
         return
     with multiprocessing.get_context("fork").Pool(request.param) as workers:
         yield workers
@@ -483,6 +479,14 @@ class TestTrainOnPool:
         config = ForestConfig(tree_count=trees, seed=trees)
         pooled = train(*xy(data), config, pool=pool)
         assert len(pooled.trees) == trees
+        assert_same_model(pooled, train(*xy(data), config))
+
+    def test_whole_forest_is_one_task(self):
+        # The trees grow in one worker, in passes as full as the serial path's.
+        pool, data = ApplyOnlyPool(), self._data()
+        config = ForestConfig(tree_count=100, seed=5)
+        pooled = train(*xy(data), config, pool=pool)
+        assert pool.tasks == 1
         assert_same_model(pooled, train(*xy(data), config))
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
