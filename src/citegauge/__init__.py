@@ -24,7 +24,7 @@ from .features import (
 # their names are imported on first access (PEP 562), so that importing the
 # package, and the ingest, features and report commands, do not load it.
 _LAZY = {
-    **dict.fromkeys(("ForestConfig", "ForestModel", "predict_proba", "train"), "forest"),
+    **dict.fromkeys(("ForestModel", "predict_proba", "train"), "forest"),
     **dict.fromkeys(
         (
             "EvaluationReport",
@@ -55,7 +55,6 @@ __all__ = [
     "CorpusStats",
     "EvaluationReport",
     "FeatureVector",
-    "ForestConfig",
     "ForestModel",
     "PaperRecord",
     "author_overlap",

@@ -231,11 +231,10 @@ def cmd_evaluate(config: RunConfig) -> int:
     # so one OpenBLAS thread will do, and the training pool forks no BLAS threads.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import evaluation
-    from .forest import ForestConfig
 
     report = evaluation.run_evaluation(
         rows,
-        ForestConfig(tree_count=config.trees, seed=config.seed),
+        trees=config.trees,
         k=config.folds,
         seed=config.seed,
         recall_levels=config.recall_levels,

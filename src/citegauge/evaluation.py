@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -26,7 +26,7 @@ import numpy as np
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
 from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES, feature_set_order
-from .forest import ForestConfig, SplitMix64, derive_seed, predict_proba, train
+from .forest import SplitMix64, derive_seed, predict_proba, train
 
 logger = logging.getLogger(__name__)
 
@@ -78,11 +78,12 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
 
 
 def cross_validate(
-    X: np.ndarray, y: np.ndarray, config: ForestConfig, k: int, seed: int, pool=None, workers=1
+    X: np.ndarray, y: np.ndarray, trees: int, k: int, seed: int, pool=None, workers=1
 ) -> np.ndarray:
-    """Stratified k-fold cross-validation: each fold is scored by a forest
-    trained on the other k-1 folds. Returns one score per row. Per-fold model
-    seeds derive from ``seed`` and the fold index. Every training split is
+    """Stratified k-fold cross-validation: each fold is scored by a forest of
+    ``trees`` trees trained on the other k-1 folds. Returns one score per row.
+    ``seed`` draws the folds, and fold i's forest has seed
+    ``derive_seed(seed, 1000 + i)``. Every training split is
     checked before any forest grows. With ``pool`` (of ``workers`` processes),
     up to that many folds grow at once, each whole in one worker from its own
     thread; the scores do not depend on it."""
@@ -97,8 +98,7 @@ def cross_validate(
             )
 
     def fold_model(split):
-        fold_config = replace(config, seed=derive_seed(seed, 1000 + split[0]))
-        return train(X[~split[1]], y[~split[1]], fold_config, pool=pool)
+        return train(X[~split[1]], y[~split[1]], trees, derive_seed(seed, 1000 + split[0]), pool)
 
     scores = np.empty(len(y))
     if pool is None:
@@ -333,7 +333,7 @@ def build_report(
 
 def run_evaluation(
     rows: FeatureRows,
-    forest_config: ForestConfig,
+    trees: int,
     k: int,
     seed: int,
     recall_levels: Sequence[float] = DEFAULT_RECALL_LEVELS,
@@ -342,9 +342,10 @@ def run_evaluation(
     config_echo: dict | None = None,
     workers: int = 1,
 ) -> EvaluationReport:
-    """Cross-validate the all-features forest, rank each single feature by its
-    raw value, and build the report. single_feature_mode "forest" scores each
-    feature with its own one-feature cross-validated forest instead.
+    """Cross-validate the all-features forest (``cross_validate`` with ``trees``,
+    ``k`` and ``seed``), rank each single feature by its raw value, and build
+    the report. single_feature_mode "forest" scores feature j with its own
+    one-feature cross-validation, seeded ``derive_seed(seed, 2000 + j)``, instead.
 
     The pairs are put in pair-id order once, here; the folds, the forests,
     the rankings and the correlations see them only in that order, so the
@@ -377,9 +378,9 @@ def run_evaluation(
                 score_sets[name] = X[:, j]
             else:
                 score_sets[name] = cross_validate(
-                    X[:, [j]], y, forest_config, k, derive_seed(seed, 2000 + j), pool, workers
+                    X[:, [j]], y, trees, k, derive_seed(seed, 2000 + j), pool, workers
                 )
-        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, forest_config, k, seed, pool, workers)
+        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, trees, k, seed, pool, workers)
 
     return build_report(
         X, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo

@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, DataError, TrainingError
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -131,16 +131,6 @@ def _choose_many(draws: np.ndarray, k: int, n: int) -> np.ndarray:
         j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
         pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
     return np.sort(pool[:, :k], axis=1)
-
-
-@dataclass
-class ForestConfig:
-    tree_count: int = 100
-    seed: int = 42
-
-    def validate(self) -> None:
-        if self.tree_count < 1:
-            raise ConfigurationError("tree_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -423,24 +413,29 @@ def _grow_trees(
     return counts, columns
 
 
-def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> ForestModel:
-    """Train a bagged forest on the rows of ``X`` (n × d) with labels ``y``,
-    each 0 or 1.
+def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> ForestModel:
+    """Train a bagged forest of ``trees`` trees on the rows of ``X`` (n × d)
+    with labels ``y``, each 0 or 1.
 
     Each tree trains on an n-sized bootstrap sample drawn with replacement from
-    its own splitmix64 stream (seeded from config.seed and the tree index);
-    node splits minimize Gini impurity over floor(log2(d)) + 1 of the d
-    features, sampled with the node's own seed (see the module docstring).
-    Fully deterministic given the seed and the row order.
+    its own splitmix64 stream (seeded from ``seed`` and the tree index); node
+    splits minimize Gini impurity over floor(log2(d)) + 1 of the d features,
+    sampled with the node's own seed (see the module docstring). Fully
+    deterministic given the seed and the row order.
 
-    The trees grow together, in level passes ``_BATCH_TREES`` trees wide
+    The trees grow together, in level passes as wide as the first
+    ``_BATCH_TREES`` trees' roots or ``_PASS_SLOTS`` slots, whichever is more
     (``_grow_trees``). ``pool``, a ``multiprocessing`` pool, grows the whole
     forest as one task in one of its workers, in passes as full as here, so
     the model is the same with or without it.
     """
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    if not len(X):
+    if X.ndim and not len(X):
         raise TrainingError("training data is empty")
+    if X.ndim != 2 or not X.shape[1]:
+        raise ConfigurationError(f"training data has shape {X.shape}, not n × d with d ≥ 1")
+    if y.ndim != 1:
+        raise ConfigurationError(f"labels have shape {y.shape}, not one per row")
     if len(y) != len(X):
         raise ConfigurationError(f"{len(X)} training rows but {len(y)} labels")
     binary = (y == 0) | (y == 1)
@@ -453,11 +448,12 @@ def train(X: np.ndarray, y: np.ndarray, config: ForestConfig, pool=None) -> Fore
         raise TrainingError(f"non-finite feature value (NaN or ±inf) in training data: row {bad}")
     if len(X) > _MAX_ROWS:
         raise TrainingError(f"{len(X)} training rows; the forest takes at most {_MAX_ROWS}")
-    config.validate()
+    if trees < 1:
+        raise ConfigurationError(f"trees must be >= 1, got {trees}")
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
 
-    args = (X, y, [derive_seed(config.seed, i) for i in range(config.tree_count)])
+    args = (X, y, [derive_seed(seed, i) for i in range(trees)])
     counts, columns = _grow_trees(*args) if pool is None else pool.apply(_grow_trees, args)
     ends = np.cumsum(counts).tolist()  # each tree's arrays are views into the forest's table
     return ForestModel([DecisionTree(*(c[a:b] for c in columns)) for a, b in zip([0] + ends, ends)])
@@ -470,7 +466,8 @@ def predict_proba(model: ForestModel, x):
     gives a float, or a 2-D batch of rows, which gives one probability per
     row. Every (tree, row) pair is walked down at once; the fractions are then
     summed in tree order, so a row's score does not depend on the batch it is
-    scored in.
+    scored in. A row with a non-finite value, or narrower than a feature the
+    trees split on, raises DataError naming the first such row.
     """
     rows = np.asarray(x, dtype=np.float64)
     batch = np.atleast_2d(rows)
@@ -480,6 +477,13 @@ def predict_proba(model: ForestModel, x):
     feature, threshold, left, right, count0, count1 = (
         np.concatenate([getattr(tree, c) for tree in model.trees]) for c in _COLUMNS
     )
+    finite = np.isfinite(batch).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataError(f"non-finite feature value (NaN or ±inf) in prediction data: row {bad}")
+    widest = int(feature.max(initial=-1))
+    if n and widest >= batch.shape[1]:
+        raise DataError(f"{batch.shape[1]} feature values but a split on feature {widest}: row 0")
     offset = np.repeat(first, sizes)  # children as rows of the joint table
     left, right = left + offset, right + offset  # a leaf's are never read
     node = np.repeat(first, n)  # pair t * n + i: tree t, row i

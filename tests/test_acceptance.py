@@ -46,7 +46,7 @@ from citegauge.features import (
     compute_feature_matrix,
     cosine_similarity,
 )
-from citegauge.forest import ForestConfig, SplitMix64, derive_seed, train
+from citegauge.forest import SplitMix64, derive_seed, train
 
 from conftest import assert_same_model, make_corpus, make_paper, xy
 from fixture_corpus import (
@@ -161,7 +161,7 @@ class TestReferenceDatasetCriteria:
         levels = sorted(REFERENCE_ALL_GRID)
         sums = {level: 0.0 for level in levels}
         for seed in GRID_SEEDS:
-            scores = cross_validate(X, y, ForestConfig(tree_count=100, seed=seed), k=10, seed=seed)
+            scores = cross_validate(X, y, 100, k=10, seed=seed)
             grid = interpolated_precision(pr_curve(scores, y), levels)
             for level in levels:
                 sums[level] += grid[level]
@@ -249,9 +249,8 @@ class TestSubstituteCriterion5:
 
         # forest: determinism, non-worsening Gini
         X, y = xy([((float(i), i % 3 / 3, (i * 7 % 10) / 10), int(i >= 5)) for i in range(10)])
-        config = ForestConfig(tree_count=10, seed=31)
-        model_a = train(X, y, config)
-        assert_same_model(train(X, y, config), model_a)
+        model_a = train(X, y, 10, 31)
+        assert_same_model(train(X, y, 10, 31), model_a)
 
         def gini(c0, c1):
             n = c0 + c1
@@ -272,7 +271,7 @@ class TestSubstituteCriterion5:
         # cross-validation partition: every pair in one fold, scored once
         X, y = xy([((float(i % 2), 0.1 * i, 0.2), i % 2) for i in range(12)])
         assert sorted(set(stratified_folds(y, 3, seed=2).tolist())) == [0, 1, 2]
-        scores = cross_validate(X, y, ForestConfig(tree_count=4, seed=2), 3, 2)
+        scores = cross_validate(X, y, 4, 3, 2)
         assert scores.shape == y.shape and np.isfinite(scores).all()
 
         # evaluation: permutation invariance of the pair rows
@@ -280,7 +279,7 @@ class TestSubstituteCriterion5:
         rows = [(p, (float(p.label) + i % 3, 0.1 * (i % 4), 0.2)) for i, p in enumerate(pairs)]
         shuffled = list(rows)
         random.Random(3).shuffle(shuffled)
-        a, b = (run_evaluation(r, ForestConfig(tree_count=4, seed=2), k=3, seed=2)
+        a, b = (run_evaluation(r, 4, k=3, seed=2)
                 for r in (rows, shuffled))
         assert (a.pr_grid, a.pr_points, a.map_score) == (b.pr_grid, b.pr_points, b.map_score)
 
@@ -356,7 +355,7 @@ class TestSubstituteCriterion5:
                 data[0] = (data[0][0], 1 - data[0][1])
 
             seed = 100 + case
-            model = train(*xy(data), ForestConfig(tree_count=1, seed=seed))
+            model = train(*xy(data), 1, seed)
             stream = SplitMix64(derive_seed(seed, 0))
             boot = [stream.randbelow(len(data)) for _ in range(len(data))]
             want = brute_force_best_split(

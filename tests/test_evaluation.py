@@ -27,7 +27,7 @@ from citegauge.evaluation import (
     stratified_folds,
 )
 from citegauge.features import compute_feature_matrix
-from citegauge.forest import ForestConfig, derive_seed, predict_proba, train
+from citegauge.forest import derive_seed, predict_proba, train
 
 from conftest import xy
 from oracles import oracle_pearson_p, oracle_pearson_p_closed_form
@@ -139,19 +139,17 @@ class SlowGrowerFailing:
 class TestCrossValidate:
     def test_separable_pooled_accuracy(self):
         X, y = _arrays([0, 1] * 10)
-        config = ForestConfig(tree_count=15, seed=11)
-        scores = cross_validate(X, y, config, k=4, seed=11)
+        scores = cross_validate(X, y, 15, k=4, seed=11)
         assert ((scores >= 0.5) == (y == 1)).all()
 
     def test_each_pair_scored_exactly_once_in_input_order(self):
         X, y = _arrays([0, 1] * 6)
-        config = ForestConfig(tree_count=5, seed=2)
-        scores = cross_validate(X, y, config, 3, 2)
+        scores = cross_validate(X, y, 5, 3, 2)
         assert scores.shape == y.shape
         folds = stratified_folds(y, 3, 2)
         for fold in range(3):
             test = folds == fold
-            model = train(X[~test], y[~test], ForestConfig(tree_count=5, seed=derive_seed(2, 1000 + fold)))
+            model = train(X[~test], y[~test], 5, derive_seed(2, 1000 + fold))
             assert scores[test].tolist() == predict_proba(model, X[test]).tolist()
 
     def test_fold_isolation(self, monkeypatch):
@@ -159,12 +157,12 @@ class TestCrossValidate:
         trained_on = []
         real_train = evaluation.train
 
-        def spy(X, y, config, pool=None):
+        def spy(X, y, trees, seed, pool=None):
             trained_on.append(X.tolist())
-            return real_train(X, y, config, pool=pool)
+            return real_train(X, y, trees, seed, pool=pool)
 
         monkeypatch.setattr(evaluation, "train", spy)
-        cross_validate(X, y, ForestConfig(tree_count=3, seed=5), k=3, seed=5)
+        cross_validate(X, y, 3, k=3, seed=5)
         folds = stratified_folds(y, 3, 5)
         assert trained_on == [X[folds != fold].tolist() for fold in range(3)]
 
@@ -174,65 +172,60 @@ class TestCrossValidate:
         real_train = evaluation.train
         models = []
 
-        def spy(X, y, config, pool=None):
+        def spy(X, y, trees, seed, pool=None):
             assert all(model() is None for model in models)
-            model = real_train(X, y, config, pool=pool)
+            model = real_train(X, y, trees, seed, pool=pool)
             models.append(weakref.ref(model))
             return model
 
         monkeypatch.setattr(evaluation, "train", spy)
-        cross_validate(X, y, ForestConfig(tree_count=3, seed=5), k=3, seed=5)
+        cross_validate(X, y, 3, k=3, seed=5)
         assert len(models) == 3
 
     def test_deterministic(self):
         X, y = _arrays([0, 1, 0, 1, 0, 1, 1, 0])
-        config = ForestConfig(tree_count=8, seed=13)
-        assert cross_validate(X, y, config, 4, 13).tolist() == cross_validate(
-            X, y, config, 4, 13
-        ).tolist()
+        assert cross_validate(X, y, 8, 4, 13).tolist() == cross_validate(X, y, 8, 4, 13).tolist()
 
     def test_empty_folds_leave_no_row_unscored(self):
         # Five rows in five folds, dealt class by class: folds 3 and 4 stay empty.
         X, y = _arrays([0, 0, 0, 1, 1])
         folds = stratified_folds(y, 5, 4)
         assert sorted(set(folds.tolist())) == [0, 1, 2]
-        scores = cross_validate(X, y, ForestConfig(tree_count=5, seed=4), 5, 4)
+        scores = cross_validate(X, y, 5, 5, 4)
         for fold in range(3):
             test = folds == fold
-            config = ForestConfig(tree_count=5, seed=derive_seed(4, 1000 + fold))
-            model = train(X[~test], y[~test], config)
+            model = train(X[~test], y[~test], 5, derive_seed(4, 1000 + fold))
             assert scores[test].tolist() == predict_proba(model, X[test]).tolist()
 
     def test_single_class_training_split_aborts(self):
         # one positive: the fold that holds it trains on negatives only
         X, y = _arrays([0, 0, 0, 1])
         with pytest.raises(EvaluationError, match="single class"):
-            cross_validate(X, y, ForestConfig(tree_count=2, seed=3), 2, 3)
+            cross_validate(X, y, 2, 2, 3)
 
     def test_pooled_folds_train_in_the_parent_at_most_two_at_once(self, monkeypatch):
         X, y = _arrays([0, 1] * 10)
-        config = ForestConfig(tree_count=15, seed=11)
-        serial = cross_validate(X, y, config, 4, 11)
+        serial = cross_validate(X, y, 15, 4, 11)
         real_train = evaluation.train
         lock, in_flight, calls = threading.Lock(), [0], []
         # Two threads take four folds in pairs: each pair meets here, or the
         # wait times out and the fold fails.
         pair_up = threading.Barrier(2, timeout=60)
 
-        def spy(X, y, config, pool=None):
+        def spy(X, y, trees, seed, pool=None):
             with lock:
                 in_flight[0] += 1
                 calls.append((os.getpid(), in_flight[0]))
             try:
                 pair_up.wait()
-                return real_train(X, y, config, pool=pool)
+                return real_train(X, y, trees, seed, pool=pool)
             finally:
                 with lock:
                     in_flight[0] -= 1
 
         monkeypatch.setattr(evaluation, "train", spy)
         with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = cross_validate(X, y, config, 4, 11, pool=pool, workers=2)
+            pooled = cross_validate(X, y, 15, 4, 11, pool=pool, workers=2)
         assert [pid for pid, _ in calls] == [os.getpid()] * 4
         assert max(count for _, count in calls) == 2
         assert pooled.tobytes() == serial.tobytes()
@@ -244,7 +237,7 @@ class TestCrossValidate:
         with multiprocessing.get_context("fork").Pool(2) as pool:  # forked after the patch
             threads = threading.active_count()
             with pytest.raises(TrainingError, match="in a worker"):
-                cross_validate(X, y, ForestConfig(tree_count=3, seed=5), 4, 5, pool=pool, workers=2)
+                cross_validate(X, y, 3, 4, 5, pool=pool, workers=2)
             # No fold thread is left waiting on a worker the pool's exit will stop.
             assert threading.active_count() == threads
 
@@ -258,7 +251,7 @@ class TestCrossValidate:
         opened = multiprocessing.get_context("fork").Pool(2) if pooled else contextlib.nullcontext()
         with opened as pool:
             with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
-                cross_validate(X, y, ForestConfig(tree_count=2, seed=3), 3, 3, pool=pool, workers=2)
+                cross_validate(X, y, 2, 3, 3, pool=pool, workers=2)
         assert trained == []
 
 
@@ -508,7 +501,7 @@ class TestDirectRankScores:
     def test_ranks_by_raw_value(self):
         rows = _features_for(_pairs([0, 1, 0, 1, 1, 0]))
         rows[3] = (rows[3][0], (-2.0, *rows[3][1][1:]))  # negative values rank last
-        report = run_evaluation(rows, ForestConfig(tree_count=3, seed=1), k=2, seed=1)
+        report = run_evaluation(rows, 3, k=2, seed=1)
         X, y = xy([(vec, pair.label) for pair, vec in rows])
         for j, name in enumerate(("f1", "f4", "f9")):
             assert report.pr_points[name] == pr_curve(X[:, j], y)
@@ -518,7 +511,7 @@ class TestDirectRankScores:
         pairs = _pairs([0, 1, 1, 0, 1, 0])
         rows = [(p, (float(i), 0.0, float(i % 2))) for i, p in enumerate(pairs)]
         rows.reverse()
-        report = run_evaluation(rows, ForestConfig(tree_count=3, seed=1), k=2, seed=1)
+        report = run_evaluation(rows, 3, k=2, seed=1)
         assert report.pr_points["f4"] == pr_curve(np.zeros(6), np.array([0, 1, 1, 0, 1, 0]))
 
     def test_rank_metrics_invariant_under_monotone_transform(self):
@@ -539,7 +532,7 @@ class TestBuildReport:
         features = self._inputs()
         report = run_evaluation(
             features,
-            ForestConfig(tree_count=10, seed=3),
+            10,
             k=3,
             seed=3,
             recall_levels=(0.1, 0.5, 0.9),
@@ -554,7 +547,7 @@ class TestBuildReport:
 
     def test_separable_grid_is_all_ones(self):
         features = self._inputs()
-        report = run_evaluation(features, ForestConfig(tree_count=10, seed=7), k=3, seed=7)
+        report = run_evaluation(features, 10, k=3, seed=7)
         assert all(v == 1.0 for v in report.pr_grid["f1"].values())
         assert all(v == 1.0 for v in report.pr_grid["all"].values())
         assert report.map_score == 1.0
@@ -583,12 +576,25 @@ class TestBuildReport:
         features = self._inputs()
         report = run_evaluation(
             features,
-            ForestConfig(tree_count=5, seed=19),
+            5,
             k=3,
             seed=19,
             single_feature_mode="forest",
         )
         assert set(report.pr_grid) == {"f1", "f4", "f9", "all"}
+        # Feature j's forests cross-validate the pairs in pair-id order with
+        # seed derive_seed(seed, 2000 + j). Noisy rows, so the seed shows.
+        rng = random.Random(19)
+        rows = [
+            (p, (float(rng.randint(0, 3)), rng.random(), rng.random() + 0.3 * p.label))
+            for p in _pairs([i % 2 for i in range(30)])
+        ]
+        rng.shuffle(rows)
+        report = run_evaluation(rows, 5, k=3, seed=19, single_feature_mode="forest")
+        X, y = xy([(vec, pair.label) for pair, vec in sorted(rows, key=lambda r: pair_key(r[0]))])
+        for j, name in enumerate(("f1", "f4", "f9")):
+            scores = cross_validate(X[:, [j]], y, 5, 3, derive_seed(19, 2000 + j))
+            assert report.pr_points[name] == pr_curve(scores, y)
 
     @pytest.mark.parametrize("mode", ["direct_rank", "forest"])
     def test_row_order_invariance(self, demo_dataset, mode):
@@ -599,7 +605,7 @@ class TestBuildReport:
         random.Random(5).shuffle(shuffled)
         assert [pair_key(p) for p, _ in shuffled] != [pair_key(p) for p, _ in rows]
         a, b = (
-            run_evaluation(r, ForestConfig(tree_count=12, seed=7), k=3, seed=7,
+            run_evaluation(r, 12, k=3, seed=7,
                            single_feature_mode=mode)
             for r in (rows, shuffled)
         )
@@ -617,7 +623,7 @@ class TestBuildReport:
         ]
         shuffled = list(rows)
         random.Random(5).shuffle(shuffled)
-        a, b = (run_evaluation(r, ForestConfig(tree_count=5, seed=7), k=3, seed=7)
+        a, b = (run_evaluation(r, 5, k=3, seed=7)
                 for r in (rows, shuffled))
         assert all(corr is not None for corr in a.correlations.values())
         assert a.correlations == b.correlations
@@ -636,7 +642,7 @@ class TestBuildReport:
         monkeypatch.setattr(evaluation, "build_report", build_after_reaping)
         reports = [
             report_to_dict(run_evaluation(
-                rows, ForestConfig(tree_count=12, seed=7),
+                rows, 12,
                 k=3, seed=7, single_feature_mode=mode, workers=workers,
             ))
             for workers in (1, 2)
@@ -647,14 +653,13 @@ class TestBuildReport:
     def test_workers_without_sched_getaffinity(self, monkeypatch):
         # os.sched_getaffinity is Linux-only; elsewhere the pool is capped by os.cpu_count()
         features = self._inputs()
-        config = ForestConfig(tree_count=6, seed=4)
-        serial = report_to_dict(run_evaluation(features, config, k=3, seed=4))
+        serial = report_to_dict(run_evaluation(features, 6, k=3, seed=4))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        pooled = report_to_dict(run_evaluation(features, config, k=3, seed=4, workers=2))
+        pooled = report_to_dict(run_evaluation(features, 6, k=3, seed=4, workers=2))
         assert pooled == serial
         assert multiprocessing.active_children() == []
 
     def test_unknown_mode_rejected(self):
         features = self._inputs()
         with pytest.raises(ConfigurationError):
-            run_evaluation(features, ForestConfig(), k=3, seed=1, single_feature_mode="direct")
+            run_evaluation(features, 100, k=3, seed=1, single_feature_mode="direct")

@@ -17,13 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from citegauge import forest
 from citegauge.corpus import filter_valid_pairs, load_corpus, load_pairs
-from citegauge.errors import ConfigurationError, TrainingError
+from citegauge.errors import ConfigurationError, DataError, TrainingError
 from citegauge.features import FeatureVector, compute_feature_matrix
 from conftest import FailingGrower, assert_same_model, xy
 from oracles import brute_force_best_split, choose
 from citegauge.forest import (
     DecisionTree,
-    ForestConfig,
     ForestModel,
     SplitMix64,
     _choose_many,
@@ -58,14 +57,13 @@ class TestTrainBasics:
     def test_two_point_separable(self):
         data = [((0.0, 0.0, 0.0), 0), ((5.0, 0.0, 0.0), 1)]
         for seed in (0, 1, 7, 12345):
-            model = train(*xy(data), ForestConfig(tree_count=25, seed=seed))
+            model = train(*xy(data), 25, seed)
             assert predict_proba(model, (0.0, 0.0, 0.0)) < 0.5
             assert predict_proba(model, (5.0, 0.0, 0.0)) >= 0.5
 
     def test_deterministic_given_seed(self):
-        config = ForestConfig(tree_count=20, seed=99)
-        model_a = train(*xy(SEPARABLE), config)
-        model_b = train(*xy(SEPARABLE), config)
+        model_a = train(*xy(SEPARABLE), 20, 99)
+        model_b = train(*xy(SEPARABLE), 20, 99)
         assert_same_model(model_a, model_b)
         queries = [(x / 2, 0.1, 0.5) for x in range(10)]
         assert [predict_proba(model_a, q) for q in queries] == [
@@ -79,24 +77,24 @@ class TestTrainBasics:
             (FeatureVector(1, 0.1, 0.2), 0),
             (FeatureVector(5, 0.4, 0.8), 1),
         ]
-        model = train(*xy(data), ForestConfig(tree_count=10, seed=3))
+        model = train(*xy(data), 10, 3)
         assert predict_proba(model, FeatureVector(5, 0.5, 0.9)) >= 0.5
 
     def test_single_class_rejected(self):
         data = [((1.0, 0.0, 0.0), 1), ((2.0, 0.0, 0.0), 1)]
         with pytest.raises(TrainingError, match="single class"):
-            train(*xy(data), ForestConfig(tree_count=2, seed=1))
+            train(*xy(data), 2, 1)
 
     def test_nan_rejected_naming_row(self):
         data = [((1.0, 0.0, 0.0), 0), ((float("nan"), 0.0, 0.0), 1)]
         with pytest.raises(TrainingError, match="row 1$"):
-            train(*xy(data), ForestConfig(tree_count=2, seed=1))
+            train(*xy(data), 2, 1)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf")])
     def test_infinite_value_rejected_naming_row(self, bad):
         data = [((1.0, 0.0, 0.0), 0), ((2.0, 0.0, 0.0), 1), ((3.0, bad, 0.0), 1)]
         with pytest.raises(TrainingError, match="row 2$"):
-            train(*xy(data), ForestConfig(tree_count=2, seed=1))
+            train(*xy(data), 2, 1)
 
     @pytest.mark.parametrize(
         "labels, row",
@@ -105,25 +103,44 @@ class TestTrainBasics:
     def test_label_other_than_0_1_rejected_naming_row(self, labels, row):
         X = np.arange(12.0).reshape(6, 2)
         with pytest.raises(TrainingError, match=f"row {row}$"):
-            train(X, labels, ForestConfig(tree_count=2, seed=1))
+            train(X, labels, 2, 1)
 
     def test_empty_data_rejected(self):
         with pytest.raises(TrainingError):
-            train(*xy([]), ForestConfig())
+            train(*xy([]), 100, 42)
 
     def test_too_many_rows_rejected(self):
         X = np.zeros((forest._MAX_ROWS + 1, 1))
         y = np.arange(len(X)) % 2
         with pytest.raises(TrainingError, match=f"at most {forest._MAX_ROWS}"):
-            train(X, y, ForestConfig(tree_count=1, seed=1))
+            train(X, y, 1, 1)
+
+    @pytest.mark.parametrize(
+        "X, y, shape",
+        [
+            (np.zeros(4), [0, 1, 0, 1], r"\(4,\)"),
+            (np.zeros((4, 0)), [0, 1, 0, 1], r"\(4, 0\)"),
+            (np.zeros((4, 2, 1)), [0, 1, 0, 1], r"\(4, 2, 1\)"),
+            (np.zeros((4, 2)), [[0], [1], [0], [1]], r"\(4, 1\)"),
+        ],
+        ids=["1-D X", "no features", "3-D X", "2-D y"],
+    )
+    def test_malformed_shape_rejected_naming_it(self, X, y, shape):
+        with pytest.raises(ConfigurationError, match=f"shape {shape}"):
+            train(X, y, 2, 1)
+
+    @pytest.mark.parametrize("trees", [0, -1])
+    def test_fewer_than_one_tree_rejected(self, trees):
+        with pytest.raises(ConfigurationError, match=f"trees must be >= 1, got {trees}$"):
+            train(*xy(SEPARABLE), trees, 1)
 
     def test_label_count_must_match_rows(self):
         X, y = xy(SEPARABLE)
         with pytest.raises(ConfigurationError, match="10 training rows but 9 labels"):
-            train(X, y[:-1], ForestConfig(tree_count=2, seed=1))
+            train(X, y[:-1], 2, 1)
 
     def test_monotone_sanity_full_training_accuracy(self):
-        model = train(*xy(SEPARABLE), ForestConfig(tree_count=100, seed=42))
+        model = train(*xy(SEPARABLE), 100, 42)
         for row, label in SEPARABLE:
             assert (predict_proba(model, row) >= 0.5) == bool(label)
 
@@ -202,7 +219,7 @@ class TestEveryNodeOracle:
     @pytest.mark.parametrize("seed, d", [(1, 3), (2, 1), (3, 2), (4, 3), (5, 6), (6, 8)])
     def test_every_node_matches_enumeration(self, seed, d):
         data = self._data(seed, d=d)
-        model = train(*xy(data), ForestConfig(tree_count=7, seed=seed))
+        model = train(*xy(data), 7, seed)
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(seed, index))
 
@@ -213,7 +230,7 @@ class TestEveryNodeOracle:
         rng = random.Random(seed)
         data = [row for row in self._data(seed, size=8) for _ in range(rng.randint(4, 8))]
         rng.shuffle(data)
-        model = train(*xy(data), ForestConfig(tree_count=15, seed=seed))
+        model = train(*xy(data), 15, seed)
         for index, tree in enumerate(model.trees):
             self._check_tree(tree, data, derive_seed(seed, index))
 
@@ -229,22 +246,19 @@ class TestEveryNodeOracle:
         if len(set(labels)) < 2:
             labels[0] = 1 - labels[0]
         data = [(tuple(map(float, row)), label) for row, label in zip(rows, labels)]
-        config = ForestConfig(
-            tree_count=draw.draw(st.integers(1, 30)), seed=draw.draw(st.integers(0, 2**64 - 1))
-        )
-        model = train(*xy(data), config)
+        trees, seed = draw.draw(st.integers(1, 30)), draw.draw(st.integers(0, 2**64 - 1))
+        model = train(*xy(data), trees, seed)
         for index, tree in enumerate(model.trees):
-            self._check_tree(tree, data, derive_seed(config.seed, index))
+            self._check_tree(tree, data, derive_seed(seed, index))
 
     # Below 11 trees, later trees join the level passes while earlier ones grow.
     @pytest.mark.parametrize("batch", [1, 3, 64, 2, 5, 7])
     def test_model_independent_of_batch_size(self, batch, monkeypatch):
         data = self._data(9, size=60)
-        config = ForestConfig(tree_count=11, seed=9)
-        default = train(*xy(data), config)
+        default = train(*xy(data), 11, 9)
         monkeypatch.setattr(forest, "_BATCH_TREES", batch)
         monkeypatch.setattr(forest, "_PASS_SLOTS", 0)  # pass width: the first batch's roots
-        assert_same_model(train(*xy(data), config), default)
+        assert_same_model(train(*xy(data), 11, 9), default)
 
     def test_vectorised_choose_matches_scalar(self):
         seeds = [derive_seed(77, i) for i in range(40)] + [0, 2**64 - 1]
@@ -277,10 +291,10 @@ class TestEveryNodeOracle:
         assert (split.tolist(), feature.tolist(), threshold.tolist()) == ([True], [1], [0.5])
         assert np.count_nonzero(Xb[:, 1] <= threshold[0]) == 4  # the left child's slots
 
-    def _check_forest(self, data, config):
-        model = train(*xy(data), config)
+    def _check_forest(self, data, trees, seed):
+        model = train(*xy(data), trees, seed)
         for index, tree in enumerate(model.trees):
-            self._check_tree(tree, data, derive_seed(config.seed, index))
+            self._check_tree(tree, data, derive_seed(seed, index))
         return model
 
     def test_threshold_between_adjacent_floats(self):
@@ -289,7 +303,7 @@ class TestEveryNodeOracle:
         a = 1 + 2.0**-52
         b = float(np.nextafter(a, 2))
         data = [((v,), label) for v, label in zip([a, a, b, b, 3, 3], [0, 0, 1, 1, 1, 1])]
-        model = self._check_forest(data, ForestConfig(tree_count=3, seed=1))
+        model = self._check_forest(data, 3, 1)
         assert model.trees[0].threshold[0] == a
         assert predict_proba(model, np.array([[b]])).tolist() == [1.0]
 
@@ -300,7 +314,7 @@ class TestEveryNodeOracle:
         data = [((v,), label) for v, label in zip(values, [0, 0, 1, 1])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow warning either
-            model = self._check_forest(data, ForestConfig(tree_count=1, seed=1))
+            model = self._check_forest(data, 1, 1)
             scores = predict_proba(model, xy(data)[0])
         assert model.trees[0].threshold[0] == min(values)
         assert scores.tolist() == [0.0, 0.0, 1.0, 1.0]
@@ -333,13 +347,13 @@ class TestSplitPaths:
         y = rng.integers(0, 2, n)
         y[0] = 1 - y[-1]
         trees = draw.draw(st.integers(1, 30))
-        config = ForestConfig(tree_count=trees, seed=int(rng.integers(2**63)))
-        default = train(X, y, config)
+        seed = int(rng.integers(2**63))
+        default = train(X, y, trees, seed)
         saved = forest._BIN_ROWS
         try:
             for cut_off in (EVERY_FEATURE_SORTED, EVERY_FEATURE_BINNED):
                 forest._BIN_ROWS = cut_off
-                assert_same_model(train(X, y, config), default)
+                assert_same_model(train(X, y, trees, seed), default)
         finally:
             forest._BIN_ROWS = saved
 
@@ -476,30 +490,43 @@ class TestTrainOnPool:
     @pytest.mark.parametrize("trees", [1, 5, 11, 100])
     def test_node_arrays_equal_serial(self, pool, trees):
         data = self._data()
-        config = ForestConfig(tree_count=trees, seed=trees)
-        pooled = train(*xy(data), config, pool=pool)
+        pooled = train(*xy(data), trees, trees, pool=pool)
         assert len(pooled.trees) == trees
-        assert_same_model(pooled, train(*xy(data), config))
+        assert_same_model(pooled, train(*xy(data), trees, trees))
 
     def test_whole_forest_is_one_task(self):
         # The trees grow in one worker, in passes as full as the serial path's.
         pool, data = ApplyOnlyPool(), self._data()
-        config = ForestConfig(tree_count=100, seed=5)
-        pooled = train(*xy(data), config, pool=pool)
+        pooled = train(*xy(data), 100, 5, pool=pool)
         assert pool.tasks == 1
-        assert_same_model(pooled, train(*xy(data), config))
+        assert_same_model(pooled, train(*xy(data), 100, 5))
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         monkeypatch.setattr(forest, "_grow_trees", FailingGrower(TrainingError))
         with multiprocessing.get_context("fork").Pool(2) as workers:  # forked after the patch
             with pytest.raises(TrainingError, match="in a worker"):
-                train(*xy(self._data()), ForestConfig(tree_count=4, seed=1), pool=workers)
+                train(*xy(self._data()), 4, 1, pool=workers)
 
 
 class TestPredictProba:
     def _leaf_tree(self, count0, count1):
         row = (-1, 0.0, -1, -1, count0, count1)  # a root that is a leaf
         return DecisionTree(*(np.array([value]) for value in row))
+
+    def test_bad_rows_rejected_naming_the_first(self):
+        # The root splits on feature 1 at 0.5: a NaN there would be routed right.
+        root = (1, 0.5, 1, 2, 5, 5), (-1, 0.0, -1, -1, 5, 0), (-1, 0.0, -1, -1, 0, 5)
+        model = ForestModel([DecisionTree(*(np.array(column) for column in zip(*root)))])
+        assert predict_proba(model, [[0.0, 0.0], [0.0, 1.0]]).tolist() == [0.0, 1.0]
+        bad = [
+            ([0.0, float("nan")], "non-finite .* row 0$"),
+            ([[0.0, 0.0], [0.0, 1.0], [float("-inf"), 1.0]], "non-finite .* row 2$"),
+            ([0.0], "1 feature values but a split on feature 1: row 0$"),
+            ([[0.0], [1.0]], "1 feature values but a split on feature 1: row 0$"),
+        ]
+        for rows, message in bad:
+            with pytest.raises(DataError, match=message):
+                predict_proba(model, rows)
 
     def test_pure_negative_leaf(self):
         model = ForestModel(trees=[self._leaf_tree(5, 0)])
@@ -510,7 +537,7 @@ class TestPredictProba:
         assert predict_proba(model, (0.0,)) == pytest.approx(0.5)
 
     def test_batch_equals_per_row_leaf_walk(self):
-        model = train(*xy(SEPARABLE), ForestConfig(tree_count=40, seed=12))
+        model = train(*xy(SEPARABLE), 40, 12)
         rng = random.Random(4)
         queries = [(rng.uniform(-1, 15), rng.random(), rng.random()) for _ in range(60)]
         queries += [row for row, _ in SEPARABLE]
@@ -530,7 +557,7 @@ class TestPredictProba:
             assert predict_proba(model, row) == got
 
     def test_training_point_consistency(self):
-        model = train(*xy(SEPARABLE), ForestConfig(tree_count=50, seed=5))
+        model = train(*xy(SEPARABLE), 50, 5)
         for row, label in SEPARABLE:
             proba = predict_proba(model, row)
             assert (proba >= 0.5) == bool(label)
@@ -544,7 +571,7 @@ class TestForestInvariants:
                 return 0.0
             return 1.0 - ((c0 / n) ** 2 + (c1 / n) ** 2)
 
-        model = train(*xy(SEPARABLE), ForestConfig(tree_count=30, seed=8))
+        model = train(*xy(SEPARABLE), 30, 8)
         for tree in model.trees:
             for node in tree.nodes:
                 if node.feature == -1:
@@ -558,7 +585,7 @@ class TestForestInvariants:
                 assert weighted <= gini(node.count0, node.count1) + 1e-12
 
     def test_children_counts_sum_to_parent(self):
-        model = train(*xy(SEPARABLE), ForestConfig(tree_count=10, seed=21))
+        model = train(*xy(SEPARABLE), 10, 21)
         for tree in model.trees:
             for node in tree.nodes:
                 if node.feature == -1:
@@ -590,9 +617,8 @@ class TestGoldenModel:
         pairs, stats, _ = load_pairs(pairs_file, corpus)
         rows, _ = compute_feature_matrix(corpus, filter_valid_pairs(pairs, corpus, stats))
         X, y = xy([(vec, pair.label) for pair, vec in rows])
-        config = ForestConfig(tree_count=30, seed=42)
-        assert self._digest(train(X, y, config)) == self.ALL_FEATURES
-        assert self._digest(train(X[:, [0]], y, config)) == self.F1_ONLY
+        assert self._digest(train(X, y, 30, 42)) == self.ALL_FEATURES
+        assert self._digest(train(X[:, [0]], y, 30, 42)) == self.F1_ONLY
 
     def test_joining_trees_are_pinned(self):
         # 300 rows, two continuous columns and one of 4 values (binned): the two
@@ -605,7 +631,7 @@ class TestGoldenModel:
         X = np.column_stack((unit[:, 0], unit[:, 1], np.floor(unit[:, 2] * 4)))
         y = (X[:, 0] + X[:, 1] / 2 + X[:, 2] / 8 + unit[:, 3] / 2 > 1.2).astype(np.int64)
         assert [forest._bins(column) is None for column in X.T] == [True, True, False]
-        model = train(X, y, ForestConfig(tree_count=100, seed=42))
+        model = train(X, y, 100, 42)
         assert self._digest(model) == self.JOINING_TREES
 
 
