@@ -11,19 +11,17 @@ from .corpus import (
     load_corpus,
     load_pairs,
 )
-from .features import (
-    FeatureVector,
-    author_overlap,
-    cosine_similarity,
-    fit_tfidf,
-    tokenize,
-    vectorize,
-)
 
-# forest and evaluation import numpy, which only training and evaluation need:
-# their names are imported on first access (PEP 562), so that importing the
-# package, and the ingest, features and report commands, do not load it.
+# Names outside the loader are imported on first access (PEP 562): features
+# brings the citation parser, and forest and evaluation bring numpy, which
+# only training and evaluation need. So importing the package loads only the
+# corpus loader, and the ingest, features and report commands never load numpy.
 _LAZY = {
+    **dict.fromkeys(
+        ("FeatureVector", "author_overlap", "cosine_similarity", "fit_tfidf", "tokenize",
+         "vectorize"),
+        "features",
+    ),
     **dict.fromkeys(("ForestModel", "predict_proba", "train"), "forest"),
     **dict.fromkeys(
         (

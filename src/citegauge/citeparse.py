@@ -30,7 +30,9 @@ _HEADING_RE = re.compile(
 _BRACKET_KEY_RE = re.compile(r"^[ \t]*\[(\d{1,3})\]")
 _DOTTED_KEY_RE = re.compile(r"^[ \t]*(\d{1,3})\.(?=\s)")
 
-_YEAR_RE = re.compile(r"(?<!\d)(1[89]\d{2}|20\d{2}|2100)(?!\d)")
+# A year, and its suffix: one lowercase letter right after it with no letter
+# after that, as in "2010a" ("2010ab" has none).
+_YEAR_RE = re.compile(r"(?<!\d)(1[89]\d{2}|20\d{2}|2100)(?!\d)([a-z](?![^\W\d_]))?")
 _PERIOD_RE = re.compile(r"\.")
 
 # Name token for author-year markers; capitalization is checked in code because
@@ -51,7 +53,7 @@ _PAREN_SEG_RE = re.compile(
     rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
     rf"({_NAME})(?:(?:\s*,\s*|\s+)(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf",?\s+((?:1[89]|20)\d{{2}})[a-z]?$",
+    rf",?\s+((?:1[89]|20)\d{{2}}[a-z]?)$",
     re.DOTALL,
 )
 
@@ -64,7 +66,7 @@ _PAREN_SEG_RE = re.compile(
 # name finds the longest reversed match, which is the regex's leftmost start.
 # No pattern part can cross a parenthesis, and each of the few alternatives
 # walks each character a bounded number of times, so the scan is linear.
-_YEAR_ANCHOR_RE = re.compile(r"\(\s*((?:1[89]|20)\d{2})[a-z]?\s*\)")
+_YEAR_ANCHOR_RE = re.compile(r"\(\s*((?:1[89]|20)\d{2}[a-z]?)\s*\)")
 _NARRATIVE_NAMES_REVERSED_RE = re.compile(
     r"\s*(?:\.?la\s+te\s+,?)?"
     r"(?:([\w'’\-]+[^\W\d_])\s+(?:dna|&)(?:\s*,\s*|\s+))?"
@@ -103,6 +105,7 @@ class BibliographyEntry:
     surname_tokens: list[str] = field(default_factory=list)
     year: int | None = None
     numeric_key: int | None = None
+    year_suffix: str = ""
     raw_tokens: frozenset[str] = field(init=False)
     surnames: frozenset[str] = field(init=False)
     first_author: str | None = field(init=False)
@@ -286,6 +289,7 @@ def parse_bib_entry(raw: str, index: int) -> BibliographyEntry:
         surname_tokens=surnames,
         year=int(year_match.group(1)) if year_match else None,
         numeric_key=numeric_key,
+        year_suffix=(year_match.group(2) or "") if year_match else "",
     )
 
 
@@ -353,7 +357,8 @@ def _numeric_links(
 
 def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
     """Narrative author-year markers as (offset, marker, name1, name2, year), in
-    text order; name2 is None for a one-name marker. Names are not case-checked."""
+    text order; year keeps its suffix ("2010b"), and name2 is None for a one-name
+    marker. Names are not case-checked."""
     reversed_text = text[::-1]
     markers = []
     for anchor in _YEAR_ANCHOR_RE.finditer(text):
@@ -373,12 +378,13 @@ def find_in_text_citations(
 
     Numeric markers link via numeric_key, ranges expand inclusively, and each
     linked entry yields one InTextCitation. Author-year markers link via
-    first-author surname plus year, falling back to an entry with that surname
-    anywhere in its author list only when no entry has it first. A second name
-    narrows the candidates to those listing it, then the author count the
-    marker implies (one name: 1, two: 2, "et al.": 3 or more) narrows them to
-    the entries with that many surnames; either step is skipped when no
-    candidate passes it. Ties go to the lowest entry index.
+    first-author surname plus year and year suffix ("2010b"; the suffix is
+    ignored when no entry of that year has one), falling back to an entry with
+    that surname anywhere in its author list only when no entry has it first.
+    A second name narrows the candidates to those listing it, then the author
+    count the marker implies (one name: 1, two: 2, "et al.": 3 or more) narrows
+    them to the entries with that many surnames; either step is skipped when
+    no candidate passes it. Ties go to the lowest entry index.
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -405,14 +411,17 @@ def find_in_text_citations(
     for entry in entries:
         if entry.year is not None:
             by_year.setdefault(entry.year, []).append(entry)
-    links: dict[tuple[str, str | None, int, bool], BibliographyEntry | None] = {}
+    links: dict[tuple[str, str | None, str, bool], BibliographyEntry | None] = {}
 
     def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, year: str):
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
-        key = (name1, name2, int(year), bool(_ET_AL_RE.search(marker)))
+        key = (name1, name2, year, bool(_ET_AL_RE.search(marker)))
         if key not in links:
-            links[key] = _link_author_year(by_year.get(key[2], []), name1, name2, key[3])
+            same_year = by_year.get(int(year[:4]), [])
+            if any(e.year_suffix for e in same_year):
+                same_year = [e for e in same_year if e.year_suffix == year[4:]]
+            links[key] = _link_author_year(same_year, name1, name2, key[3])
         entry = links[key]
         if entry is None:
             unresolved.append(

@@ -429,6 +429,10 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
     forest as one task in one of its workers, in passes as full as here, so
     the model is the same with or without it.
     """
+    if isinstance(trees, bool) or not isinstance(trees, (int, np.integer)):
+        raise ConfigurationError(f"trees must be an integer, got {trees!r}")
+    if trees < 1:
+        raise ConfigurationError(f"trees must be >= 1, got {trees}")
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     if X.ndim and not len(X):
         raise TrainingError("training data is empty")
@@ -448,8 +452,6 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
         raise TrainingError(f"non-finite feature value (NaN or ±inf) in training data: row {bad}")
     if len(X) > _MAX_ROWS:
         raise TrainingError(f"{len(X)} training rows; the forest takes at most {_MAX_ROWS}")
-    if trees < 1:
-        raise ConfigurationError(f"trees must be >= 1, got {trees}")
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
 
@@ -467,9 +469,15 @@ def predict_proba(model: ForestModel, x):
     row. Every (tree, row) pair is walked down at once; the fractions are then
     summed in tree order, so a row's score does not depend on the batch it is
     scored in. A row with a non-finite value, or narrower than a feature the
-    trees split on, raises DataError naming the first such row.
+    trees split on, raises DataError naming the first such row; so does any
+    other shape, such as rows of unequal length, naming the shape.
     """
-    rows = np.asarray(x, dtype=np.float64)
+    try:
+        rows = np.asarray(x, dtype=np.float64)
+    except ValueError as exc:  # rows of unequal length, or a value that is not a number
+        raise DataError(f"prediction data is not one row or an n × d batch: {exc}") from None
+    if rows.ndim not in (1, 2):
+        raise DataError(f"prediction data has shape {rows.shape}, not one row or n × d")
     batch = np.atleast_2d(rows)
     n = len(batch)
     sizes = [len(tree.feature) for tree in model.trees]

@@ -105,13 +105,14 @@ _NAME = r"[^\W\d_][\w'’\-]+"
 _NARRATIVE_RE = re.compile(
     rf"\b({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf"\s*\(\s*((?:1[89]|20)\d{{2}})[a-z]?\s*\)",
+    rf"\s*\(\s*((?:1[89]|20)\d{{2}}[a-z]?)\s*\)",
     re.DOTALL,
 )
 
 
 def oracle_narrative_markers(text):
-    """(offset, marker, name1, name2, year) of every narrative marker, by regex."""
+    """(offset, marker, name1, name2, year) of every narrative marker, by regex;
+    year keeps its suffix letter."""
     return [
         (m.start(), m.group(0), m.group(1), m.group(2), m.group(3))
         for m in _NARRATIVE_RE.finditer(text)
@@ -125,7 +126,7 @@ _PAREN_SEG_RE = re.compile(
     rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
     rf"({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf",?\s+((?:1[89]|20)\d{{2}})[a-z]?$",
+    rf",?\s+((?:1[89]|20)\d{{2}}[a-z]?)$",
     re.DOTALL,
 )
 
@@ -177,10 +178,22 @@ def oracle_fold(text):
     return "".join(c for c in decomposed if not unicodedata.combining(c)).lower()
 
 
-def oracle_link_author_year(entries, name1, name2, year, et_al):
+def oracle_year_suffix(raw):
+    """The letter after an entry's first year, if it is one lowercase ASCII
+    letter with no letter after it; else ""."""
+    year = _YEAR_RE.search(raw)
+    after = raw[year.end() : year.end() + 2] if year else ""
+    if after[:1].isascii() and after[:1].islower() and not after[1:].isalpha():
+        return after[0]
+    return ""
+
+
+def oracle_link_author_year(entries, name1, name2, year, et_al, suffix=""):
     """Entry an author-year marker links to, by a scan of every entry.
 
-    Same-year entries whose first surname folds to name1 win; failing those,
+    The marker's year is ``year`` plus ``suffix``, and a same-year entry must
+    have the same suffix, unless no entry of that year has one. Of those,
+    same-year entries whose first surname folds to name1 win; failing those,
     entries with name1 anywhere among their surnames. name2, when given,
     narrows the candidates if any of them has it. Then the candidates with as
     many surnames as the marker implies (et_al: three or more; else one, or two
@@ -192,6 +205,8 @@ def oracle_link_author_year(entries, name1, name2, year, et_al):
 
     first = oracle_fold(name1)
     same_year = [e for e in entries if e.year == year]
+    if any(oracle_year_suffix(e.raw) for e in same_year):
+        same_year = [e for e in same_year if oracle_year_suffix(e.raw) == suffix]
     candidates = [e for e in same_year if surnames(e)[:1] == [first]] or [
         e for e in same_year if first in surnames(e)
     ]

@@ -145,6 +145,21 @@ class TestParseBibEntry:
         assert entry.year == 1998
         assert entry.surname_tokens == ["Varga"]
 
+    @pytest.mark.parametrize(
+        "raw, suffix",
+        [
+            ("Smith, J. 2010b. A title.", "b"),
+            ("Smith, J. (2010a). A title.", "a"),
+            ("[4] Smith, J. 2010c, A title.", "c"),
+            ("Smith, J. 2010. A title.", ""),
+            ("Smith, J. 2010ab. A title.", ""),  # a word, not a suffix
+            ("Smith, J. 2010B. A title.", ""),
+        ],
+    )
+    def test_year_suffix(self, raw, suffix):
+        entry = parse_bib_entry(raw, 1)
+        assert (entry.year, entry.year_suffix) == (2010, suffix)
+
     def test_year_outside_plausible_range_ignored(self):
         entry = parse_bib_entry("Doe, J. 1542. An old tract.", 1)
         assert entry.year is None
@@ -353,6 +368,27 @@ class TestFindInTextCitations:
         assert len(cites) == 1
         assert cites[0].entry_index == 1
         assert unresolved == []
+
+    @pytest.mark.parametrize("text", ["see (Smith, 2010b).", "Smith (2010b) shows."])
+    def test_year_suffix_links_its_own_entry(self, text):
+        entries = _entries("Smith, J. 2010a. A first paper.", "Smith, J. 2010b. A second paper.")
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert [c.entry_index for c in cites] == [2]
+        assert unresolved == []
+
+    def test_year_suffix_falls_back_to_the_year_without_suffixed_entries(self):
+        entries = _entries("Lee, K. 2010. A paper.", "Smith, J. 2010. Another.")
+        cites, _ = find_in_text_citations("(Smith, 2010b) and Lee (2010a)", entries)
+        assert [c.entry_index for c in cites] == [2, 1]
+
+    def test_marker_without_suffix_misses_suffixed_entries(self):
+        # Entries of 2010 carry suffixes, so "2010" alone names none of them.
+        entries = _entries("Smith, J. 2010a. A first paper.", "Smith, J. 2010b. A second paper.")
+        cites, unresolved = find_in_text_citations("(Smith, 2010)", entries)
+        assert cites == []
+        assert [(u.marker, u.detail) for u in unresolved] == [
+            ("Smith, 2010", "no entry for Smith 2010")
+        ]
 
     def test_no_markers(self):
         cites, unresolved = find_in_text_citations("Plain text, notably without brackets.", FIVE)
@@ -581,7 +617,7 @@ _NARRATIVE_PIECES = (
     " ", "  ", "\n", "\t", ",", ".", ";", "-", "'", "’", "_", "3",
     "3-Smith", "'Smith", "_Smith", "2Smith", "Ab-Ab-",
     "(", ")", "[1]", "2010", "(2010)", "( 2011a )", "(\n1999\n)", "(2010b)", "(1850)",
-    "(2100)", "(2010) (2011)",
+    "(2100)", "(2010) (2011)", "Smith (2010)", "Smith (2010b)", "Lee (2011a)",
 )  # fmt: skip
 _narrative_text = st.lists(
     st.sampled_from(_NARRATIVE_PIECES) | st.text(max_size=2), max_size=30
@@ -608,7 +644,7 @@ class TestNarrativeScan:
             ("2Smith (2010)", []),
             ("Smith and Lee and Wong (2011)", [(10, "Lee and Wong (2011)", "Lee", "Wong", "2011")]),
             ("Smith, et al. (2012)", [(0, "Smith, et al. (2012)", "Smith", None, "2012")]),
-            ("Smith ( \n2010b\n )", [(0, "Smith ( \n2010b\n )", "Smith", None, "2010")]),
+            ("Smith ( \n2010b\n )", [(0, "Smith ( \n2010b\n )", "Smith", None, "2010b")]),
             ("Smith (2010) (2011)", [(0, "Smith (2010)", "Smith", None, "2010")]),
         ],
     )
@@ -645,7 +681,7 @@ class TestNarrativeScan:
         st.lists(
             st.tuples(
                 st.lists(st.sampled_from(["Smith", "Lee", "Wong", "Zoë", "Ab"]), max_size=3),
-                st.sampled_from([2010, 2011, 2012]),
+                st.sampled_from(["2010", "2010a", "2010b", "2011", "2011a", "2012"]),
             ),
             max_size=6,
         ),
@@ -669,7 +705,7 @@ class TestNarrativeScan:
             if not name1[0].isupper() or (name2 and not name2[0].isupper()):
                 continue
             et_al = "et" in marker.replace(",", " ").split()  # a name is capitalized
-            entry = oracle_link_author_year(entries, name1, name2, int(year), et_al)
+            entry = oracle_link_author_year(entries, name1, name2, int(year[:4]), et_al, year[4:])
             if entry is None:
                 expected_unresolved.append((offset, marker))
             else:

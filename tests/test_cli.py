@@ -334,9 +334,27 @@ class TestImport:
         result = _python(script, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
+    def test_loaders_import_without_features_or_numpy(self):
+        # perfbench's setup names; the features and citeparse modules load on
+        # first use, and a submodule import falls through the lazy names
+        script = (
+            "import sys\n"
+            "from citegauge import filter_valid_pairs, load_corpus, load_pairs\n"
+            "heavy = {f'citegauge.{m}' for m in ('features', 'citeparse', 'textnorm')} | {'numpy'}\n"
+            "print(sorted(heavy & set(sys.modules)))\n"
+            "from citegauge import features\n"
+            "import citegauge, citegauge.textnorm as textnorm\n"
+            "print(features.__name__, citegauge.tokenize is textnorm.tokenize,\n"
+            "      citegauge.FeatureVector is features.FeatureVector)\n"
+        )
+        result = _python(script, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "citegauge.features True True"]
+
     def test_every_public_name_resolves(self):
         for name in citegauge.__all__:
-            getattr(citegauge, name)
+            value = getattr(citegauge, name)
+            assert getattr(sys.modules[value.__module__], name) is value, name
         assert citegauge.train is forest.train
         assert citegauge.run_evaluation is evaluation.run_evaluation
         from citegauge import evaluation as submodule

@@ -134,6 +134,15 @@ class TestTrainBasics:
         with pytest.raises(ConfigurationError, match=f"trees must be >= 1, got {trees}$"):
             train(*xy(SEPARABLE), trees, 1)
 
+    @pytest.mark.parametrize("trees", [2.5, True, "3"])
+    def test_non_integer_tree_count_rejected_before_the_data(self, trees):
+        # the data is malformed too: the tree count is checked first
+        with pytest.raises(ConfigurationError, match=f"trees must be an integer, got {trees!r}$"):
+            train(np.zeros(4), [0, 1], trees, 1)
+
+    def test_numpy_integer_tree_count_accepted(self):
+        assert_same_model(train(*xy(SEPARABLE), np.int64(3), 1), train(*xy(SEPARABLE), 3, 1))
+
     def test_label_count_must_match_rows(self):
         X, y = xy(SEPARABLE)
         with pytest.raises(ConfigurationError, match="10 training rows but 9 labels"):
@@ -527,6 +536,19 @@ class TestPredictProba:
         for rows, message in bad:
             with pytest.raises(DataError, match=message):
                 predict_proba(model, rows)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[0.0, 1.0], [0.0]], "not one row or an n × d batch: .*shape"),
+            (np.zeros((2, 2, 2)), r"shape \(2, 2, 2\), not one row or n × d$"),
+        ],
+        ids=["ragged", "3-D"],
+    )
+    def test_malformed_batch_rejected_naming_its_shape(self, rows, message):
+        model = ForestModel(trees=[self._leaf_tree(1, 1)])
+        with pytest.raises(DataError, match=message):
+            predict_proba(model, rows)
 
     def test_pure_negative_leaf(self):
         model = ForestModel(trees=[self._leaf_tree(5, 0)])
