@@ -11,7 +11,6 @@ are checked for monotonicity every time a report is assembled.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import json
 import logging
@@ -26,7 +25,7 @@ import numpy as np
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
 from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES, feature_set_order
-from .forest import SplitMix64, derive_seed, predict_proba, train
+from .forest import _streams, derive_seed, predict_proba, train
 
 logger = logging.getLogger(__name__)
 
@@ -72,21 +71,27 @@ def stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
     folds = np.empty(len(labels), dtype=np.int64)
     for label in (0, 1):
         members = np.flatnonzero(labels == label).tolist()
-        SplitMix64(derive_seed(seed, label)).shuffle(members)
+        # Fisher-Yates from the top: position i swaps with draw len - 1 - i modulo i + 1.
+        draws = _streams(np.array([derive_seed(seed, label)], dtype=np.uint64), len(members))
+        for i, draw in zip(range(len(members) - 1, 0, -1), draws[0].tolist()):
+            j = draw % (i + 1)
+            members[i], members[j] = members[j], members[i]
         folds[members] = np.arange(len(members)) % k
     return folds
 
 
 def cross_validate(
-    X: np.ndarray, y: np.ndarray, trees: int, k: int, seed: int, pool=None, workers=1
+    X: np.ndarray, y: np.ndarray, trees: int, k: int, seed: int, workers: int = 1
 ) -> np.ndarray:
     """Stratified k-fold cross-validation: each fold is scored by a forest of
     ``trees`` trees trained on the other k-1 folds. Returns one score per row.
     ``seed`` draws the folds, and fold i's forest has seed
     ``derive_seed(seed, 1000 + i)``. Every training split is
-    checked before any forest grows. With ``pool`` (of ``workers`` processes),
-    up to that many folds grow at once, each whole in one worker from its own
-    thread; the scores do not depend on it."""
+    checked before any forest grows. With ``workers`` above 1 (capped at the
+    usable CPUs and at the non-empty folds), a pool of that many forked
+    processes then opens, and up to that many folds grow at once, each whole
+    in one worker from its own thread; both pools are reaped before this
+    returns, and the scores do not depend on them."""
     folds = stratified_folds(y, k, seed)
     splits = [(fold, test) for fold in range(k) if (test := folds == fold).any()]
     for fold, test in splits:
@@ -100,22 +105,29 @@ def cross_validate(
     def fold_model(split):
         return train(X[~split[1]], y[~split[1]], trees, derive_seed(seed, 1000 + split[0]), pool)
 
+    pool = None  # the process pool the fold threads train on, if any
+    if workers > 1:  # sched_getaffinity is Linux-only; elsewhere count every CPU
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(workers, cpus or 1, len(splits))
     scores = np.empty(len(y))
-    if pool is None:
+    if workers <= 1:
         for split in splits:  # no name holds a forest: each is freed before the next grows
             scores[split[1]] = predict_proba(fold_model(split), X[split[1]])
         return scores
-    from multiprocessing.pool import ThreadPool  # deferred, as in run_evaluation
-    threads = ThreadPool(min(workers, len(splits)))
-    try:
-        for (_, test), model in zip(splits, threads.imap(fold_model, splits)):
-            scores[test] = predict_proba(model, X[test])
-    except Exception:  # not an interrupt, which can stop a worker that then never answers
-        threads.terminate()  # drops the folds not started,
-        threads.join()  # and waits for those growing
-        raise
-    threads.close()
-    threads.join()
+    import multiprocessing.pool  # deferred: the serial path never needs it
+
+    # Forked before the fold threads start; the pool's exit terminates and joins its workers.
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        threads = multiprocessing.pool.ThreadPool(workers)
+        try:
+            for (_, test), model in zip(splits, threads.imap(fold_model, splits)):
+                scores[test] = predict_proba(model, X[test])
+        except Exception:  # not an interrupt, which can stop a worker that then never answers
+            threads.terminate()  # drops the folds not started,
+            threads.join()  # and waits for those growing
+            raise
+        threads.close()
+        threads.join()
     return scores
 
 
@@ -351,9 +363,8 @@ def run_evaluation(
     the rankings and the correlations see them only in that order, so the
     report does not depend on the order of ``rows``.
 
-    With ``workers`` above 1 (capped at the usable CPUs and at ``k``), up to
-    that many folds train at once on one pool of forked processes, opened here
-    and reaped before the report is built; the report does not depend on it."""
+    ``workers`` goes to each cross-validation, which opens and reaps its own
+    pool; the report does not depend on it."""
     if single_feature_mode not in ("direct_rank", "forest"):
         raise ConfigurationError(f"unknown single-feature mode: {single_feature_mode!r}")
 
@@ -362,25 +373,14 @@ def run_evaluation(
     X = np.array([vec for _, vec in by_id], dtype=np.float64).reshape(-1, len(FEATURE_NAMES))
     y = np.array([pair.label for pair, _ in by_id], dtype=np.int64)
 
-    if workers > 1:  # sched_getaffinity is Linux-only; elsewhere count every CPU
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(workers, cpus or 1, k)
-    if workers > 1:
-        import multiprocessing  # deferred: the serial path never needs it
-
-        opened = multiprocessing.get_context("fork").Pool(workers)
-    else:
-        opened = contextlib.nullcontext()
-    with opened as pool:  # a pool's exit terminates and joins its workers
-        score_sets: dict[str, np.ndarray] = {}
-        for j, name in enumerate(FEATURE_NAMES):
-            if single_feature_mode == "direct_rank":
-                score_sets[name] = X[:, j]
-            else:
-                score_sets[name] = cross_validate(
-                    X[:, [j]], y, trees, k, derive_seed(seed, 2000 + j), pool, workers
-                )
-        score_sets[FEATURE_SET_ALL] = cross_validate(X, y, trees, k, seed, pool, workers)
+    score_sets: dict[str, np.ndarray] = {}
+    for j, name in enumerate(FEATURE_NAMES):
+        if single_feature_mode == "direct_rank":
+            score_sets[name] = X[:, j]
+        else:
+            feature_seed = derive_seed(seed, 2000 + j)
+            score_sets[name] = cross_validate(X[:, [j]], y, trees, k, feature_seed, workers)
+    score_sets[FEATURE_SET_ALL] = cross_validate(X, y, trees, k, seed, workers)
 
     return build_report(
         X, y, score_sets, recall_levels=recall_levels, stats=stats, config_echo=config_echo

@@ -92,6 +92,8 @@ def author_overlap(
     irrelevant. mode="boolean" collapses any overlap to 1.0. Either side empty
     gives 0.
     """
+    if mode not in ("jaccard", "boolean"):
+        raise ConfigurationError(f"unknown author-overlap mode: {mode!r}")
     return _label_overlap(_author_labels(citing_authors), _author_labels(cited_authors), mode)
 
 
@@ -101,8 +103,6 @@ def _author_labels(authors: Iterable[str]) -> frozenset[str]:
 
 
 def _label_overlap(set_a: frozenset[str], set_b: frozenset[str], mode: str) -> float:
-    if mode not in ("jaccard", "boolean"):
-        raise ConfigurationError(f"unknown author-overlap mode: {mode!r}")
     if not set_a or not set_b:
         return 0.0
     shared = len(set_a & set_b)
@@ -160,6 +160,7 @@ def compute_feature_matrix(
     counts the pairs with problems by reason, and each warning is logged at
     DEBUG level, in the same order.
     """
+    author_overlap((), (), f4_mode)  # rejects an unknown mode before any work
     cited_ids = {pair.cited_id for pair in pairs}
     idf, counts = fit_corpus_tfidf(corpus, cited_ids | {pair.citing_id for pair in pairs})
 

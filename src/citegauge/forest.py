@@ -10,15 +10,16 @@ exists:
     output  = z XOR (z >> 31)
 
 Bounded draws use plain modulo (bias is negligible for the tiny ranges used
-here and keeps the sequence portable). Tree t draws from
-``SplitMix64(tree_seed)`` with ``tree_seed = derive_seed(seed, t)``: its first
-n outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
+here and keeps the sequence portable). The stream seeded s starts from state
+s mod 2^64, and its output i (from 0) is ``derive_seed(s, i)``. Tree t draws
+from the stream seeded ``tree_seed = derive_seed(seed, t)``: its first n
+outputs draw the bootstrap, and the next one, ``derive_seed(tree_seed, n)``,
 seeds the root. Every node has its own seed: its children's are
 ``derive_seed(node_seed, 0)`` (left) and ``derive_seed(node_seed, 1)``
 (right). A node scores k = floor(log2(d)) + 1 of the d features (Breiman's
-F = int(log2(M) + 1)): with ``SplitMix64(node_seed)`` it runs the first k
-steps of a Fisher-Yates shuffle of ``range(d)`` (step i swaps position i with
-``i + randbelow(d - i)``) and sorts the first k.
+F = int(log2(M) + 1)): from the stream seeded ``node_seed`` it runs the first
+k steps of a Fisher-Yates shuffle of ``range(d)`` (step i swaps position i with
+``i + output_i mod (d - i)``) and sorts the first k.
 No draw depends on the order nodes or trees are grown in, so trees grow level
 by level, with the frontier of every growing tree advanced by the same array
 operations. A forest grows in level passes of a fixed width: the next trees
@@ -87,25 +88,6 @@ def derive_seed(master: int, index: int) -> int:
     return _mix64((master + (index + 1) * _GOLDEN) & _MASK64)
 
 
-class SplitMix64:
-    """Minimal splitmix64 stream; see the module docstring for the algorithm."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def randbelow(self, n: int) -> int:
-        return self.next_u64() % n
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """``_mix64`` over a uint64 array. Every operand is an explicit ``np.uint64``,
     so the bits do not depend on numpy's integer promotion rules."""
@@ -115,8 +97,8 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _streams(seeds: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` outputs of ``SplitMix64(seed)`` for each uint64 seed,
-    one row per seed. Column i is also ``derive_seed(seed, i)``."""
+    """The first ``count`` outputs of the stream seeded by each uint64 seed, one
+    row per seed (see the module docstring): column i is ``derive_seed(seed, i)``."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
     return _mix64_array(seeds[:, None] + steps)
 

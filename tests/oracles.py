@@ -87,6 +87,45 @@ def brute_force_best_split(X, y):
     return best
 
 
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """Scalar splitmix64 (Steele, Lea and Flood, 2014), one output at a time:
+    the reference the package's vectorised streams are checked against."""
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def randbelow(self, n):
+        return self.next_u64() % n
+
+
+def oracle_stratified_folds(labels, k, seed):
+    """Each row's fold. Class c's rows, in row order, are shuffled by
+    Fisher-Yates from the top (position i swaps with ``randbelow(i + 1)``) on
+    the stream seeded by output c of the stream seeded ``seed``, then dealt
+    round-robin."""
+    folds = [None] * len(labels)
+    for label in (0, 1):
+        members = [row for row, value in enumerate(labels) if value == label]
+        outputs = SplitMix64(seed)
+        rng = SplitMix64([outputs.next_u64() for _ in range(label + 1)][-1])
+        for i in range(len(members) - 1, 0, -1):
+            j = rng.randbelow(i + 1)
+            members[i], members[j] = members[j], members[i]
+        for position, row in enumerate(members):
+            folds[row] = position % k
+    return folds
+
+
 def choose(rng, k, n):
     """k distinct indices out of range(n), sorted ascending: the first k steps
     of a Fisher-Yates shuffle driven by the SplitMix64 stream ``rng``. The

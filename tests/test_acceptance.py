@@ -46,7 +46,7 @@ from citegauge.features import (
     compute_feature_matrix,
     cosine_similarity,
 )
-from citegauge.forest import SplitMix64, derive_seed, train
+from citegauge.forest import derive_seed, train
 
 from conftest import assert_same_model, make_corpus, make_paper, xy
 from fixture_corpus import (
@@ -55,7 +55,7 @@ from fixture_corpus import (
     target_paper,
     write_dataset,
 )
-from oracles import brute_force_best_split
+from oracles import SplitMix64, brute_force_best_split
 
 # Reference targets for the public benchmark distribution.
 REFERENCE_TOTAL = 465

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import multiprocessing
 import os
@@ -30,7 +29,13 @@ from citegauge.features import compute_feature_matrix
 from citegauge.forest import derive_seed, predict_proba, train
 
 from conftest import xy
-from oracles import oracle_pearson_p, oracle_pearson_p_closed_form
+from oracles import oracle_pearson_p, oracle_pearson_p_closed_form, oracle_stratified_folds
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that ``workers=2`` is not capped to the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
 def _pairs(labels):
@@ -93,6 +98,19 @@ class TestStratifiedFolds:
             stratified_folds(np.array([0, 1]), 1, seed=0)
         with pytest.raises(ConfigurationError):
             stratified_folds(np.array([0, 1]), 3, seed=0)
+
+    def test_matches_a_scalar_shuffle(self):
+        rng = random.Random(23)
+        seeds = [0, 1, -1, -(2**70), 2**63, 2**64 - 1, 2**64, 2**64 + 7, 3 * 2**80]
+        seeds += [rng.getrandbits(64) for _ in range(60)]
+        for seed in seeds:
+            n = rng.randint(2, 80)
+            positives = rng.choice([0, 1, n - 1, n, rng.randint(0, n)])
+            labels = [1] * positives + [0] * (n - positives)
+            rng.shuffle(labels)
+            k = rng.randint(2, min(12, n))
+            got = stratified_folds(np.array(labels), k, seed).tolist()
+            assert got == oracle_stratified_folds(labels, k, seed), (seed, labels, k)
 
     @pytest.mark.parametrize(
         "labels, row", [([0, 1, 2] * 4, 2), ([0, 1, 0.5, 1], 2), ([-1, 0, 1], 0)]
@@ -186,6 +204,7 @@ class TestCrossValidate:
         X, y = _arrays([0, 1, 0, 1, 0, 1, 1, 0])
         assert cross_validate(X, y, 8, 4, 13).tolist() == cross_validate(X, y, 8, 4, 13).tolist()
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_empty_folds_leave_no_row_unscored(self):
         # Five rows in five folds, dealt class by class: folds 3 and 4 stay empty.
         X, y = _arrays([0, 0, 0, 1, 1])
@@ -196,6 +215,9 @@ class TestCrossValidate:
             test = folds == fold
             model = train(X[~test], y[~test], 5, derive_seed(4, 1000 + fold))
             assert scores[test].tolist() == predict_proba(model, X[test]).tolist()
+        # Two workers over three non-empty folds score them alike.
+        assert cross_validate(X, y, 5, 5, 4, workers=2).tobytes() == scores.tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_single_class_training_split_aborts(self):
         # one positive: the fold that holds it trains on negatives only
@@ -203,6 +225,7 @@ class TestCrossValidate:
         with pytest.raises(EvaluationError, match="single class"):
             cross_validate(X, y, 2, 2, 3)
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_pooled_folds_train_in_the_parent_at_most_two_at_once(self, monkeypatch):
         X, y = _arrays([0, 1] * 10)
         serial = cross_validate(X, y, 15, 4, 11)
@@ -224,35 +247,52 @@ class TestCrossValidate:
                     in_flight[0] -= 1
 
         monkeypatch.setattr(evaluation, "train", spy)
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = cross_validate(X, y, 15, 4, 11, pool=pool, workers=2)
+        pooled = cross_validate(X, y, 15, 4, 11, workers=2)
+        assert multiprocessing.active_children() == []
         assert [pid for pid, _ in calls] == [os.getpid()] * 4
         assert max(count for _, count in calls) == 2
         assert pooled.tobytes() == serial.tobytes()
 
+    @pytest.mark.usefixtures("two_cpus")
     def test_pooled_worker_error_waits_for_the_folds_growing(self, monkeypatch):
         X, y = _arrays([0, 1] * 10)
         first = derive_seed(derive_seed(5, 1000), 0)  # fold 0's first tree seed
-        monkeypatch.setattr(forest, "_grow_trees", SlowGrowerFailing(first))
-        with multiprocessing.get_context("fork").Pool(2) as pool:  # forked after the patch
-            threads = threading.active_count()
-            with pytest.raises(TrainingError, match="in a worker"):
-                cross_validate(X, y, 3, 4, 5, pool=pool, workers=2)
-            # No fold thread is left waiting on a worker the pool's exit will stop.
-            assert threading.active_count() == threads
+        monkeypatch.setattr(forest, "_grow_trees", SlowGrowerFailing(first))  # workers fork after it
+        threads = threading.active_count()
+        with pytest.raises(TrainingError, match="in a worker"):
+            cross_validate(X, y, 3, 4, 5, workers=2)
+        # No fold thread is left waiting on a worker the pool's exit stopped.
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == []
 
     # A lone positive is dealt to fold 0; with one class, every split is single-class.
     @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 0, 0], [1] * 6])
     @pytest.mark.parametrize("pooled", [False, True])
+    @pytest.mark.usefixtures("two_cpus")
     def test_single_class_split_raises_before_any_forest_grows(self, monkeypatch, labels, pooled):
         X, y = _arrays(labels)
         trained = []
         monkeypatch.setattr(evaluation, "train", lambda *args, **kwargs: trained.append(args))
-        opened = multiprocessing.get_context("fork").Pool(2) if pooled else contextlib.nullcontext()
-        with opened as pool:
-            with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
-                cross_validate(X, y, 2, 3, 3, pool=pool, workers=2)
+        with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
+            cross_validate(X, y, 2, 3, 3, workers=2 if pooled else 1)
         assert trained == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_single_class_split_forks_no_process(self, monkeypatch):
+        # The pool opens only once every training split has two classes.
+        context = multiprocessing.get_context("fork")
+        real_pool, opened = context.Pool, []
+
+        def spy(*args, **kwargs):
+            opened.append(args)
+            return real_pool(*args, **kwargs)
+
+        monkeypatch.setattr(context, "Pool", spy)
+        rows = _features_for(_pairs([0, 0, 0, 1, 0, 0]))  # fold 0 holds the lone positive
+        with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
+            run_evaluation(rows, 2, k=3, seed=3, workers=2)
+        assert opened == []
+        assert multiprocessing.active_children() == []
 
 
 class TestPrCurve:

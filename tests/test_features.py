@@ -256,6 +256,14 @@ class TestExtractFeatures:
         assert vec.f4_author_overlap == 0.0
         assert vec.f9_abstract_sim == 0.0
 
+    @pytest.mark.parametrize("pairs", [[], [CitationPair("citing", "cited", 1)]])
+    def test_unknown_f4_mode_rejected_before_any_work(self, monkeypatch, pairs):
+        fitted = []
+        monkeypatch.setattr(features_mod, "fit_corpus_tfidf", lambda *args: fitted.append(args))
+        with pytest.raises(ConfigurationError, match="'dice'"):
+            compute_feature_matrix(_maximal_pair_corpus(), pairs, f4_mode="dice")
+        assert fitted == []
+
     def test_self_similarity_is_one_with_in_vocab_term(self):
         rng = random.Random(3)
         words = ["alpha", "beta", "gamma", "delta"]

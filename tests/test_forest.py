@@ -20,11 +20,10 @@ from citegauge.corpus import filter_valid_pairs, load_corpus, load_pairs
 from citegauge.errors import ConfigurationError, DataError, TrainingError
 from citegauge.features import FeatureVector, compute_feature_matrix
 from conftest import FailingGrower, assert_same_model, xy
-from oracles import brute_force_best_split, choose
+from oracles import SplitMix64, brute_force_best_split, choose
 from citegauge.forest import (
     DecisionTree,
     ForestModel,
-    SplitMix64,
     _choose_many,
     _streams,
     derive_seed,
@@ -661,6 +660,7 @@ class TestSplitMix64:
     def test_reference_first_output(self):
         # splitmix64 with state 0 must emit 0xE220A8397B1DCDAF first
         assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+        assert _streams(np.zeros(1, dtype=np.uint64), 1).tolist() == [[0xE220A8397B1DCDAF]]
 
     def test_streams_are_reproducible(self):
         a = SplitMix64(123)
@@ -680,6 +680,7 @@ class TestSplitMix64:
         for seed, row in zip(seeds, rows):
             scalar = SplitMix64(seed)
             assert row == [scalar.next_u64() for _ in range(50)]
+            assert row == [derive_seed(seed, i) for i in range(50)]
 
     def test_derive_seed_varies_by_index(self):
         seeds = {derive_seed(42, i) for i in range(100)}
