@@ -213,17 +213,17 @@ def cmd_ingest(config: RunConfig) -> int:
 
 def cmd_features(config: RunConfig) -> int:
     out, corpus, _, valid, _, _ = _load_dataset(config, "extract")
-    rows, warnings = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
+    rows, notes = features_mod.compute_feature_matrix(corpus, valid, config.f4_mode, config.threads)
     features_mod.write_feature_matrix(rows, out / "features.csv")
-    _write_json(out / "features_warnings.json", warnings)
+    _write_json(out / "features_warnings.json", notes)
     print(f"feature matrix: {len(rows)} pairs -> {out / 'features.csv'}")
-    print(f"warnings: {len(warnings)} -> {out / 'features_warnings.json'}")
+    print(f"warnings: {len(notes)} -> {out / 'features_warnings.json'}")
     return 0
 
 
 def cmd_evaluate(config: RunConfig) -> int:
     out, corpus, _, valid, stats, _ = _load_dataset(config, "evaluate")
-    rows, _ = features_mod.compute_feature_matrix(corpus, valid, f4_mode=config.f4_mode)
+    rows, _ = features_mod.compute_feature_matrix(corpus, valid, config.f4_mode, config.threads)
     del corpus, valid  # rows and stats hold no reference to them; free the texts
 
     # Only evaluate loads numpy (through forest and evaluation), and only now, into

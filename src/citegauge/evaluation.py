@@ -15,7 +15,6 @@ import csv
 import json
 import logging
 import math
-import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -24,7 +23,7 @@ import numpy as np
 
 from .corpus import CitationPair, CorpusStats, pair_key
 from .errors import ConfigurationError, EvaluationError
-from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES, feature_set_order
+from .features import DEFAULT_RECALL_LEVELS, FEATURE_NAMES, feature_set_order, usable_workers
 from .forest import _streams, derive_seed, predict_proba, train
 
 logger = logging.getLogger(__name__)
@@ -106,9 +105,7 @@ def cross_validate(
         return train(X[~split[1]], y[~split[1]], trees, derive_seed(seed, 1000 + split[0]), pool)
 
     pool = None  # the process pool the fold threads train on, if any
-    if workers > 1:  # sched_getaffinity is Linux-only; elsewhere count every CPU
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(workers, cpus or 1, len(splits))
+    workers = usable_workers(workers, len(splits))
     scores = np.empty(len(y))
     if workers <= 1:
         for split in splits:  # no name holds a forest: each is freed before the next grows

@@ -6,11 +6,12 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
 import sys
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 from pathlib import Path
-from typing import Container, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from . import citeparse
 from .citeparse import analyze_citations
@@ -143,84 +144,131 @@ def _pop_vector(idf: Mapping[str, float], counts: dict, paper_id: str) -> dict[s
     return vector
 
 
-def compute_feature_matrix(
-    corpus: Corpus, pairs: Sequence[CitationPair], f4_mode: str = "jaccard"
-) -> tuple[list[tuple[CitationPair, FeatureVector]], list[dict]]:
-    """Extract features for every pair, collecting per-pair warnings.
+def usable_workers(workers: int, tasks: int) -> int:
+    """``workers`` capped at ``tasks`` and at the CPUs this process may use."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux-only; elsewhere count every CPU
+    return min(workers, len(affinity(0)) if affinity else os.cpu_count() or 1, tasks)
 
-    Pairs are grouped by citing paper. Each citing paper is indexed once
-    (bibliography parsed, markers counted), all of its pairs are scored against
-    that index, and the index, the paper's author labels and its tf-idf vector
-    are dropped before the next paper is indexed. Each cited paper's match
-    keys, author labels and tf-idf vector are built once and kept. Each
-    abstract is tokenized once, by the tf-idf fit, which keeps the paired
-    papers' term counts until each one's vector is built.
-    Rows and warnings keep the input pair order. Pairs that fail extraction
-    are excluded and reported in the warnings list. One WARNING log line
-    counts the pairs with problems by reason, and each warning is logged at
-    DEBUG level, in the same order.
-    """
-    author_overlap((), (), f4_mode)  # rejects an unknown mode before any work
+
+def _by_citing(pairs: Sequence[CitationPair]) -> dict[str, list[int]]:
+    groups: dict[str, list[int]] = {}  # pair positions by citing paper, in first-seen order
+    for position, pair in enumerate(pairs):
+        groups.setdefault(pair.citing_id, []).append(position)
+    return groups
+
+
+def metadata_features(corpus: Corpus, pairs: Sequence[CitationPair], f4_mode: str) -> list:
+    """Each pair's (f4, f9), or None where a record is missing, from abstracts
+    and authors only. A cited paper's author labels and tf-idf vector are kept;
+    a citing paper's are dropped after its pairs, unless it is also cited."""
     cited_ids = {pair.cited_id for pair in pairs}
     idf, counts = fit_corpus_tfidf(corpus, cited_ids | {pair.citing_id for pair in pairs})
 
-    @cache  # cited papers recur across citing papers
-    def cited_side(paper_id: str) -> tuple[citeparse.CitedKeys, frozenset[str], dict[str, float]]:
-        cited = corpus[paper_id]
-        keys = citeparse.cited_keys(cited)
-        return keys, _author_labels(cited.authors), _pop_vector(idf, counts, paper_id)
+    def side(paper_id: str) -> tuple[frozenset[str], dict[str, float]]:
+        return _author_labels(corpus[paper_id].authors), _pop_vector(idf, counts, paper_id)
 
-    results: list = [None] * len(pairs)
+    cited_side = cache(side)  # cited papers recur across citing papers
+    results: list[tuple[float, float] | None] = [None] * len(pairs)
+    for citing_id, positions in _by_citing(pairs).items():
+        if citing_id in corpus:
+            labels, vector = (cited_side if citing_id in cited_ids else side)(citing_id)
+            for position in positions:
+                if pairs[position].cited_id in corpus:
+                    cited_labels, cited_vector = cited_side(pairs[position].cited_id)
+                    f4 = _label_overlap(labels, cited_labels, f4_mode)
+                    results[position] = f4, cosine_similarity(vector, cited_vector)
+    return results
+
+
+def _alongside(here: Callable[[], None], there: Callable[[], object]):
+    """Run ``here()`` while a forked child runs ``there()``; return what the
+    child sends back over a one-way pipe, or raise what it raised, once it is reaped."""
+    import multiprocessing  # deferred: only a run with two usable CPUs forks
+
+    def send() -> None:  # in the child, which inherits what ``there`` reads
+        try:
+            sender.send((True, there()))
+        except Exception as exc:  # raised again in the parent
+            sender.send((False, exc))
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=send)
+    child.start()
+    sender.close()  # the child holds the only write end, so its exit ends the pipe
+    try:
+        here()
+        ok, result = receiver.recv()  # before the join: a large result blocks the child
+    except EOFError:
+        raise RuntimeError("the feature worker exited without sending a result") from None
+    finally:
+        receiver.close()
+        child.terminate()  # stops a child whose result is not wanted; harmless once it has sent
+        child.join()
+    if not ok:
+        raise result
+    return result
+
+
+def compute_feature_matrix(
+    corpus: Corpus, pairs: Sequence[CitationPair], f4_mode: str = "jaccard", workers: int = 1
+) -> tuple[list[tuple[CitationPair, FeatureVector]], list[dict]]:
+    """Extract features for every pair, collecting per-pair warnings.
+
+    f1 is counted per citing paper, against one index of its bibliography and
+    markers, built once and dropped before the next paper's. f4 and f9 come
+    from ``metadata_features``: in a forked child while f1 is counted here if
+    ``usable_workers`` allows two, else after f1, so the two memory peaks do
+    not add up. Rows and warnings keep the input pair order; pairs that fail
+    extraction are only in the warnings. One WARNING log line counts the pairs
+    with problems by reason, and each warning is logged at DEBUG level, in order.
+    """
+    author_overlap((), (), f4_mode)  # rejects an unknown mode before any work
+    keys_of = cache(lambda paper_id: citeparse.cited_keys(corpus[paper_id]))  # cited papers recur
+    results: list = [None] * len(pairs)  # (f1 or None, notes) per pair
     reasons: Counter[str] = Counter()  # pairs per problem
 
-    def score_citing_paper(citing_id: str, positions: list[int]) -> None:
-        # The index, labels and tf-idf vector live in this frame only, so they are freed on return.
-        citing = corpus.get(citing_id)
-        if citing is not None:
-            index = citeparse.index_citing_paper(citing)
-            labels = _author_labels(citing.authors)
-            # A citing paper that is also cited shares its cached vector.
-            shared = citing_id in cited_ids
-            vector = cited_side(citing_id)[2] if shared else _pop_vector(idf, counts, citing_id)
-        for position in positions:
-            pair = pairs[position]
-            cited = corpus.get(pair.cited_id)
-            if citing is None or cited is None:
-                reasons["missing record"] += 1
-                results[position] = None, [_note(pair, "extraction-error", "missing record")]
-                continue
-            keys, cited_labels, cited_vector = cited_side(cited.id)
-            analysis = analyze_citations(citing, cited, index=index, keys=keys)
-            if not analysis.bibliography_parsed:
-                reasons["unparseable bibliography"] += 1
-            elif analysis.warnings:
-                reasons["no matching bibliography entry"] += 1
-            notes = [_note(pair, "warning", w) for w in analysis.warnings]
-            if analysis.unresolved:
-                reasons["unresolved markers"] += 1
-                detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
-                notes.append(_note(pair, "unresolved-markers", detail))
-            f4 = _label_overlap(labels, cited_labels, f4_mode)
-            f9 = cosine_similarity(vector, cited_vector)
-            results[position] = FeatureVector(analysis.count, f4, f9), notes
+    def citation_counts() -> None:
+        for citing_id, positions in _by_citing(pairs).items():
+            citing = corpus.get(citing_id)
+            index = None if citing is None else citeparse.index_citing_paper(citing)
+            for position in positions:
+                pair = pairs[position]
+                cited = corpus.get(pair.cited_id)
+                if citing is None or cited is None:
+                    reasons["missing record"] += 1
+                    results[position] = None, [_note(pair, "extraction-error", "missing record")]
+                    continue
+                analysis = analyze_citations(citing, cited, index=index, keys=keys_of(cited.id))
+                if not analysis.bibliography_parsed:
+                    reasons["unparseable bibliography"] += 1
+                elif analysis.warnings:
+                    reasons["no matching bibliography entry"] += 1
+                notes = [_note(pair, "warning", w) for w in analysis.warnings]
+                if analysis.unresolved:
+                    reasons["unresolved markers"] += 1
+                    detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
+                    notes.append(_note(pair, "unresolved-markers", detail))
+                results[position] = analysis.count, notes
+            del index  # one citing paper's index at a time
 
-    by_citing: dict[str, list[int]] = {}
-    for position, pair in enumerate(pairs):
-        by_citing.setdefault(pair.citing_id, []).append(position)
-    for citing_id, positions in by_citing.items():
-        score_citing_paper(citing_id, positions)
+    if usable_workers(workers, 2) > 1:
+        f4_f9 = _alongside(citation_counts, partial(metadata_features, corpus, pairs, f4_mode))
+    else:
+        citation_counts()
+        f4_f9 = metadata_features(corpus, pairs, f4_mode)
     if reasons:
         summary = ", ".join(f"{reason}: {count}" for reason, count in sorted(reasons.items()))
         logger.warning("feature extraction problems by pair count (of %d): %s", len(pairs), summary)
 
     rows: list[tuple[CitationPair, FeatureVector]] = []
     warnings: list[dict] = []
-    for pair, (vector, notes) in zip(pairs, results):
+    for pair, (f1, notes), f4_and_f9 in zip(pairs, results, f4_f9):
         for note in notes:
             logger.debug("%(citing_id)s -> %(cited_id)s %(type)s: %(detail)s", note)
         warnings.extend(notes)
-        if vector is not None:
-            rows.append((pair, vector))
+        if f1 is not None:
+            rows.append((pair, FeatureVector(f1, *f4_and_f9)))
     return rows, warnings
 
 

@@ -1,3 +1,4 @@
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -51,6 +52,27 @@ class FailingGrower:
 
     def __call__(self, *args, **kwargs):
         raise self.error("grower failed in a worker")
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that ``workers=2`` is not capped to the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def fork_calls(monkeypatch):
+    """The start methods asked of ``multiprocessing.get_context``, in call order."""
+    import multiprocessing
+
+    calls, get_context = [], multiprocessing.get_context
+
+    def spy(method=None):
+        calls.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return calls
 
 
 @pytest.fixture

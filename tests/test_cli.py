@@ -1,7 +1,9 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -21,7 +23,7 @@ from fixture_corpus import (
     all_papers,
     write_dataset,
 )
-from conftest import FailingGrower
+from conftest import FailingGrower, make_paper
 from oracles import oracle_author_jaccard, oracle_cosine, oracle_tfidf_vector
 
 
@@ -33,6 +35,9 @@ def _python(script, *argv, **kwargs):
     """Run script in a fresh interpreter that imports this checkout's package."""
     env = {**os.environ, "PYTHONPATH": str(Path(citegauge.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", script, *argv], env=env, **kwargs)
+
+
+_FEATURE_ARTIFACTS = ("features.csv", "features_warnings.json")
 
 
 def _evaluate_args(corpus_dir, pairs_file, out_dir, *extra):
@@ -142,6 +147,62 @@ class TestFeaturesCommand:
             lines.append(f"{citing},{cited},{counts[citing]},{f4:.6f},{f9:.6f},{label}")
         golden = "\n".join(lines) + "\n"
         assert (out / "features.csv").read_text(encoding="utf-8") == golden
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_threads_do_not_change_artifacts_or_stdout(self, tmp_path, capsys, fork_calls):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        outputs = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            assert _run(
+                "features", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+                "--output", str(out), "--threads", threads,
+            ) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "OUT")
+            artifacts = [(out / name).read_bytes() for name in _FEATURE_ARTIFACTS]
+            outputs[threads] = stdout, artifacts
+        assert outputs["1"] == outputs["2"]
+        assert fork_calls == ["fork"]  # --threads 2 forked the f4/f9 child
+
+    def test_debug_lines_keep_their_order_across_threads(self, tmp_path, monkeypatch):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        script = "import os; os.sched_getaffinity = lambda pid: {0, 1}\n" + _MAIN
+        monkeypatch.setenv("CITEGAUGE_LOG", "DEBUG")
+        lines = {}
+        for threads in ("1", "2"):
+            args = ["features", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+                    "--output", str(tmp_path / "out"), "--threads", threads]
+            result = _python(script, *args, capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            lines[threads] = [
+                line for line in result.stderr.splitlines()
+                if line.startswith("DEBUG:citegauge.features:")
+            ]
+        assert len(lines["1"]) >= 3  # one per warning in features_warnings.json
+        assert lines["1"] == lines["2"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.usefixtures("two_cpus")
+    def test_too_few_abstracts_exits_1(self, tmp_path, monkeypatch, capsys, threads):
+        # Every pair that passes the abstract filter brings two abstracts, so the
+        # filter is bypassed: "b" has none, and the tf-idf fit sees one document.
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for record in (
+            make_paper("a", "A", ["A B"], abstract="the only abstract", body="text"),
+            make_paper("b", "B", ["C D"], body="text"),
+        ):
+            (corpus_dir / f"{record.id}.json").write_text(json.dumps(asdict(record)))
+        pairs_file = tmp_path / "pairs.tsv"
+        pairs_file.write_text("citing_id\tcited_id\tlabel\na\tb\t0\n", encoding="utf-8")
+        monkeypatch.setattr(cli_module.corpus_mod, "filter_valid_pairs", lambda pairs, *_: pairs)
+        code = _run(
+            "features", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / "out"), "--threads", threads,
+        )
+        assert code == 1
+        assert "tf-idf needs at least 2 documents, got 1" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("command", ["features", "evaluate"])
     def test_all_pairs_filtered_out_exits_2(self, tmp_path, command):
@@ -301,6 +362,21 @@ class TestImport:
         assert result.returncode == 0, result.stderr
         for name in ("correlations.csv", "pr_grid.csv", "pr_points.csv"):
             assert (blocked / name).read_bytes() == (normal / name).read_bytes(), name
+
+    def test_features_on_two_threads_loads_no_numpy(self, tmp_path):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        script = (
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from citegauge import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules, 'multiprocessing' in sys.modules)\n"
+        )
+        args = ["features", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+                "--output", str(tmp_path / "out"), "--threads", "2"]
+        result = _python(script, *args, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        # the f4/f9 child was forked (multiprocessing loaded), and numpy never loaded
+        assert result.stdout.splitlines()[-1] == "0 False True"
 
     def test_package_import_skips_numpy(self):
         script = "import sys, citegauge, citegauge.cli; print('numpy' in sys.modules)"

@@ -32,12 +32,6 @@ from conftest import xy
 from oracles import oracle_pearson_p, oracle_pearson_p_closed_form, oracle_stratified_folds
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so that ``workers=2`` is not capped to the serial path."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-
 def _pairs(labels):
     return [CitationPair(f"c{i:03d}", "t", label) for i, label in enumerate(labels)]
 

@@ -1,6 +1,9 @@
 import logging
 import math
+import multiprocessing
+import os
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -302,12 +305,22 @@ class TestFeatureMatrixOracle:
             assert 0.0 <= vec.f9_abstract_sim <= 1.0
             assert 0.0 <= vec.f4_author_overlap <= 1.0
 
-    def test_reproducible_across_runs_and_threads(self):
+    @pytest.mark.usefixtures("two_cpus")
+    def test_reproducible_across_runs_and_threads(self, fork_calls):
         corpus = make_corpus(*all_papers())
+        # c09's bibliography does not parse, and "ghost" is no record
         pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
-        rows_a, _ = compute_feature_matrix(corpus, pairs)
-        rows_c, _ = compute_feature_matrix(corpus, pairs)
-        assert rows_a == rows_c
+        pairs.insert(3, CitationPair("c01", "ghost", 0))
+        serial = compute_feature_matrix(corpus, pairs, workers=1)
+        assert fork_calls == []
+        assert compute_feature_matrix(corpus, pairs, workers=1) == serial
+        assert compute_feature_matrix(corpus, pairs, workers=2) == serial
+        assert fork_calls == ["fork"]
+        rows, warnings = serial
+        assert len(rows) == len(pairs) - 1
+        kinds = {"warning", "unresolved-markers", "extraction-error"}
+        assert {w["type"] for w in warnings} == kinds
+        assert any("bibliography" in w["detail"] for w in warnings if w["citing_id"] == "c09")
 
     def test_missing_record_collects_warning(self):
         corpus = make_corpus(*all_papers())
@@ -452,3 +465,94 @@ class TestStreamedFeatureMatrix:
             assert sorted(keyed) == sorted(cited)
             assert sorted(tokenized) == sorted(abstracts)
             assert sorted(built) == sorted(cited | {p.citing_id for p in pairs})
+
+
+class TestForkedMetadataFeatures:
+    """At ``workers`` >= 2, f4 and f9 come from a forked child while the parent
+    counts f1; every outcome must match the inline run, and no child outlives
+    the call."""
+
+    @staticmethod
+    def _one_abstract_corpus():
+        return make_corpus(
+            make_paper("a", authors=["A B"], abstract="only abstract here", body="text"),
+            make_paper("b", authors=["C D"], body="text"),
+        )
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_child_error_is_raised_with_its_type_and_message(self, fork_calls):
+        corpus, pairs = self._one_abstract_corpus(), [CitationPair("a", "b", 0)]
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match="at least 2 documents") as info:
+                compute_feature_matrix(corpus, pairs, workers=workers)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        assert fork_calls == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_child_exit_without_a_result_raises(self, monkeypatch):
+        monkeypatch.setattr(features_mod, "metadata_features", lambda *args: os._exit(3))
+        corpus = make_corpus(*all_papers())
+        pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        with pytest.raises(RuntimeError, match="without sending a result"):
+            compute_feature_matrix(corpus, pairs, workers=2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_parent_error_stops_the_child(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise KeyError("parent side failed")
+
+        monkeypatch.setattr(features_mod, "analyze_citations", fail)
+        monkeypatch.setattr(features_mod, "metadata_features", lambda *args: time.sleep(60))
+        pairs = [CitationPair("citing", "cited", 1)]
+        started = time.perf_counter()
+        with pytest.raises(KeyError, match="parent side failed"):
+            compute_feature_matrix(_maximal_pair_corpus(), pairs, workers=2)
+        assert time.perf_counter() - started < 30
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_success_leaves_no_child(self, fork_calls):
+        corpus = make_corpus(*all_papers())
+        pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        serial = compute_feature_matrix(corpus, pairs)
+        assert compute_feature_matrix(corpus, pairs, workers=2) == serial
+        assert fork_calls == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    def test_result_larger_than_the_pipe_buffer(self):
+        # the parent reads before it joins, so a child blocked on a full pipe is drained
+        big = ["x" * 1000] * 1000
+        assert features_mod._alongside(lambda: None, lambda: big) == big
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_forks_nothing(self, monkeypatch, fork_calls):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        corpus = make_corpus(*all_papers())
+        pairs = [CitationPair(c, t, label) for c, t, label in PAIR_ROWS]
+        serial = compute_feature_matrix(corpus, pairs)
+        assert compute_feature_matrix(corpus, pairs, workers=4) == serial
+        assert fork_calls == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_unknown_f4_mode_rejected_before_any_fork(self, fork_calls):
+        with pytest.raises(ConfigurationError, match="'dice'"):
+            compute_feature_matrix(
+                _maximal_pair_corpus(), [CitationPair("citing", "cited", 1)], "dice", workers=2
+            )
+        assert fork_calls == []
+
+    @pytest.mark.parametrize(
+        "workers, tasks, cpus, want",
+        [(1, 10, {0, 1}, 1), (2, 10, {0, 1}, 2), (4, 10, {0, 1}, 2), (4, 3, {0, 1, 2, 3}, 3),
+         (2, 10, {0}, 1)],
+    )
+    def test_usable_workers(self, monkeypatch, workers, tasks, cpus, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert features_mod.usable_workers(workers, tasks) == want
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # the count is unknown: one CPU
+        assert features_mod.usable_workers(workers, tasks) == 1
