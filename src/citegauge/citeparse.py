@@ -202,8 +202,6 @@ def segment_references(body: str) -> tuple[str, list[str]]:
 
 def _split_entries(block: str) -> list[str]:
     lines = block.splitlines()
-    filled = [i for i, ln in enumerate(lines) if ln.strip()]
-    lines = lines[filled[0] : filled[-1] + 1] if filled else []
     bracket_starts = [i for i, ln in enumerate(lines) if _BRACKET_KEY_RE.match(ln)]
     dotted_starts = [i for i, ln in enumerate(lines) if _DOTTED_KEY_RE.match(ln)]
 

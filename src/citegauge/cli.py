@@ -51,6 +51,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or value is None and name in inputs):
                 raise ConfigurationError(f"{name} must be a string")
+        if not self.output_dir:  # "" would write the artifacts into the current directory
+            raise ConfigurationError("--output must not be empty")
         if not isinstance(self.recall_levels, list) or not all(
             _is_number(r, (int, float)) for r in self.recall_levels
         ):

@@ -85,12 +85,13 @@ def cross_validate(
     """Stratified k-fold cross-validation: each fold is scored by a forest of
     ``trees`` trees trained on the other k-1 folds. Returns one score per row.
     ``seed`` draws the folds, and fold i's forest has seed
-    ``derive_seed(seed, 1000 + i)``. Every training split is
-    checked before any forest grows. With ``workers`` above 1 (capped at the
-    usable CPUs and at the non-empty folds), a pool of that many forked
-    processes then opens, and up to that many folds grow at once, each whole
-    in one worker from its own thread; both pools are reaped before this
-    returns, and the scores do not depend on them."""
+    ``derive_seed(seed, 1000 + i)``. Every training split is checked before
+    any forest grows. With ``workers`` above 1 (capped at the usable CPUs and
+    at the non-empty folds), a pool of that many forked processes then opens,
+    and up to that many folds grow at once, each whole in one worker from its
+    own thread; the scores do not depend on them. A failed fold or a dead
+    worker (``BrokenProcessPool``) drops the folds not started, and both pools
+    are reaped, after the folds growing, before this returns or raises."""
     folds = stratified_folds(y, k, seed)
     splits = [(fold, test) for fold in range(k) if (test := folds == fold).any()]
     for fold, test in splits:
@@ -101,30 +102,28 @@ def cross_validate(
                 f"({np.count_nonzero(~test)} rows, labels {labels})"
             )
 
-    def fold_model(split):
-        return train(X[~split[1]], y[~split[1]], trees, derive_seed(seed, 1000 + split[0]), pool)
+    def fold_model(fold, test):
+        if not failed:  # once a fold fails, those not yet started return None, unscored
+            try:
+                return train(X[~test], y[~test], trees, derive_seed(seed, 1000 + fold), pool)
+            except BaseException:
+                failed.append(fold)
+                raise
 
-    pool = None  # the process pool the fold threads train on, if any
+    pool, failed = None, []  # the process pool the fold threads train on, if any; failed folds
     workers = usable_workers(workers, len(splits))
     scores = np.empty(len(y))
     if workers <= 1:
-        for split in splits:  # no name holds a forest: each is freed before the next grows
-            scores[split[1]] = predict_proba(fold_model(split), X[split[1]])
+        for fold, test in splits:  # no name holds a forest: each is freed before the next grows
+            scores[test] = predict_proba(fold_model(fold, test), X[test])
         return scores
-    import multiprocessing.pool  # deferred: the serial path never needs it
-
-    # Forked before the fold threads start; the pool's exit terminates and joins its workers.
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        threads = multiprocessing.pool.ThreadPool(workers)
-        try:
-            for (_, test), model in zip(splits, threads.imap(fold_model, splits)):
-                scores[test] = predict_proba(model, X[test])
-        except Exception:  # not an interrupt, which can stop a worker that then never answers
-            threads.terminate()  # drops the folds not started,
-            threads.join()  # and waits for those growing
-            raise
-        threads.close()
-        threads.join()
+    import multiprocessing  # deferred: the serial path never needs them
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, fork) as pool, ThreadPoolExecutor(workers) as threads:
+        pool.submit(int).result()  # forks every worker here, before any fold thread starts
+        for (_, test), model in zip(splits, threads.map(fold_model, *zip(*splits))):
+            scores[test] = predict_proba(model, X[test])
     return scores
 
 

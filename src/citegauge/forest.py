@@ -407,9 +407,9 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
 
     The trees grow together, in level passes as wide as the first
     ``_BATCH_TREES`` trees' roots or ``_PASS_SLOTS`` slots, whichever is more
-    (``_grow_trees``). ``pool``, a ``multiprocessing`` pool, grows the whole
-    forest as one task in one of its workers, in passes as full as here, so
-    the model is the same with or without it.
+    (``_grow_trees``). ``pool``, a ``concurrent.futures`` executor, grows the
+    whole forest as one task in one of its workers, in passes as full as here,
+    so the model is the same with or without it.
     """
     if isinstance(trees, bool) or not isinstance(trees, (int, np.integer)):
         raise ConfigurationError(f"trees must be an integer, got {trees!r}")
@@ -438,7 +438,7 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
         raise TrainingError("training data contains a single class")
 
     args = (X, y, [derive_seed(seed, i) for i in range(trees)])
-    counts, columns = _grow_trees(*args) if pool is None else pool.apply(_grow_trees, args)
+    counts, columns = pool.submit(_grow_trees, *args).result() if pool else _grow_trees(*args)
     ends = np.cumsum(counts).tolist()  # each tree's arrays are views into the forest's table
     return ForestModel([DecisionTree(*(c[a:b] for c in columns)) for a, b in zip([0] + ends, ends)])
 

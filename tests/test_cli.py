@@ -701,6 +701,27 @@ class TestUsage:
         assert "output directory" in err and "internal error" not in err
 
     @pytest.mark.parametrize("command", ["ingest", "features", "evaluate"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_output_exits_1_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, source
+    ):
+        # An empty path would otherwise write the artifacts into the current directory.
+        corpus_dir, pairs_file = write_dataset(tmp_path / "data")
+        config_path = tmp_path / "data" / "run.json"
+        config_path.write_text(json.dumps({"output_dir": ""}), encoding="utf-8")
+        extra = ("--output", "") if source == "flag" else ("--config", str(config_path))
+        monkeypatch.chdir(tmp_path)
+
+        def load(path):
+            raise AssertionError("the corpus was loaded")
+
+        monkeypatch.setattr(cli_module.corpus_mod, "load_corpus", load)
+        code = _run(command, "--corpus", str(corpus_dir), "--pairs", str(pairs_file), *extra)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --output must not be empty")
+        assert [path.name for path in tmp_path.iterdir()] == ["data"]
+
+    @pytest.mark.parametrize("command", ["ingest", "features", "evaluate"])
     @pytest.mark.parametrize(
         "extra",
         [("--folds", "1"), ("--trees", "0"), ("--threads", "0"),

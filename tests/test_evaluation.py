@@ -2,15 +2,20 @@ import math
 import multiprocessing
 import os
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import citegauge
 from citegauge import evaluation, forest
 from citegauge.corpus import CitationPair, filter_valid_pairs, load_corpus, load_pairs, pair_key
 from citegauge.errors import ConfigurationError, EvaluationError, TrainingError
@@ -259,6 +264,78 @@ class TestCrossValidate:
         assert threading.active_count() == threads
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.usefixtures("two_cpus")
+    def test_pooled_failure_trains_no_fold_not_started(self, monkeypatch):
+        X, y = _arrays([0, 1] * 10)
+        fold_of = {derive_seed(5, 1000 + fold): fold for fold in range(4)}
+        real_train, trained, failed = evaluation.train, [], threading.Event()
+
+        def spy(X, y, trees, seed, pool=None):
+            trained.append(fold_of[seed])
+            if fold_of[seed] == 1:
+                failed.set()
+                raise TrainingError("fold 1 failed")
+            if fold_of[seed] == 0:  # still growing, and awaited, while fold 1's thread is free
+                assert failed.wait(60)
+                time.sleep(0.3)
+            return real_train(X, y, trees, seed, pool=pool)
+
+        monkeypatch.setattr(evaluation, "train", spy)
+        with pytest.raises(TrainingError, match="fold 1 failed"):
+            cross_validate(X, y, 3, 4, 5, workers=2)
+        assert sorted(trained) == [0, 1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("two_cpus")
+    def test_pooled_forks_on_the_main_thread_before_any_fold_thread(self, monkeypatch):
+        # A fork while another thread runs can copy a lock that thread holds.
+        X, y = _arrays([0, 1] * 10)
+        real_fork, real_train, forks, folds = os.fork, evaluation.train, [], []
+
+        def fork():
+            forks.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+            return real_fork()
+
+        def spy(X, y, trees, seed, pool=None):
+            folds.append((threading.current_thread() is threading.main_thread(), len(forks)))
+            return real_train(X, y, trees, seed, pool=pool)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(evaluation, "train", spy)
+        threads = threading.active_count()
+        pooled = cross_validate(X, y, 5, 4, 11, workers=2)
+        assert forks == [(True, threads)] * 2
+        assert folds == [(False, 2)] * 4
+        assert pooled.tobytes() == cross_validate(X, y, 5, 4, 11).tobytes()
+
+    def test_killed_worker_fails_instead_of_hanging(self):
+        # A fresh interpreter with a time limit, so that a pool which waits on
+        # a dead worker fails this test instead of hanging the suite.
+        script = textwrap.dedent(
+            """
+            import multiprocessing, os
+            import numpy as np
+            from citegauge import evaluation, forest
+
+            def die(*args):  # pickled by name; the forked worker finds it in __main__
+                os._exit(9)
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            forest._grow_trees = die
+            X, y = np.arange(40.0).reshape(20, 2), np.arange(20) % 2
+            try:
+                evaluation.cross_validate(X, y, 3, 4, 5, workers=2)
+            except RuntimeError as exc:
+                print(type(exc).__name__, multiprocessing.active_children())
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(citegauge.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (result.returncode, result.stdout) == (0, "BrokenProcessPool []\n"), result.stderr
+
     # A lone positive is dealt to fold 0; with one class, every split is single-class.
     @pytest.mark.parametrize("labels", [[0, 0, 0, 1, 0, 0], [1] * 6])
     @pytest.mark.parametrize("pooled", [False, True])
@@ -274,14 +351,15 @@ class TestCrossValidate:
     @pytest.mark.usefixtures("two_cpus")
     def test_single_class_split_forks_no_process(self, monkeypatch):
         # The pool opens only once every training split has two classes.
-        context = multiprocessing.get_context("fork")
-        real_pool, opened = context.Pool, []
+        import concurrent.futures
+
+        real_pool, opened = concurrent.futures.ProcessPoolExecutor, []
 
         def spy(*args, **kwargs):
             opened.append(args)
             return real_pool(*args, **kwargs)
 
-        monkeypatch.setattr(context, "Pool", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
         rows = _features_for(_pairs([0, 0, 0, 1, 0, 0]))  # fold 0 holds the lone positive
         with pytest.raises(EvaluationError, match="^fold 0: training split contains a single"):
             run_evaluation(rows, 2, k=3, seed=3, workers=2)

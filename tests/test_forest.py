@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import Future, ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -467,25 +468,31 @@ class TestGrowerMemory:
         assert len(passes) == 39
 
 
-class ApplyOnlyPool:
-    """Offers only the ``apply`` that ``train`` may call, pickles each task's
-    function and arguments as a process pool would, and counts the tasks."""
+class SubmitOnlyPool:
+    """Offers only the ``submit`` that ``train`` may call, pickles each task's
+    function, arguments and result as a process pool would, and counts the tasks."""
 
     def __init__(self):
         self.tasks = 0
 
-    def apply(self, func, args):
+    def submit(self, func, *args):
         self.tasks += 1
         func, args = pickle.loads(pickle.dumps((func, args)))
-        return func(*args)
+        future = Future()
+        future.set_result(pickle.loads(pickle.dumps(func(*args))))
+        return future
 
 
-@pytest.fixture(scope="module", params=[2, 3, "apply-only"])
+def _fork_executor(workers):
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+
+
+@pytest.fixture(scope="module", params=[2, 3, "submit-only"])
 def pool(request):
-    if request.param == "apply-only":
-        yield ApplyOnlyPool()
+    if request.param == "submit-only":
+        yield SubmitOnlyPool()
         return
-    with multiprocessing.get_context("fork").Pool(request.param) as workers:
+    with _fork_executor(request.param) as workers:
         yield workers
 
 
@@ -504,14 +511,14 @@ class TestTrainOnPool:
 
     def test_whole_forest_is_one_task(self):
         # The trees grow in one worker, in passes as full as the serial path's.
-        pool, data = ApplyOnlyPool(), self._data()
+        pool, data = SubmitOnlyPool(), self._data()
         pooled = train(*xy(data), 100, 5, pool=pool)
         assert pool.tasks == 1
         assert_same_model(pooled, train(*xy(data), 100, 5))
 
     def test_worker_error_keeps_its_type(self, monkeypatch):
         monkeypatch.setattr(forest, "_grow_trees", FailingGrower(TrainingError))
-        with multiprocessing.get_context("fork").Pool(2) as workers:  # forked after the patch
+        with _fork_executor(2) as workers:  # forks at its first task, after the patch
             with pytest.raises(TrainingError, match="in a worker"):
                 train(*xy(self._data()), 4, 1, pool=workers)
 
