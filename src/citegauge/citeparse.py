@@ -56,6 +56,9 @@ _PAREN_SEG_RE = re.compile(
     rf",?\s+((?:1[89]|20)\d{{2}}[a-z]?)$",
     re.DOTALL,
 )
+# One trailing page or chapter locator, as in "Smith, 2013, p. 4" or ", pp. 4-5".
+# A segment is matched without it, and its marker leaves it out.
+_LOCATOR_RE = re.compile(r",\s*(?:pp?|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?\Z")
 
 # Narrative author-year: "Smith (2010)", "Smith and Lee (2011)", "Smith et al. (2012)".
 # The names contain no parenthesis, so a marker ends at the first "(year)"
@@ -369,6 +372,16 @@ def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
     return markers
 
 
+def _paren_segment(seg: str) -> re.Match | None:
+    """``_PAREN_SEG_RE``'s match of a parenthetical segment less its trailing
+    locator (``_LOCATOR_RE``), if it has one. A segment that matches whole
+    ends in a year, so it has no locator and is searched for none."""
+    match = _PAREN_SEG_RE.match(seg)
+    if match is None and (locator := _LOCATOR_RE.search(seg)):
+        match = _PAREN_SEG_RE.match(seg, 0, locator.start())
+    return match
+
+
 def find_in_text_citations(
     main_text: str, entries: list[BibliographyEntry]
 ) -> tuple[list[InTextCitation], list[UnresolvedMarker]]:
@@ -382,7 +395,8 @@ def find_in_text_citations(
     A second name narrows the candidates to those listing it, then the author
     count the marker implies (one name: 1, two: 2, "et al.": 3 or more) narrows
     them to the entries with that many surnames; either step is skipped when
-    no candidate passes it. Ties go to the lowest entry index.
+    no candidate passes it. Ties go to the lowest entry index. A parenthetical
+    marker may end in one page or chapter locator (", p. 4"), which it omits.
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -433,12 +447,10 @@ def find_in_text_citations(
         seg_start = 0
         for segment in inner.split(";"):
             seg = segment.strip()
-            seg_match = _PAREN_SEG_RE.match(seg)
+            seg_match = _paren_segment(seg)
             if seg_match:
                 offset = paren.start(1) + seg_start + segment.index(seg[0])
-                handle_author_year(
-                    offset, seg, seg_match.group(1), seg_match.group(2), seg_match.group(3)
-                )
+                handle_author_year(offset, seg_match.group(0), *seg_match.group(1, 2, 3))
             seg_start += len(segment) + 1
 
     for offset, marker, name1, name2, year in narrative_markers(main_text):

@@ -58,14 +58,15 @@ _MAX_ROWS = 1 << 18
 # The first level pass holds the first _BATCH_TREES trees, or as many as fill
 # _PASS_SLOTS slots where that is more, and its width caps every later pass
 # (`_grow_trees`). The width bounds the grower's working memory; the trees do
-# not depend on it. Each pass costs about 0.5 ms however narrow, and 13 000
-# slots (about 50 trees) take a 418-row `paper` fold from 40 passes to 26;
-# 20 000 slots (21 passes) were not measurably faster. Growing a forest of
-# 100 trees peaks (tracemalloc) at 1.9 MiB on the tests' seeded 418-row
-# f1/f4/f9-like fold, 1.7 MiB on a 418-row `paper` fold, 1.9 MiB on a
-# 575-row `forest` one and 14.7 MiB on the tests' 4 500-row fold, where 25
-# trees fill 71 000 slots. Passes of 25 trees with 64-bit slot arrays peaked
-# at 2.5, 2.1, 3.0 and 24.8 MiB.
+# not depend on it. A pass costs about 0.3 ms plus 90 ns per slot
+# (least-squares fits over a 418-row `paper` fold's passes), and 13 000 slots
+# (about 50 trees) take that fold from 40 passes to 26; 20 000 slots (21
+# passes) were not measurably faster. Growing a forest of 100 trees peaks
+# (tracemalloc) at 1.9 MiB on the tests' seeded 418-row f1/f4/f9-like fold,
+# 1.7 MiB on a 418-row `paper` fold, 1.9 MiB on a 575-row `forest` one and
+# 14.7 MiB on the tests' 4 500-row fold, where 25 trees fill 71 000 slots.
+# Passes of 25 trees with 64-bit slot arrays peaked at 2.5, 2.1, 3.0 and
+# 24.8 MiB.
 _BATCH_TREES = 25
 _PASS_SLOTS = 13_000
 
@@ -75,6 +76,14 @@ _PASS_SLOTS = 13_000
 # down to 6.5 rows per value at 418 rows and to 31 at 2 000 rows, 4% slower at
 # 16 rows per value at 2 000 rows, and 47% slower at 1.6 and 3.9.
 _BIN_ROWS = 16
+
+# The level passes carry a slot's or a node's draws and positives as one int64,
+# draws·2^_LOW + positives, so one bincount or running sum counts both. A node
+# holds at most n ≤ 2¹⁸ draws, so its positives stay below 2^_LOW. A pass holds
+# at most max(_BATCH_TREES·n, _PASS_SLOTS) slots, and each of its trees at least
+# one slot and n draws, so fewer than 2⁴¹ draws: its running sums stay below 2⁶¹.
+_LOW = 20
+_POSITIVES = (1 << _LOW) - 1
 
 
 def _mix64(z: int) -> int:
@@ -107,12 +116,13 @@ def _choose_many(draws: np.ndarray, k: int, n: int) -> np.ndarray:
     """The k features each node scores, out of ``range(n)``, from the first k
     columns of its seed's ``_streams`` row: a partial Fisher-Yates shuffle (see
     the module docstring), one sorted row per node."""
-    rows = np.arange(len(draws))
-    pool = np.zeros((len(draws), 1), dtype=np.int64) + np.arange(n)
+    first = np.arange(0, len(draws) * n, n)  # each node's row of the flat pool
+    pool = np.tile(np.arange(n), len(draws))
     for i in range(k):
-        j = i + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
-        pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i]
-    return np.sort(pool[:, :k], axis=1)
+        at = first + i
+        j = at + (draws[:, i] % np.uint64(n - i)).astype(np.int64)
+        pool[at], pool[j] = pool[j], pool[at]
+    return np.sort(pool.reshape(-1, n)[:, :k], axis=1)
 
 
 @dataclass(frozen=True)
@@ -170,45 +180,45 @@ def _bins(column: np.ndarray):
     return codes, values[first]
 
 
-def _feature_cuts(f, X, bins, row, weight, positive, layout, node_of, total, count1, scored):
+def _feature_cuts(f, X, bins, row, sums, layout, node_of, node_sums, scored, before):
     """Feature f's cuts in the nodes ``scored`` marks, in (node, threshold)
-    order: each cut's node, the draws and positives left of it, and the values
-    either side. ``_best_splits`` gives the arguments."""
+    order: each cut's node, the packed draws and positives left of it, and the
+    values either side. ``before`` holds the packed sums of the nodes before
+    each node; ``_best_splits`` gives the other arguments."""
     if f == layout:  # the slots as they lie, already in f's order within each node
-        node, value, w, p = node_of, X[row, f], weight, positive
+        node, value, items = node_of, X[:, f].take(row), sums
     elif bins[f] is None:  # the scoring nodes' slots, sorted by f within each node
         slots = np.flatnonzero(scored[node_of])
-        slots = slots[np.lexsort((X[row[slots], f], node_of[slots]))]
-        node, value, w, p = node_of[slots], X[row[slots], f], weight[slots], positive[slots]
-        total, count1 = total * scored, count1 * scored  # the other nodes hold no item
+        value = X[:, f].take(row[slots])
+        order = np.lexsort((value, node_of[slots]))
+        slots, value = slots[order], value[order]
+        node, items = node_of[slots], sums[slots]
+        node_sums = node_sums * scored  # the other nodes hold no item
+        before = np.cumsum(node_sums) - node_sums
     else:  # one item per value present in a node
         codes, values = bins[f]
-        key = node_of * len(values) + codes[row]
-        w = np.bincount(key, weight)  # float64 sums, exact below 2⁵³
-        present = np.flatnonzero(w)  # (node, value) keys holding a slot, as weights are ≥ 1
-        w, p = (c[present].astype(np.int64) for c in (w, np.bincount(key, positive)))
+        key = node_of * len(values) + codes.take(row)
+        items = np.bincount(key, sums)  # float64, exact: a key's sums are below 2³⁹
+        present = np.flatnonzero(items > 0)  # keys holding a slot, as weights are ≥ 1
+        items = items[present].astype(np.int64)
         node, value = np.divmod(present, len(values))
         value = values[value]
     # A cut between a node's consecutive items of distinct values, in a node scoring f.
     at = np.flatnonzero((node[:-1] == node[1:]) & (value[:-1] < value[1:]))
     at = at[scored[node[at]]]
     node = node[at]
-    # Running sums over every item, less those of the nodes before the cut's.
-    left = (
-        np.cumsum(c, dtype=np.int64)[at] - (np.cumsum(t, dtype=np.int64) - t)[node]
-        for c, t in ((w, total), (p, count1))
-    )
-    return (node, *left, value[at], value[at + 1])
+    # The running sum over every item, less that of the nodes before the cut's.
+    return node, np.cumsum(items)[at] - before[node], value[at], value[at + 1]
 
 
-def _best_splits(X, bins, row, weight, positive, layout, node_of, total, count1, feats):
+def _best_splits(X, bins, row, sums, layout, node_of, node_sums, feats):
     """Best cut of each node: (split, feature, threshold).
 
-    Slot s holds training row ``row[s]``, standing for ``weight[s]`` draws,
-    ``positive[s]`` of them positive, in node ``node_of[s]``; a node's slots
-    are consecutive. Node i holds ``total[i]`` draws, ``count1[i]`` of them
-    positive, and scores only the features ``feats[i]`` (ascending; -1 pads a
-    node that is not split). A feature with ``bins[f]`` (``_bins``) is scored
+    Slot s holds training row ``row[s]``, standing for the draws and positives
+    packed in ``sums[s]`` (``_LOW``), in node ``node_of[s]``; a node's slots
+    are consecutive. Node i holds the draws and positives packed in
+    ``node_sums[i]``, and scores only the features ``feats[i]`` (ascending;
+    -1 pads a node that is not split). A feature with ``bins[f]`` (``_bins``) is scored
     from each node's draw and positive counts per value; any other from the
     node's slots sorted by it: held in feature ``layout``'s order, they are
     sorted for any other f. The gains count draws. A cut between a node's
@@ -223,24 +233,26 @@ def _best_splits(X, bins, row, weight, positive, layout, node_of, total, count1,
     best cut at the node's top float; unequal S sharing that float are ordered
     by exact integer products. A cut lowers the impurity unless l1·rn = r1·ln.
     """
-    nodes = len(total)
+    nodes = len(node_sums)
+    total, count1 = node_sums >> _LOW, node_sums & _POSITIVES
     # Per column, each scored feature's part, joined and freed one column at a time.
-    cuts = {c: [] for c in ("node", "ln", "l1", "lo", "hi")}
+    cuts = {c: [] for c in ("node", "left", "lo", "hi")}
     scored_features = []
     scores = np.zeros((nodes, X.shape[1] + 1), dtype=bool)  # the last column takes the -1 pads
     scores[np.arange(nodes)[:, None], feats] = True
+    before = np.cumsum(node_sums) - node_sums
     for f in range(X.shape[1]):
         scored = scores[:, f]
         if scored.any():
-            found = _feature_cuts(
-                f, X, bins, row, weight, positive, layout, node_of, total, count1, scored
-            )
+            found = _feature_cuts(f, X, bins, row, sums, layout, node_of, node_sums, scored, before)
             for column, part in zip(cuts.values(), found):
                 column.append(part)
             scored_features.append(f)
     ends = np.cumsum([len(part) for part in cuts["node"]])  # of each feature's cuts
     empty = np.zeros(0, dtype=np.int64)
-    node, ln, l1, lo, hi = (np.concatenate(cuts.pop(c) or [empty]) for c in list(cuts))
+    node, left, lo, hi = (np.concatenate(cuts.pop(c) or [empty]) for c in list(cuts))
+    ln, l1 = left >> _LOW, left & _POSITIVES
+    del left
     rn, r1 = total[node] - ln, count1[node] - l1  # int64, as ln and l1 are
     num = (np.square(ln - l1) + l1 * l1) * rn
     num += (np.square(rn - r1) + r1 * r1) * ln
@@ -297,6 +309,7 @@ def _grow_trees(
     # untouched block above the mmap threshold raises both thresholds (mmap to
     # the block's size, trim to twice that) for the rest of the process.
     np.empty(1 << 20, dtype=np.uint8)
+    X = np.ascontiguousarray(X)  # the regroup's flat take would ravel a copy every pass
     n, d = X.shape
     trees = len(tree_seeds)
     bins = [_bins(X[:, f]) for f in range(d)]
@@ -304,7 +317,11 @@ def _grow_trees(
     # feature without bins, its layout.
     layout = next((f for f in range(d) if bins[f] is None), -1)
     by_row = np.argsort(X[:, layout], kind="stable") if layout >= 0 else np.arange(n)
-    by_row, y = by_row.astype(np.int32), y.astype(np.int32)  # slot arrays are int32: n ≤ 2¹⁸
+    # Slot arrays are int32 (n ≤ 2¹⁸). numpy casts an int32 index array to intp
+    # on every fancy index, which made a gather two to three times as slow, so
+    # the level passes gather through `take` and flat int64 indices, not a[row].
+    by_row = by_row.astype(np.int32)
+    packed_label = y.astype(np.int64) + (1 << _LOW)  # a slot's sums: its weight times this
     # Each tree's draw count per row, in by_row order, and its root's seed,
     # drawn a batch of trees at a time to bound the temporaries.
     drawn = np.empty((trees, n), dtype=np.int32)  # counts up to n ≤ 2¹⁸
@@ -339,11 +356,10 @@ def _grow_trees(
             joined = join
         if not len(sizes):
             break
-        positive = weight * y[row]
+        sums = weight * packed_label.take(row)
         node_of = np.repeat(np.arange(len(sizes)), sizes)
-        starts = np.cumsum(sizes) - sizes
-        total = np.add.reduceat(weight, starts, dtype=np.int32)
-        count1 = np.add.reduceat(positive, starts, dtype=np.int32)
+        node_sums = np.add.reduceat(sums, np.cumsum(sizes) - sizes)
+        total, count1 = (c.astype(np.int32) for c in (node_sums >> _LOW, node_sums & _POSITIVES))
         split_feature, split_threshold = np.full(len(sizes), -1), np.zeros(len(sizes))
         left = np.full(len(sizes), -1)
         level = (tree_of, split_feature, split_threshold, left, total - count1, count1)
@@ -358,7 +374,7 @@ def _grow_trees(
         feats = np.full((len(sizes), k), -1)
         feats[grow] = _choose_many(draws[grow], k, d)
         split, feature, threshold = _best_splits(
-            X, bins, row, weight, positive, layout, node_of, total, count1, feats
+            X, bins, row, sums, layout, node_of, node_sums, feats
         )
         children = next_id + 2 * np.arange(np.count_nonzero(split))
         split_feature[split], split_threshold[split] = feature[split], threshold[split]
@@ -369,11 +385,12 @@ def _grow_trees(
         # 16-bit key takes numpy's radix sort.
         keep = np.flatnonzero(split[node_of])
         node = node_of[keep]
-        child = 2 * (np.cumsum(split) - 1)[node] + (X[row[keep], feature[node]] > threshold[node])
+        at = row[keep].astype(np.int64) * d + feature[node]  # flat into X, in int64 not to wrap
+        child = 2 * (np.cumsum(split) - 1)[node] + (X.take(at) > threshold[node])
         moved = keep[np.argsort(child.astype(np.min_scalar_type(len(keep))), kind="stable")]
         row, weight = row[moved], weight[moved]
         sizes = np.bincount(child, minlength=2 * np.count_nonzero(split))
-        del keep, node, child, moved  # not to sit under the next pass
+        del keep, node, at, child, moved  # not to sit under the next pass
         seeds = draws[split, :2].ravel()
         tree_of = np.repeat(tree_of[split], 2)
 

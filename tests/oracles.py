@@ -170,8 +170,16 @@ _PAREN_SEG_RE = re.compile(
 )
 
 
+# A trailing locator: "p.", "pp." or "ch." with a number or a range of two.
+_LOCATOR_RE = re.compile(r"(?:p|pp|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?")
+
+
 def oracle_paren_segment(segment):
-    """(span, groups) of a parenthetical author-year segment's match, or None."""
+    """(span, groups) of a parenthetical author-year segment's match, or None.
+    A locator after the segment's last comma is cut off before matching."""
+    head, comma, tail = segment.rpartition(",")
+    if comma and _LOCATOR_RE.fullmatch(tail.lstrip()):
+        segment = head
     match = _PAREN_SEG_RE.match(segment)
     return (match.span(), match.groups()) if match else None
 

@@ -390,6 +390,29 @@ class TestFindInTextCitations:
             ("Smith, 2010", "no entry for Smith 2010")
         ]
 
+    @pytest.mark.parametrize(
+        "text, marker",
+        [
+            ("(Smith et al., 2013, p. 4)", "Smith et al., 2013"),
+            ("(Smith et al. 2013, pp. 4-5)", "Smith et al. 2013"),
+            ("(see Smith et al., 2013,pp.12 – 14)", "see Smith et al., 2013"),
+            ("(Lee, 2010; Smith et al., 2013, ch. 3)", "Smith et al., 2013"),
+        ],
+    )
+    def test_page_or_chapter_locator_is_stripped(self, text, marker):
+        entries = _entries("Lee, K. 2010. A paper.", "Smith, J., Lee, K., Wu, T. 2013. Another.")
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert (cites[-1].entry_index, cites[-1].marker) == (2, marker)
+        assert cites[-1].offset == text.index(marker)
+        assert unresolved == []
+
+    @pytest.mark.parametrize(
+        "text", ["(Smith et al., 2013, p.)", "(Smith et al., 2013, p. 4, p. 5)"]
+    )
+    def test_only_one_numbered_locator_is_stripped(self, text):
+        entries = _entries("Smith, J., Lee, K., Wu, T. 2013. Another.")
+        assert find_in_text_citations(text, entries) == ([], [])
+
     def test_no_markers(self):
         cites, unresolved = find_in_text_citations("Plain text, notably without brackets.", FIVE)
         assert cites == []

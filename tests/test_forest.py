@@ -270,10 +270,18 @@ class TestEveryNodeOracle:
         assert_same_model(train(*xy(data), 11, 9), default)
 
     def test_vectorised_choose_matches_scalar(self):
+        # Every feature (k == d) up to 12, and 12 features at the forest's k = 4.
         seeds = [derive_seed(77, i) for i in range(40)] + [0, 2**64 - 1]
-        for k, d in [(1, 1), (1, 3), (2, 3), (3, 3), (3, 8), (5, 6)]:
+        cases = [(1, 3), (2, 3), (3, 8), (5, 6), (4, 12)] + [(d, d) for d in range(1, 13)]
+        for k, d in cases:
             got = _choose_many(_streams(np.array(seeds, dtype=np.uint64), k), k, d).tolist()
             assert got == [choose(SplitMix64(seed), k, d) for seed in seeds]
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (2, 3), (4, 12)])
+    def test_choose_on_an_empty_batch(self, k, d):
+        # A level pass in which no node grows draws features for none.
+        got = _choose_many(np.zeros((0, max(k, 2)), dtype=np.uint64), k, d)
+        assert got.shape == (0, k)
 
     def test_unequal_gains_sharing_one_float(self):
         # A node of 50 000 draws whose one cut on each of two features gives
@@ -293,9 +301,10 @@ class TestEveryNodeOracle:
         assert float(exact[0]) == float(exact[1]) and exact[0] < exact[1]
         bins = [forest._bins(column) for column in Xb.T]
         assert [b is None for b in bins] == [self.BIN_ROWS == EVERY_FEATURE_SORTED] * 2
+        sums, node_sums = (np.array(c) << forest._LOW for c in (weight, [50000]))
         split, feature, threshold = forest._best_splits(
-            Xb, bins, np.arange(6), weight, positive, 0, np.zeros(6, dtype=np.int64),
-            np.array([50000]), np.array([20000]), np.array([[0, 1]]),
+            Xb, bins, np.arange(6), sums + positive, 0, np.zeros(6, dtype=np.int64),
+            node_sums + 20000, np.array([[0, 1]]),
         )
         assert (split.tolist(), feature.tolist(), threshold.tolist()) == ([True], [1], [0.5])
         assert np.count_nonzero(Xb[:, 1] <= threshold[0]) == 4  # the left child's slots
@@ -452,6 +461,36 @@ class TestGrowerMemory:
         # added, 25.0 MiB, plus a 15% margin. Before the grower's slot arrays
         # were 32-bit and its passes wider, the growth read 32.6 MiB.
         assert growth_kib <= 28.8 * 1024
+
+    @pytest.mark.parametrize(
+        "layout",
+        [np.asfortranarray, lambda X: np.repeat(X, 2, axis=1)[:, ::2]],
+        ids=["fortran", "strided"],
+    )
+    def test_memory_layout_grows_the_same_trees(self, layout):
+        X, y = self._fold(418)
+        assert not layout(X).flags.c_contiguous
+        assert_same_model(train(layout(X), y, 30, 7), train(X, y, 30, 7))
+
+    def test_grower_gathers_from_a_c_contiguous_copy(self):
+        # The regroup takes from X by flat index, which on any other layout
+        # ravels a copy of X in every pass; the grower copies a Fortran X once,
+        # so no gather runs on the caller's array.
+        class Spy(np.ndarray):
+            takes = 0
+
+            def take(self, *args, **kwargs):
+                Spy.takes += 1
+                return super().take(*args, **kwargs)
+
+        X, y = self._fold(418)
+        seeds = [derive_seed(7, i) for i in range(30)]
+        spied = np.asfortranarray(X).view(Spy)
+        counts, columns = forest._grow_trees(spied, y, seeds)
+        want_counts, want = forest._grow_trees(X, y, seeds)
+        assert Spy.takes == 0
+        assert counts.tolist() == want_counts.tolist()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(columns, want))
 
     def test_level_passes(self, monkeypatch):
         # Each level pass calls _best_splits once. Passes 25 trees wide took 54.
