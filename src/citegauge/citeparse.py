@@ -44,32 +44,40 @@ _NAME_RE = re.compile(_NAME)
 _NUM_MARKER_RE = re.compile(r"\[\s*\d{1,3}(?:\s*(?:[,;]|[-–])\s*\d{1,3})*\s*\]")
 _RANGE_ITEM_RE = re.compile(r"(\d{1,3})\s*[-–]\s*(\d{1,3})|(\d{1,3})")
 
+# A marker's year with its suffix letter, and each further year of a year list
+# after one set of names, as in "Smith (2010, 2012)"; the comma between two
+# years lets their gap be read one way only.
+_MARKER_YEAR = r"(?:1[89]|20)\d{2}[a-z]?"
+_MORE_YEARS = rf"(?:\s*,\s*{_MARKER_YEAR})"
+
 # Parenthetical author-year: one "(...)" group, split on ';' into segments like
 # "Smith, 2010", "Smith and Lee, 2011", "Smith et al., 2012", "see Smith 2013".
 # The gap before "and" is a comma in optional whitespace or whitespace alone,
 # so a whitespace run can be read one way only and a long one costs linear time.
+# A segment may end in a year list ("Smith, 2010, 2012").
 _PAREN_RE = re.compile(r"\(([^()]{1,300})\)", re.DOTALL)
 _PAREN_SEG_RE = re.compile(
     rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
     rf"({_NAME})(?:(?:\s*,\s*|\s+)(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf",?\s+((?:1[89]|20)\d{{2}}[a-z]?)$",
+    rf",?\s+({_MARKER_YEAR}{_MORE_YEARS}*)$",
     re.DOTALL,
 )
 # One trailing page or chapter locator, as in "Smith, 2013, p. 4" or ", pp. 4-5".
 # A segment is matched without it, and its marker leaves it out.
 _LOCATOR_RE = re.compile(r",\s*(?:pp?|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?\Z")
 
-# Narrative author-year: "Smith (2010)", "Smith and Lee (2011)", "Smith et al. (2012)".
-# The names contain no parenthesis, so a marker ends at the first "(year)"
-# after its start. The scan finds those year anchors first, then matches the
-# names backwards from each anchor's "(" over the reversed text, where a name
-# reads "[\w'’\-]+" then a letter with no word character after it (the
-# forward "\b"). Trying "et al.", then the second name, then the longest first
-# name finds the longest reversed match, which is the regex's leftmost start.
-# No pattern part can cross a parenthesis, and each of the few alternatives
-# walks each character a bounded number of times, so the scan is linear.
-_YEAR_ANCHOR_RE = re.compile(r"\(\s*((?:1[89]|20)\d{2}[a-z]?)\s*\)")
+# Narrative author-year: "Smith (2010)", "Smith and Lee (2011)", "Smith et al. (2012)",
+# "Smith (2010, 2012)". The names contain no parenthesis, so a marker ends at
+# the first "(year)" or "(year, year)" after its start. The scan finds those
+# year anchors first, then matches the names backwards from each anchor's "("
+# over the reversed text, where a name reads "[\w'’\-]+" then a letter with no
+# word character after it (the forward "\b"). Trying "et al.", then the second
+# name, then the longest first name finds the longest reversed match, which is
+# the regex's leftmost start. No pattern part can cross a parenthesis, and each
+# of the few alternatives walks each character a bounded number of times, so
+# the scan is linear.
+_YEAR_ANCHOR_RE = re.compile(rf"\(\s*({_MARKER_YEAR}{_MORE_YEARS}*)\s*\)")
 _NARRATIVE_NAMES_REVERSED_RE = re.compile(
     r"\s*(?:\.?la\s+te\s+,?)?"
     r"(?:([\w'’\-]+[^\W\d_])\s+(?:dna|&)(?:\s*,\s*|\s+))?"
@@ -357,9 +365,10 @@ def _numeric_links(
 
 
 def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
-    """Narrative author-year markers as (offset, marker, name1, name2, year), in
-    text order; year keeps its suffix ("2010b"), and name2 is None for a one-name
-    marker. Names are not case-checked."""
+    """Narrative author-year markers as (offset, marker, name1, name2, years), in
+    text order; years is the year or the comma-separated year list in the
+    parentheses, each year with its suffix ("2010b"), and name2 is None for a
+    one-name marker. Names are not case-checked."""
     reversed_text = text[::-1]
     markers = []
     for anchor in _YEAR_ANCHOR_RE.finditer(text):
@@ -397,6 +406,8 @@ def find_in_text_citations(
     them to the entries with that many surnames; either step is skipped when
     no candidate passes it. Ties go to the lowest entry index. A parenthetical
     marker may end in one page or chapter locator (", p. 4"), which it omits.
+    A marker may give a list of years after its names ("Smith (2010, 2012)"):
+    each year links, or is reported, as a one-year marker's would.
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -425,22 +436,28 @@ def find_in_text_citations(
             by_year.setdefault(entry.year, []).append(entry)
     links: dict[tuple[str, str | None, str, bool], BibliographyEntry | None] = {}
 
-    def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, year: str):
+    def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, years: str):
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
-        key = (name1, name2, year, bool(_ET_AL_RE.search(marker)))
-        if key not in links:
-            same_year = by_year.get(int(year[:4]), [])
-            if any(e.year_suffix for e in same_year):
-                same_year = [e for e in same_year if e.year_suffix == year[4:]]
-            links[key] = _link_author_year(same_year, name1, name2, key[3])
-        entry = links[key]
-        if entry is None:
+        et_al = bool(_ET_AL_RE.search(marker))
+        missing = []
+        for year in years.split(","):  # one link per year of a year list
+            year = year.strip()
+            key = (name1, name2, year, et_al)
+            if key not in links:
+                same_year = by_year.get(int(year[:4]), [])
+                if any(e.year_suffix for e in same_year):
+                    same_year = [e for e in same_year if e.year_suffix == year[4:]]
+                links[key] = _link_author_year(same_year, name1, name2, et_al)
+            entry = links[key]
+            if entry is None:
+                missing.append(year)
+            else:
+                citations.append(InTextCitation(offset, marker, entry.index))
+        if missing:  # one report per marker, as for a numeric marker
             unresolved.append(
-                UnresolvedMarker(offset, marker, f"no entry for {name1} {year}")
+                UnresolvedMarker(offset, marker, f"no entry for {name1} {', '.join(missing)}")
             )
-        else:
-            citations.append(InTextCitation(offset, marker, entry.index))
 
     for paren in _PAREN_RE.finditer(main_text):
         inner = paren.group(1)

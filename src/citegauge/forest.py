@@ -34,10 +34,11 @@ node's rows sorted by it. Both give the same cuts, so the same trees. The
 bootstrap draws row indices, so the model depends on the order of the training
 rows; evaluation puts them in pair-id order before any forest is trained.
 
-Each tree is a node table of parallel arrays, numbered breadth first from the
-root at row 0. Prediction walks every (tree, row) pair of a batch down the
-trees' concatenated node tables at once, then sums the leaf fractions in tree
-order.
+The forest is one node table of parallel arrays, from the grower to
+prediction: the trees' nodes one tree after another in seed order, each tree's
+breadth first from its root. An inner node's children are rows ``left`` and
+``left + 1``. Prediction walks every (tree, row) pair of a batch down that
+table at once, then sums the leaf fractions in tree order.
 """
 
 from __future__ import annotations
@@ -127,8 +128,8 @@ def _choose_many(draws: np.ndarray, k: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One row of a tree's node table. feature == -1 marks a leaf; children are
-    row indices. count0/count1 are the training-instance class counts reaching
+    """One row of a node table. feature == -1 marks a leaf; children are row
+    indices. count0/count1 are the training-instance class counts reaching
     the node."""
 
     feature: int
@@ -139,30 +140,40 @@ class TreeNode:
     count1: int
 
 
-_COLUMNS = ("feature", "threshold", "left", "right", "count0", "count1")
+_COLUMNS = ("feature", "threshold", "left", "count0", "count1")
 
 
 @dataclass(eq=False)
-class DecisionTree:
-    """A tree stored as parallel node arrays, one per TreeNode field; row 0 is
-    the root."""
+class ForestModel:
+    """A forest as one node table: ``roots`` holds each tree's root row, in
+    seed order, and the five columns (``_COLUMNS``) one value per row. A tree's
+    rows follow its root, breadth first, up to the next tree's root. A leaf's
+    ``feature`` and ``left`` are -1; an inner node's children are rows
+    ``left`` and ``left + 1``."""
 
+    roots: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     count0: np.ndarray
     count1: np.ndarray
 
     @property
+    def trees(self) -> list[ForestModel]:
+        """Each tree as a one-tree forest, its rows numbered from its root at 0."""
+        views, ends = [], [*self.roots[1:].tolist(), len(self.left)]
+        for a, b in zip(self.roots.tolist(), ends):
+            feature, threshold, left, count0, count1 = (getattr(self, c)[a:b] for c in _COLUMNS)
+            left = np.where(left >= 0, left - a, -1)
+            views.append(ForestModel(np.zeros(1, np.int64), feature, threshold, left, count0, count1))
+        return views
+
+    @property
     def nodes(self) -> list[TreeNode]:
-        """The node table as read-only rows."""
-        return [TreeNode(*row) for row in zip(*(getattr(self, c).tolist() for c in _COLUMNS))]
-
-
-@dataclass
-class ForestModel:
-    trees: list[DecisionTree]
+        """The node table as read-only rows; an inner node's ``right`` is ``left + 1``."""
+        right = np.where(self.left >= 0, self.left + 1, -1)
+        columns = (self.feature, self.threshold, self.left, right, self.count0, self.count1)
+        return [TreeNode(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def _bins(column: np.ndarray):
@@ -285,12 +296,10 @@ def _best_splits(X, bins, row, sums, layout, node_of, node_sums, feats):
     return split, chosen, cut
 
 
-def _grow_trees(
-    X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]
-) -> tuple[np.ndarray, list[np.ndarray]]:
+def _grow_trees(X: np.ndarray, y: np.ndarray, tree_seeds: Sequence[int]) -> ForestModel:
     """Grow one tree per seed, level by level, each on its distinct bootstrap
     rows weighted by their draw counts; the seeds are derived as the module
-    docstring says. Nodes are numbered breadth first within each tree.
+    docstring says.
 
     Every level pass advances the frontier of every tree growing at once. The
     first ``_BATCH_TREES`` trees, or as many as fill ``_PASS_SLOTS`` slots
@@ -298,10 +307,11 @@ def _grow_trees(
     width in slots caps every later pass: before each pass the next trees, in
     seed order, join as roots while the frontier has room for them.
 
-    Returns the forest's node table: each tree's node count, and the six node
-    columns (``_COLUMNS``) with the trees' tables one after another in seed
-    order. Top level, so a process pool can run it on a forest's seeds and
-    send back six arrays, not six per tree."""
+    Returns the forest's one node table (``ForestModel``). A node's row is its
+    place in the order the passes numbered the nodes in, made stable by tree:
+    each tree's nodes stay breadth first, and siblings stay adjacent. Top
+    level, so a process pool can run it on a forest's seeds and send back one
+    table, not one per tree."""
     # The grower frees many mid-size temporaries at once. glibc malloc returns
     # a freed heap top above its trim threshold (128 KiB at start) to the
     # system, and the next pass faults the pages in again: about 70 000 minor
@@ -341,7 +351,7 @@ def _grow_trees(
     tree_of, seeds = np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.uint64)
     sizes = np.zeros(0, dtype=np.int64)  # in slots (distinct rows)
     # Per column, its level arrays; a right child's id is its sibling's plus 1.
-    levels = {c: [] for c in ("tree",) + _COLUMNS if c != "right"}
+    levels = {c: [] for c in ("tree",) + _COLUMNS}
     next_id, k = 0, d.bit_length()  # features per node: floor(log2(d)) + 1
     while True:
         room = np.cumsum(tree_sizes[joined:]) <= width - len(row)
@@ -397,19 +407,16 @@ def _grow_trees(
     # One column at a time, so the levels, not three copies of them, set the peak.
     tree = np.concatenate(levels.pop("tree"))
     by_tree = np.argsort(tree, kind="stable")  # breadth first within each tree
+    row_of = np.empty(len(tree), dtype=np.int64)  # each node's row in the table
+    row_of[by_tree] = np.arange(len(tree))
     counts = np.bincount(tree, minlength=trees)
-    local = np.empty(len(tree), dtype=np.int64)
-    local[by_tree] = np.arange(len(tree)) - (np.cumsum(counts) - counts)[tree[by_tree]]
     columns = []
     for name in _COLUMNS:
-        if name == "right":  # siblings keep adjacent ids within their tree
-            columns.append(np.where(columns[-1] >= 0, columns[-1] + 1, -1))
-            continue
         column = np.concatenate(levels.pop(name))
         if name == "left":
-            column = np.where(column >= 0, local[column], -1)
+            column = np.where(column >= 0, row_of[column], -1)
         columns.append(column[by_tree])
-    return counts, columns
+    return ForestModel(np.cumsum(counts) - counts, *columns)
 
 
 def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> ForestModel:
@@ -426,7 +433,8 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
     ``_BATCH_TREES`` trees' roots or ``_PASS_SLOTS`` slots, whichever is more
     (``_grow_trees``). ``pool``, a ``concurrent.futures`` executor, grows the
     whole forest as one task in one of its workers, in passes as full as here,
-    so the model is the same with or without it.
+    so the model is the same with or without it. The model is the grower's one
+    node table (``ForestModel``), as it comes back.
     """
     if isinstance(trees, bool) or not isinstance(trees, (int, np.integer)):
         raise ConfigurationError(f"trees must be an integer, got {trees!r}")
@@ -455,9 +463,7 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
         raise TrainingError("training data contains a single class")
 
     args = (X, y, [derive_seed(seed, i) for i in range(trees)])
-    counts, columns = pool.submit(_grow_trees, *args).result() if pool else _grow_trees(*args)
-    ends = np.cumsum(counts).tolist()  # each tree's arrays are views into the forest's table
-    return ForestModel([DecisionTree(*(c[a:b] for c in columns)) for a, b in zip([0] + ends, ends)])
+    return pool.submit(_grow_trees, *args).result() if pool else _grow_trees(*args)
 
 
 def predict_proba(model: ForestModel, x):
@@ -479,11 +485,7 @@ def predict_proba(model: ForestModel, x):
         raise DataError(f"prediction data has shape {rows.shape}, not one row or n × d")
     batch = np.atleast_2d(rows)
     n = len(batch)
-    sizes = [len(tree.feature) for tree in model.trees]
-    first = np.cumsum(sizes) - sizes
-    feature, threshold, left, right, count0, count1 = (
-        np.concatenate([getattr(tree, c) for tree in model.trees]) for c in _COLUMNS
-    )
+    feature, threshold, left = model.feature, model.threshold, model.left
     finite = np.isfinite(batch).all(axis=1)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -491,22 +493,19 @@ def predict_proba(model: ForestModel, x):
     widest = int(feature.max(initial=-1))
     if n and widest >= batch.shape[1]:
         raise DataError(f"{batch.shape[1]} feature values but a split on feature {widest}: row 0")
-    offset = np.repeat(first, sizes)  # children as rows of the joint table
-    left, right = left + offset, right + offset  # a leaf's are never read
-    node = np.repeat(first, n)  # pair t * n + i: tree t, row i
+    node = np.repeat(model.roots, n)  # pair t * n + i: tree t, row i
     active = np.arange(len(node))
     while len(active):
         at = node[active]
         inner = feature[at] != -1
         active, at = active[inner], at[inner]
-        go_left = batch[active % n, feature[at]] <= threshold[at]
-        node[active] = np.where(go_left, left[at], right[at])
-    positives = count1[node]
-    reached = count0[node] + positives
+        node[active] = left[at] + (batch[active % n, feature[at]] > threshold[at])
+    positives = model.count1[node]
+    reached = model.count0[node] + positives
     fractions = np.divide(positives, reached, out=np.zeros(len(node)), where=reached > 0)
     total = np.zeros(n)
-    for fraction in fractions.reshape(len(model.trees), n):
+    for fraction in fractions.reshape(len(model.roots), n):
         total += fraction
-    proba = total / len(model.trees)
+    proba = total / len(model.roots)
     return float(proba[0]) if rows.ndim == 1 else proba
 

@@ -144,14 +144,14 @@ _NAME = r"[^\W\d_][\w'’\-]+"
 _NARRATIVE_RE = re.compile(
     rf"\b({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf"\s*\(\s*((?:1[89]|20)\d{{2}}[a-z]?)\s*\)",
+    rf"\s*\(\s*((?:1[89]|20)\d{{2}}[a-z]?(?:\s*,\s*(?:1[89]|20)\d{{2}}[a-z]?)*)\s*\)",
     re.DOTALL,
 )
 
 
 def oracle_narrative_markers(text):
-    """(offset, marker, name1, name2, year) of every narrative marker, by regex;
-    year keeps its suffix letter."""
+    """(offset, marker, name1, name2, years) of every narrative marker, by regex;
+    years is the year or year list in the parentheses, with suffix letters."""
     return [
         (m.start(), m.group(0), m.group(1), m.group(2), m.group(3))
         for m in _NARRATIVE_RE.finditer(text)
@@ -174,14 +174,33 @@ _PAREN_SEG_RE = re.compile(
 _LOCATOR_RE = re.compile(r"(?:p|pp|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?")
 
 
+_YEAR = re.compile(r"(?:1[89]|20)\d{2}[a-z]?")
+
+
 def oracle_paren_segment(segment):
     """(span, groups) of a parenthetical author-year segment's match, or None.
-    A locator after the segment's last comma is cut off before matching."""
+    A locator after the segment's last comma is cut off before matching. A
+    segment that is no one-year marker may be one whose year is followed by
+    comma-separated years; then the span ends where "$" would end it, and the
+    last group holds every year and the gaps between them."""
     head, comma, tail = segment.rpartition(",")
     if comma and _LOCATOR_RE.fullmatch(tail.lstrip()):
         segment = head
     match = _PAREN_SEG_RE.match(segment)
-    return (match.span(), match.groups()) if match else None
+    if match:
+        return match.span(), match.groups()
+    pieces = segment.split(",")
+    last = pieces[-1].lstrip()
+    end = len(segment) - last.endswith("\n")  # "$" matches before a final newline
+    if not _YEAR.fullmatch(last.removesuffix("\n")):
+        return None
+    for i in range(len(pieces) - 1, 0, -1):  # the first year ends pieces[:i]
+        match = _PAREN_SEG_RE.fullmatch(",".join(pieces[:i]).rstrip())
+        if match:
+            return (0, end), (*match.groups()[:2], segment[match.start(3) : end])
+        if not _YEAR.fullmatch(pieces[i - 1].strip()):
+            return None
+    return None
 
 
 # The reference-heading pattern the package used before its search started at

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -24,6 +25,7 @@ from oracles import (
     oracle_entry_scores,
     oracle_link_author_year,
     oracle_narrative_markers,
+    oracle_paren_segment,
     oracle_reference_split,
 )
 from fixture_corpus import (
@@ -413,6 +415,89 @@ class TestFindInTextCitations:
         entries = _entries("Smith, J., Lee, K., Wu, T. 2013. Another.")
         assert find_in_text_citations(text, entries) == ([], [])
 
+    # A four-entry bibliography: Lee 2010, then Smith 2010, 2011 and 2012.
+    SMITH = _entries(
+        "Lee, K. 2010. A paper.",
+        "Smith, J. 2010. One.",
+        "Smith, J. 2011. Two.",
+        "Smith, J. 2012. Three.",
+    )
+
+    @pytest.mark.parametrize(
+        "text, marker",
+        [
+            ("(Smith, 2010, 2012)", "Smith, 2010, 2012"),
+            ("Smith (2010, 2012)", "Smith (2010, 2012)"),
+            ("(see Smith 2010 ,2012)", "see Smith 2010 ,2012"),
+            ("as Smith ( 2010,\n 2012 ) shows", "Smith ( 2010,\n 2012 )"),
+            ("(Lee, 2010; Smith, 2010, 2012, p. 4)", "Smith, 2010, 2012"),
+        ],
+    )
+    def test_year_list_after_one_name_links_each_year(self, text, marker):
+        cites, unresolved = find_in_text_citations(text, self.SMITH)
+        # One citation per year, all of the one marker, as "[2,4]" gives.
+        offset = text.index(marker)
+        assert [(c.offset, c.marker, c.entry_index) for c in cites][-2:] == [
+            (offset, marker, 2),
+            (offset, marker, 4),
+        ]
+        assert unresolved == []
+
+    @pytest.mark.parametrize(
+        "text, linked, detail",
+        [
+            ("(Smith, 2011, 2013, 2010)", [2, 3], "no entry for Smith 2013"),
+            ("Smith (2011, 2013, 2010)", [2, 3], "no entry for Smith 2013"),
+            ("(Smith, 2013, 2010, 2014)", [2], "no entry for Smith 2013, 2014"),
+            ("Smith (2013, 2014)", [], "no entry for Smith 2013, 2014"),
+        ],
+    )
+    def test_year_list_reports_its_unlinked_years_once(self, text, linked, detail):
+        # One unresolved report per marker, listing its years, as "[2, 7, 9]"
+        # gives one report listing keys 7 and 9.
+        cites, unresolved = find_in_text_citations(text, self.SMITH)
+        marker = text.strip("()") if text.startswith("(") else text
+        assert [(c.marker, c.entry_index) for c in cites] == [(marker, i) for i in linked]
+        assert [(u.offset, u.marker, u.detail) for u in unresolved] == [
+            (text.index(marker), marker, detail)
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            "".join,
+            st.tuples(
+                st.sampled_from(["", "see ", "cf., "]),
+                st.sampled_from(["Smith", "Smith and Lee", "Smith et al.", "x"]),
+                st.sampled_from([" ", ", ", ",", "\n"]),
+                st.sampled_from(["2010", "1999b", "x"]),
+                st.lists(
+                    st.tuples(
+                        st.sampled_from([",", ", ", " ,", ",\n", " ", ";"]),
+                        st.sampled_from(["2010", "2011a", "x"]),
+                    ).map("".join),
+                    max_size=3,
+                ).map("".join),
+                st.sampled_from(["", ", p. 4", "\n", " "]),
+            ),
+        )
+    )
+    def test_year_list_segments_match_the_oracle(self, segment):
+        # Year lists, one-year markers and locators, beside the one-year sweep
+        # in test_fuzz.py.
+        match = citeparse._paren_segment(segment)
+        assert (match and (match.span(), match.groups())) == oracle_paren_segment(segment)
+
+    def test_year_list_keeps_suffixes_and_the_implied_author_count(self):
+        entries = _entries(
+            "Smith, J. 2010a. One.",
+            "Smith, J., Lee, K., Wu, T. 2010a. Two.",
+            "Smith, J., Lee, K., Wu, T. 2010b. Three.",
+        )
+        cites, unresolved = find_in_text_citations("Smith et al. (2010a, 2010b)", entries)
+        assert [c.entry_index for c in cites] == [2, 3]
+        assert unresolved == []
+
     def test_no_markers(self):
         cites, unresolved = find_in_text_citations("Plain text, notably without brackets.", FIVE)
         assert cites == []
@@ -641,6 +726,7 @@ _NARRATIVE_PIECES = (
     "3-Smith", "'Smith", "_Smith", "2Smith", "Ab-Ab-",
     "(", ")", "[1]", "2010", "(2010)", "( 2011a )", "(\n1999\n)", "(2010b)", "(1850)",
     "(2100)", "(2010) (2011)", "Smith (2010)", "Smith (2010b)", "Lee (2011a)",
+    "(2010, 2011a)", "(2010 ,\n2012,2011)", "Wong (2011,2010b)", "(2010,)", "(2010, x)",
 )  # fmt: skip
 _narrative_text = st.lists(
     st.sampled_from(_NARRATIVE_PIECES) | st.text(max_size=2), max_size=30
@@ -728,18 +814,26 @@ class TestNarrativeScan:
             if not name1[0].isupper() or (name2 and not name2[0].isupper()):
                 continue
             et_al = "et" in marker.replace(",", " ").split()  # a name is capitalized
-            entry = oracle_link_author_year(entries, name1, name2, int(year[:4]), et_al, year[4:])
-            if entry is None:
-                expected_unresolved.append((offset, marker))
-            else:
-                expected_cites.append((offset, marker, entry.index))
+            missing = []
+            for year in re.findall(r"\d{4}[a-z]?", year):  # each year of a year list
+                entry = oracle_link_author_year(
+                    entries, name1, name2, int(year[:4]), et_al, year[4:]
+                )
+                if entry is None:
+                    missing.append(year)
+                else:
+                    expected_cites.append((offset, marker, entry.index))
+            if missing:  # one report per marker
+                expected_unresolved.append(
+                    (offset, marker, f"no entry for {name1} {', '.join(missing)}")
+                )
         # Only narrative markers end in ")"; numeric and parenthetical ones do not.
         cites, unresolved = find_in_text_citations(text, entries)
         narrative = [(c.offset, c.marker, c.entry_index) for c in cites if c.marker.endswith(")")]
-        assert narrative == expected_cites
-        assert [(u.offset, u.marker) for u in unresolved if u.marker.endswith(")")] == (
-            expected_unresolved
-        )
+        assert narrative == sorted(expected_cites, key=lambda c: (c[0], c[2]))
+        assert [
+            (u.offset, u.marker, u.detail) for u in unresolved if u.marker.endswith(")")
+        ] == expected_unresolved
 
 
 _AUTHOR_PIECES = (

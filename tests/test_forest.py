@@ -23,7 +23,6 @@ from citegauge.features import FeatureVector, compute_feature_matrix
 from conftest import FailingGrower, assert_same_model, xy
 from oracles import SplitMix64, brute_force_best_split, choose
 from citegauge.forest import (
-    DecisionTree,
     ForestModel,
     _choose_many,
     _streams,
@@ -425,11 +424,11 @@ class TestGrowerMemory:
         seeds = [derive_seed(7, i) for i in range(100)]
         tracemalloc.start()
         try:
-            counts, _ = forest._grow_trees(X, y, seeds)
+            model = forest._grow_trees(X, y, seeds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(counts) == 100
+        assert len(model.roots) == 100
         return peak
 
     # Each bound is the peak of level passes 25 trees wide with 64-bit slot
@@ -486,11 +485,9 @@ class TestGrowerMemory:
         X, y = self._fold(418)
         seeds = [derive_seed(7, i) for i in range(30)]
         spied = np.asfortranarray(X).view(Spy)
-        counts, columns = forest._grow_trees(spied, y, seeds)
-        want_counts, want = forest._grow_trees(X, y, seeds)
+        model = forest._grow_trees(spied, y, seeds)
         assert Spy.takes == 0
-        assert counts.tolist() == want_counts.tolist()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(columns, want))
+        assert_same_model(model, forest._grow_trees(X, y, seeds))
 
     def test_level_passes(self, monkeypatch):
         # Each level pass calls _best_splits once. Passes 25 trees wide took 54.
@@ -562,15 +559,20 @@ class TestTrainOnPool:
                 train(*xy(self._data()), 4, 1, pool=workers)
 
 
+def _table(roots, *rows):
+    """A forest from its roots and its (feature, threshold, left, count0,
+    count1) node rows."""
+    return ForestModel(np.array(roots), *(np.array(column) for column in zip(*rows)))
+
+
 class TestPredictProba:
-    def _leaf_tree(self, count0, count1):
-        row = (-1, 0.0, -1, -1, count0, count1)  # a root that is a leaf
-        return DecisionTree(*(np.array([value]) for value in row))
+    def _leaves(self, *counts):
+        # One tree per (count0, count1), each a root that is a leaf.
+        return _table(range(len(counts)), *((-1, 0.0, -1, c0, c1) for c0, c1 in counts))
 
     def test_bad_rows_rejected_naming_the_first(self):
         # The root splits on feature 1 at 0.5: a NaN there would be routed right.
-        root = (1, 0.5, 1, 2, 5, 5), (-1, 0.0, -1, -1, 5, 0), (-1, 0.0, -1, -1, 0, 5)
-        model = ForestModel([DecisionTree(*(np.array(column) for column in zip(*root)))])
+        model = _table([0], (1, 0.5, 1, 5, 5), (-1, 0.0, -1, 5, 0), (-1, 0.0, -1, 0, 5))
         assert predict_proba(model, [[0.0, 0.0], [0.0, 1.0]]).tolist() == [0.0, 1.0]
         bad = [
             ([0.0, float("nan")], "non-finite .* row 0$"),
@@ -591,16 +593,16 @@ class TestPredictProba:
         ids=["ragged", "3-D"],
     )
     def test_malformed_batch_rejected_naming_its_shape(self, rows, message):
-        model = ForestModel(trees=[self._leaf_tree(1, 1)])
+        model = self._leaves((1, 1))
         with pytest.raises(DataError, match=message):
             predict_proba(model, rows)
 
     def test_pure_negative_leaf(self):
-        model = ForestModel(trees=[self._leaf_tree(5, 0)])
+        model = self._leaves((5, 0))
         assert predict_proba(model, (1.0,)) == 0.0
 
     def test_three_tree_mean(self):
-        model = ForestModel(trees=[self._leaf_tree(c0, c1) for c0, c1 in [(0, 4), (2, 2), (3, 0)]])
+        model = self._leaves((0, 4), (2, 2), (3, 0))
         assert predict_proba(model, (0.0,)) == pytest.approx(0.5)
 
     def test_batch_equals_per_row_leaf_walk(self):
@@ -623,6 +625,17 @@ class TestPredictProba:
             assert got == total / len(model.trees)
             assert predict_proba(model, row) == got
 
+    def test_tree_views_sum_to_the_forest(self):
+        # Each view is a one-tree forest; their scores summed in tree order and
+        # divided by the tree count are the forest's, bit for bit.
+        X, y = TestGrowerMemory._fold(418)
+        model = train(X, y, 40, 7)
+        total = np.zeros(len(X))
+        for view in model.trees:
+            assert isinstance(view, ForestModel) and view.roots.tolist() == [0]
+            total += predict_proba(view, X)
+        assert (total / len(model.trees)).tobytes() == predict_proba(model, X).tobytes()
+
     def test_training_point_consistency(self):
         model = train(*xy(SEPARABLE), 50, 5)
         for row, label in SEPARABLE:
@@ -631,6 +644,30 @@ class TestPredictProba:
 
 
 class TestForestInvariants:
+    def test_table_links_every_row_once(self):
+        # The model stores no right child: an inner node's children are rows
+        # left and left + 1, inside its own tree's rows and after it.
+        X, y = TestGrowerMemory._fold(418)
+        forests = [
+            train(*xy(SEPARABLE), 30, 8),
+            train(X, y, 100, 7),  # later trees join level passes while earlier ones grow
+            train(X[:, [2]], y, 11, 3),
+            train(*xy([((0.0,), 0), ((1.0,), 1)]), 3, 1),
+        ]
+        for model in forests:
+            rows, roots = len(model.left), model.roots
+            assert roots[0] == 0 and (np.diff(roots) > 0).all() and roots[-1] < rows
+            sizes = np.diff(np.append(roots, rows))
+            end = np.repeat(np.append(roots[1:], rows), sizes)  # each row's tree's end
+            inner = np.flatnonzero(model.feature != -1)
+            left = model.left[inner]
+            assert (left > inner).all() and (left + 1 < end[inner]).all()
+            assert (model.left[model.feature == -1] == -1).all()
+            parents = np.bincount(np.concatenate((left, left + 1)), minlength=rows)
+            want = np.ones(rows, dtype=np.int64)
+            want[roots] = 0
+            assert parents.tolist() == want.tolist()
+
     def test_gini_never_worsens_along_any_split(self):
         def gini(c0, c1):
             n = c0 + c1
@@ -674,8 +711,13 @@ class TestGoldenModel:
     @staticmethod
     def _digest(model):
         # .tolist() gives Python ints and floats, whose reprs agree across numpy 1 and 2
-        columns = ("feature", "threshold", "left", "right", "count0", "count1")
-        text = repr([[getattr(tree, c).tolist() for c in columns] for tree in model.trees])
+        # Each tree's columns, with the right children the model no longer stores.
+        text = repr([
+            [c.tolist() for c in (tree.feature, tree.threshold, tree.left,
+                                  np.where(tree.left >= 0, tree.left + 1, -1),
+                                  tree.count0, tree.count1)]
+            for tree in model.trees
+        ])
         return hashlib.sha256(text.encode()).hexdigest()
 
     def test_node_tables_are_pinned(self, demo_dataset):
