@@ -46,9 +46,10 @@ _RANGE_ITEM_RE = re.compile(r"(\d{1,3})\s*[-–]\s*(\d{1,3})|(\d{1,3})")
 
 # A marker's year with its suffix letter, and each further year of a year list
 # after one set of names, as in "Smith (2010, 2012)"; the comma between two
-# years lets their gap be read one way only.
+# years lets their gap be read one way only. After a suffixed year, a lone
+# suffix letter is shorthand for that year with it ("2010a, b").
 _MARKER_YEAR = r"(?:1[89]|20)\d{2}[a-z]?"
-_MORE_YEARS = rf"(?:\s*,\s*{_MARKER_YEAR})"
+_MORE_YEARS = rf"(?:\s*,\s*{_MARKER_YEAR}|(?<=[a-z])\s*,\s*[a-z])"
 
 # Parenthetical author-year: one "(...)" group, split on ';' into segments like
 # "Smith, 2010", "Smith and Lee, 2011", "Smith et al., 2012", "see Smith 2013".
@@ -407,7 +408,9 @@ def find_in_text_citations(
     no candidate passes it. Ties go to the lowest entry index. A parenthetical
     marker may end in one page or chapter locator (", p. 4"), which it omits.
     A marker may give a list of years after its names ("Smith (2010, 2012)"):
-    each year links, or is reported, as a one-year marker's would.
+    each year links, or is reported, as a one-year marker's would. After a
+    suffixed year, a lone suffix letter is that year with the letter
+    ("2010a, b" lists 2010a and 2010b).
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -440,9 +443,9 @@ def find_in_text_citations(
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
         et_al = bool(_ET_AL_RE.search(marker))
-        missing = []
-        for year in years.split(","):  # one link per year of a year list
-            year = year.strip()
+        missing, year = [], ""
+        for item in map(str.strip, years.split(",")):  # one link per year of a year list
+            year = item if len(item) > 1 else year[:4] + item  # "2010a, b": b is 2010b
             key = (name1, name2, year, et_al)
             if key not in links:
                 same_year = by_year.get(int(year[:4]), [])
@@ -488,6 +491,8 @@ def find_in_text_citations(
 def paper_bibliography(record: PaperRecord) -> tuple[str, list[BibliographyEntry]]:
     """Bibliography entries for a paper, parsed from its explicit reference list
     when present, otherwise segmented out of the body. Returns (main_text, entries)."""
+    if record.body is None:
+        raise TypeError(f"{record.id}: no body; a loaded corpus gives it by Corpus.with_body")
     if record.references:
         raws = list(record.references)
         main_text = record.body

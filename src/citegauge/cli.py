@@ -176,7 +176,7 @@ def cmd_ingest(config: RunConfig) -> int:
     unresolved_by_paper = {}
     unparseable = []
     for citing_id in sorted({p.citing_id for p in pairs}):
-        index = citeparse.index_citing_paper(corpus[citing_id])
+        index = citeparse.index_citing_paper(corpus.with_body(citing_id))  # one body at a time
         if not index.entries:
             unparseable.append(citing_id)
         elif index.unresolved:
@@ -226,11 +226,12 @@ def cmd_features(config: RunConfig) -> int:
 def cmd_evaluate(config: RunConfig) -> int:
     out, corpus, _, valid, stats, _ = _load_dataset(config, "evaluate")
     rows, _ = features_mod.compute_feature_matrix(corpus, valid, config.f4_mode, config.threads)
-    del corpus, valid  # rows and stats hold no reference to them; free the texts
+    del corpus, valid  # rows and stats hold no reference to them; free the metadata
 
     # Only evaluate loads numpy (through forest and evaluation), and only now, into
-    # the memory the texts held. Its one BLAS call is a dot product over the pairs,
-    # so one OpenBLAS thread will do, and the training pool forks no BLAS threads.
+    # the memory the metadata held; no body outlived its paper's f1 count. Its one
+    # BLAS call is a dot product over the pairs, so one OpenBLAS thread will do,
+    # and the training pool forks no BLAS threads.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     from . import evaluation
 

@@ -6,8 +6,10 @@ A corpus is a directory of UTF-8 JSON documents, one object per file, with keys
 ``citing_id<TAB>cited_id<TAB>label`` row per pair. The first row is a header
 when its third column is not numeric and its first two are not both corpus ids.
 
-Records are treated as immutable after loading and are safe to share across
-threads read-only.
+A loaded corpus keeps each record's metadata, not its body: ``Corpus.with_body``
+reads a body again from its file when it is needed, so a run holds one body at
+a time. Records are treated as immutable after loading and are safe to share
+across threads read-only.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import DataError
@@ -25,13 +27,14 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PaperRecord:
-    """One publication: identity, metadata, and full running text."""
+    """One publication: identity, metadata, and full running text. ``body`` is
+    None on a record from ``load_corpus``; ``Corpus.with_body`` gives it."""
 
     id: str
     title: str
     authors: list[str]
     abstract: str | None = None
-    body: str = ""
+    body: str | None = ""
     references: list[str] | None = None
 
 
@@ -85,6 +88,31 @@ class Corpus(dict[str, PaperRecord]):
     def __init__(self, papers=(), load_report: list[LoadIssue] | None = None):
         super().__init__(papers)
         self.load_report = [] if load_report is None else load_report
+        self._files: dict[str, tuple[str, tuple[int, int]]] = {}  # loaded id -> file, identity
+
+    def with_body(self, paper_id: str) -> PaperRecord:
+        """The record of ``paper_id`` with its body. A loaded record's file is
+        read again, and must hold what was loaded: a file that is gone, no
+        longer parses, has another size or mtime, or holds other metadata is a
+        DataError naming it. A record built in memory is returned as it is."""
+        record = self[paper_id]
+        if paper_id not in self._files:
+            return record
+        path, identity = self._files[paper_id]
+        try:
+            data, now = _read_document(path)
+            fresh = paper_from_dict(data, source=path)
+        except (OSError, ValueError) as exc:
+            raise DataError(f"corpus file changed since it was loaded: {path}: {exc}") from None
+        except DataError as exc:  # its message starts with the path
+            raise DataError(f"corpus file changed since it was loaded: {exc}") from None
+        if now != identity:
+            detail = "its size or modification time differs"
+        elif replace(fresh, body=None) != record:
+            detail = "its metadata differs"
+        else:
+            return fresh
+        raise DataError(f"corpus file changed since it was loaded: {path}: {detail}")
 
 
 def has_abstract(record: PaperRecord | None) -> bool:
@@ -145,8 +173,19 @@ def paper_from_dict(data: dict, source: str = "<dict>") -> PaperRecord:
     )
 
 
+def _read_document(path: str) -> tuple[object, tuple[int, int]]:
+    """A corpus file's decoded JSON and its identity (size, mtime in ns), from
+    one open file. The bytes are decoded as UTF-8 (a leading byte-order mark
+    dropped) before parsing, so a lone surrogate is an error, not a string."""
+    with open(path, "rb") as handle:
+        stat = os.fstat(handle.fileno())
+        raw = handle.read()
+    return json.loads(raw.decode("utf-8-sig")), (stat.st_size, stat.st_mtime_ns)
+
+
 def load_corpus(path: str | Path) -> Corpus:
-    """Load every ``*.json`` document under ``path`` into an id-keyed index.
+    """Load every ``*.json`` document under ``path`` into an id-keyed index of
+    records without their bodies (``Corpus.with_body`` reads one again).
 
     Malformed files are collected into the corpus load report and skipped;
     an unreadable directory or a duplicated id is fatal.
@@ -158,23 +197,23 @@ def load_corpus(path: str | Path) -> Corpus:
         raise DataError(f"corpus directory not readable: {directory}") from None
 
     corpus = Corpus()
-    seen_files: dict[str, str] = {}
-    for doc_path in map(directory.joinpath, names):
+    for name in names:
+        doc_path = os.path.join(directory, name)
         try:
-            data = json.loads(doc_path.read_text(encoding="utf-8-sig"))
-            record = paper_from_dict(data, source=doc_path.name)
+            data, identity = _read_document(doc_path)
+            record = paper_from_dict(data, source=name)
         except DataError as exc:
-            corpus.load_report.append(LoadIssue(doc_path.name, str(exc)))
+            corpus.load_report.append(LoadIssue(name, str(exc)))
             continue
         except (OSError, ValueError) as exc:
-            corpus.load_report.append(LoadIssue(doc_path.name, f"unreadable document: {exc}"))
+            corpus.load_report.append(LoadIssue(name, f"unreadable document: {exc}"))
             continue
         if record.id in corpus:
-            raise DataError(
-                f"duplicate paper id '{record.id}' in {seen_files[record.id]} and {doc_path.name}"
-            )
-        seen_files[record.id] = doc_path.name
+            first = os.path.basename(corpus._files[record.id][0])
+            raise DataError(f"duplicate paper id '{record.id}' in {first} and {name}")
+        record.body = None  # read again when it is needed
         corpus[record.id] = record
+        corpus._files[record.id] = doc_path, identity
 
     if corpus.load_report:
         logger.warning("corpus load skipped %d malformed document(s)", len(corpus.load_report))

@@ -216,8 +216,9 @@ def compute_feature_matrix(
     """Extract features for every pair, collecting per-pair warnings.
 
     f1 is counted per citing paper, against one index of its bibliography and
-    markers, built once and dropped before the next paper's. f4 and f9 come
-    from ``metadata_features``: in a forked child while f1 is counted here if
+    markers, built once from its body (``Corpus.with_body``) and dropped with
+    the body before the next paper's. f4 and f9 come from
+    ``metadata_features``: in a forked child while f1 is counted here if
     ``usable_workers`` allows two, else after f1, so the two memory peaks do
     not add up. Rows and warnings keep the input pair order; pairs that fail
     extraction are only in the warnings. One WARNING log line counts the pairs
@@ -230,7 +231,7 @@ def compute_feature_matrix(
 
     def citation_counts() -> None:
         for citing_id, positions in _by_citing(pairs).items():
-            citing = corpus.get(citing_id)
+            citing = corpus.with_body(citing_id) if citing_id in corpus else None
             index = None if citing is None else citeparse.index_citing_paper(citing)
             for position in positions:
                 pair = pairs[position]
@@ -250,7 +251,7 @@ def compute_feature_matrix(
                     detail = f"{len(analysis.unresolved)} marker(s) could not be linked"
                     notes.append(_note(pair, "unresolved-markers", detail))
                 results[position] = analysis.count, notes
-            del index  # one citing paper's index at a time
+            del citing, index  # one citing paper's body and index at a time
 
     if usable_workers(workers, 2) > 1:
         f4_f9 = _alongside(citation_counts, partial(metadata_features, corpus, pairs, f4_mode))

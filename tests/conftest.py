@@ -74,6 +74,44 @@ def fork_calls(monkeypatch):
 
 
 @pytest.fixture
+def file_reads(monkeypatch, tmp_path):
+    """The corpus files read through the loader's reader, by name, in read
+    order, forked children included: a callable returning the list so far."""
+    from citegauge import corpus
+
+    log, read = tmp_path / "reads.log", corpus._read_document
+
+    def spy(path):
+        with open(log, "a", encoding="utf-8") as handle:  # appends from every process
+            handle.write(os.path.basename(path) + "\n")
+        return read(path)
+
+    monkeypatch.setattr(corpus, "_read_document", spy)
+    return lambda: log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+
+
+def change_file(path, how):
+    """Change a loaded corpus file: "deleted", "truncated" (to half its bytes),
+    "touched" (a later mtime only) or "rewritten" (another title, of the same
+    size, with the old mtime put back)."""
+    stat = path.stat()
+    if how == "deleted":
+        path.unlink()
+    elif how == "truncated":
+        path.write_bytes(path.read_bytes()[: stat.st_size // 2])
+    elif how == "touched":
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    elif how == "rewritten":
+        raw = path.read_bytes()
+        at = raw.index(b'"title": "') + len(b'"title": "')
+        path.write_bytes(raw[:at] + (b"Y" if raw[at : at + 1] != b"Y" else b"Z") + raw[at + 1 :])
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_size == stat.st_size
+    else:
+        raise ValueError(how)
+
+
+@pytest.fixture
 def demo_dataset(tmp_path):
     from fixture_corpus import write_dataset
 

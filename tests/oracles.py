@@ -138,15 +138,27 @@ def choose(rng, k, n):
 
 
 # The narrative author-year regex the package used before its year-anchored
-# scan. It tries a name match at every word boundary, so it takes quadratic
-# time on long runs of name-like text: keep its inputs short.
+# scan, with each listed year read as a year, its suffix letter and any lone
+# suffix letters after it ("2010a, b"). It tries a name match at every word
+# boundary, so it takes quadratic time on long runs of name-like text: keep
+# its inputs short.
 _NAME = r"[^\W\d_][\w'’\-]+"
+_LISTED_YEAR = r"(?:1[89]|20)\d{2}(?:[a-z](?:\s*,\s*[a-z])*)?"
 _NARRATIVE_RE = re.compile(
     rf"\b({_NAME})(?:\s*(?:,|\s)\s*(?:and|&)\s+({_NAME}))?"
     rf"(?:,?\s+et\s+al\.?)?"
-    rf"\s*\(\s*((?:1[89]|20)\d{{2}}[a-z]?(?:\s*,\s*(?:1[89]|20)\d{{2}}[a-z]?)*)\s*\)",
+    rf"\s*\(\s*({_LISTED_YEAR}(?:\s*,\s*{_LISTED_YEAR})*)\s*\)",
     re.DOTALL,
 )
+
+
+def oracle_year_list(years):
+    """The years of a marker's year list, each with its suffix; a lone suffix
+    letter is the year before it with that letter ("2010a, b": 2010a, 2010b)."""
+    listed = []
+    for item in re.findall(r"\d{4}[a-z]?|[a-z]", years):
+        listed.append(item if item[0].isdigit() else listed[-1][:4] + item)
+    return listed
 
 
 def oracle_narrative_markers(text):
@@ -174,15 +186,17 @@ _PAREN_SEG_RE = re.compile(
 _LOCATOR_RE = re.compile(r"(?:p|pp|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?")
 
 
-_YEAR = re.compile(r"(?:1[89]|20)\d{2}[a-z]?")
+# An item of a year list: a year with its suffix letter, or a lone suffix letter.
+_YEAR_ITEM = re.compile(r"(?:1[89]|20)\d{2}[a-z]?|[a-z]")
 
 
 def oracle_paren_segment(segment):
     """(span, groups) of a parenthetical author-year segment's match, or None.
     A locator after the segment's last comma is cut off before matching. A
     segment that is no one-year marker may be one whose year is followed by
-    comma-separated years; then the span ends where "$" would end it, and the
-    last group holds every year and the gaps between them."""
+    comma-separated years, or by lone suffix letters where the item before
+    ends in a letter; then the span ends where "$" would end it, and the last
+    group holds every year and the gaps between them."""
     head, comma, tail = segment.rpartition(",")
     if comma and _LOCATOR_RE.fullmatch(tail.lstrip()):
         segment = head
@@ -192,13 +206,16 @@ def oracle_paren_segment(segment):
     pieces = segment.split(",")
     last = pieces[-1].lstrip()
     end = len(segment) - last.endswith("\n")  # "$" matches before a final newline
-    if not _YEAR.fullmatch(last.removesuffix("\n")):
+    if not _YEAR_ITEM.fullmatch(last.removesuffix("\n")):
         return None
     for i in range(len(pieces) - 1, 0, -1):  # the first year ends pieces[:i]
         match = _PAREN_SEG_RE.fullmatch(",".join(pieces[:i]).rstrip())
         if match:
+            items = [match.group(3)] + [piece.strip() for piece in pieces[i:]]
+            if any(len(b) == 1 and not a[-1].isalpha() for a, b in zip(items, items[1:])):
+                return None  # a lone letter after a bare year
             return (0, end), (*match.groups()[:2], segment[match.start(3) : end])
-        if not _YEAR.fullmatch(pieces[i - 1].strip()):
+        if not _YEAR_ITEM.fullmatch(pieces[i - 1].strip()):
             return None
     return None
 

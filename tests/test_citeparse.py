@@ -1,5 +1,4 @@
 import random
-import re
 import time
 import tracemalloc
 
@@ -27,6 +26,7 @@ from oracles import (
     oracle_narrative_markers,
     oracle_paren_segment,
     oracle_reference_split,
+    oracle_year_list,
 )
 from fixture_corpus import (
     EXPECTED_TARGET_COUNTS,
@@ -120,6 +120,12 @@ class TestSegmentReferences:
         main, entries = paper_bibliography(record)
         assert main == record.body
         assert [e.raw for e in entries] == ["[1] Given entry. 2001."]
+
+    @pytest.mark.parametrize("references", [None, ["[1] Given entry. 2001."]])
+    def test_record_without_its_body_is_refused(self, references):
+        # A loaded corpus keeps no body: the record comes from Corpus.with_body.
+        with pytest.raises(TypeError, match="x: no body; .*Corpus.with_body"):
+            paper_bibliography(make_paper("x", body=None, references=references))
 
 
 class TestParseBibEntry:
@@ -474,7 +480,7 @@ class TestFindInTextCitations:
                 st.lists(
                     st.tuples(
                         st.sampled_from([",", ", ", " ,", ",\n", " ", ";"]),
-                        st.sampled_from(["2010", "2011a", "x"]),
+                        st.sampled_from(["2010", "2011a", "b", "x"]),
                     ).map("".join),
                     max_size=3,
                 ).map("".join),
@@ -497,6 +503,51 @@ class TestFindInTextCitations:
         cites, unresolved = find_in_text_citations("Smith et al. (2010a, 2010b)", entries)
         assert [c.entry_index for c in cites] == [2, 3]
         assert unresolved == []
+
+    # Two entries of one author and year, told apart by their suffixes.
+    SUFFIXED = _entries("Smith, J. 2010a. One.", "Smith, J. 2010b. Two.")
+
+    @pytest.mark.parametrize(
+        "text, marker",
+        [
+            ("(Smith, 2010a, b)", "Smith, 2010a, b"),
+            ("Smith (2010a, b)", "Smith (2010a, b)"),
+            ("(see Smith 2010a,b)", "see Smith 2010a,b"),
+            ("as Smith ( 2010a ,\n b ) shows", "Smith ( 2010a ,\n b )"),
+            ("(e.g. Smith, 2010a, b, p. 4; Lee)", "e.g. Smith, 2010a, b"),
+        ],
+    )
+    def test_suffix_letter_after_a_suffixed_year_links_as_that_year(self, text, marker):
+        # "2010a, b" is shorthand for "2010a, 2010b".
+        cites, unresolved = find_in_text_citations(text, self.SUFFIXED)
+        offset = text.index(marker)
+        assert [(c.offset, c.marker, c.entry_index) for c in cites] == [
+            (offset, marker, 1),
+            (offset, marker, 2),
+        ]
+        assert unresolved == []
+
+    @pytest.mark.parametrize(
+        "text, linked, detail",
+        [
+            ("(Smith, 2010a, c)", [1], "no entry for Smith 2010c"),
+            ("Smith (2010b, c, a)", [1, 2], "no entry for Smith 2010c"),
+            ("(Smith, 2011a, b, 2010b)", [2], "no entry for Smith 2011a, 2011b"),
+            ("Smith (2009c, 2010a, d)", [1], "no entry for Smith 2009c, 2010d"),
+        ],
+    )
+    def test_suffix_letter_takes_the_year_before_it(self, text, linked, detail):
+        cites, unresolved = find_in_text_citations(text, self.SUFFIXED)
+        marker = text.strip("()") if text.startswith("(") else text
+        assert [(c.marker, c.entry_index) for c in cites] == [(marker, i) for i in linked]
+        assert [(u.marker, u.detail) for u in unresolved] == [(marker, detail)]
+
+    @pytest.mark.parametrize(
+        "text", ["(Smith, 2010, b)", "Smith (2010, b)", "(Smith, 2010a, bc)", "Smith (2010a, B)"]
+    )
+    def test_suffix_letter_needs_a_suffixed_year_before_it(self, text):
+        # A lone letter after a bare year, a word or a capital is no year.
+        assert find_in_text_citations(text, self.SUFFIXED) == ([], [])
 
     def test_no_markers(self):
         cites, unresolved = find_in_text_citations("Plain text, notably without brackets.", FIVE)
@@ -727,6 +778,7 @@ _NARRATIVE_PIECES = (
     "(", ")", "[1]", "2010", "(2010)", "( 2011a )", "(\n1999\n)", "(2010b)", "(1850)",
     "(2100)", "(2010) (2011)", "Smith (2010)", "Smith (2010b)", "Lee (2011a)",
     "(2010, 2011a)", "(2010 ,\n2012,2011)", "Wong (2011,2010b)", "(2010,)", "(2010, x)",
+    "(2010a, b)", "Smith (2011a,b ,c)", "(2010, b)", "(2010b, a, 2011)", ", b", "c)",
 )  # fmt: skip
 _narrative_text = st.lists(
     st.sampled_from(_NARRATIVE_PIECES) | st.text(max_size=2), max_size=30
@@ -815,7 +867,7 @@ class TestNarrativeScan:
                 continue
             et_al = "et" in marker.replace(",", " ").split()  # a name is capitalized
             missing = []
-            for year in re.findall(r"\d{4}[a-z]?", year):  # each year of a year list
+            for year in oracle_year_list(year):  # each year of a year list
                 entry = oracle_link_author_year(
                     entries, name1, name2, int(year[:4]), et_al, year[4:]
                 )

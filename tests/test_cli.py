@@ -75,6 +75,19 @@ class TestIngest:
         assert report["unparseable_bibliographies"] == ["c09"]
         assert report["unresolved_markers"].get("c02") == 1
 
+    def test_reads_each_citing_file_once_after_loading(self, tmp_path, file_reads):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        code = _run(
+            "ingest", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / "out"),
+        )
+        assert code == 0
+        # Every file at load, then each citing paper's in id order; the
+        # cited-only p-target and p-aux are not read again.
+        names = sorted(path.name for path in corpus_dir.glob("*.json"))
+        citing = sorted({f"{citing_id}.json" for citing_id, _, _ in PAIR_ROWS})
+        assert file_reads() == names + citing
+
     def test_empty_pairs_file(self, tmp_path, capsys):
         corpus_dir, _ = write_dataset(tmp_path)
         empty = tmp_path / "empty.tsv"
@@ -214,6 +227,23 @@ class TestFeaturesCommand:
             "--output", str(tmp_path / "out"),
         )
         assert code == 2
+
+    def test_citing_file_changed_since_loading_exits_2(self, tmp_path, monkeypatch, capsys):
+        corpus_dir, pairs_file = write_dataset(tmp_path)
+        compute = features_mod.compute_feature_matrix
+
+        def delete_then_compute(*args):
+            (corpus_dir / "c03.json").unlink()
+            return compute(*args)
+
+        monkeypatch.setattr(features_mod, "compute_feature_matrix", delete_then_compute)
+        code = _run(
+            "features", "--corpus", str(corpus_dir), "--pairs", str(pairs_file),
+            "--output", str(tmp_path / "out"),
+        )
+        assert code == 2
+        assert f"changed since it was loaded: {corpus_dir / 'c03.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "features.csv").exists()
 
 
 class TestEvaluateCommand:

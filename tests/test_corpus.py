@@ -1,6 +1,6 @@
 import json
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -16,7 +16,7 @@ from citegauge.corpus import (
 )
 from citegauge.errors import DataError
 
-from conftest import make_corpus, make_paper
+from conftest import change_file, make_corpus, make_paper
 
 
 def _doc(paper_id, abstract="An abstract.", **extra):
@@ -66,6 +66,19 @@ class TestLoadCorpus:
         corpus = load_corpus(tmp_path / "c")
         assert list(corpus) == ["a"]
         assert corpus.load_report == []
+
+    def test_bytes_are_decoded_as_utf8_before_parsing(self, tmp_path):
+        # json.loads on bytes would read a UTF-8-encoded lone surrogate as
+        # "\ud800"; UTF-8 text holds no surrogates, so the document is unreadable.
+        d = tmp_path / "c"
+        d.mkdir()
+        raw = json.dumps(_doc("a", title="X")).encode("utf-8")
+        (d / "a.json").write_bytes(raw.replace(b'"X"', b'"\xed\xa0\x80"'))
+        (d / "b.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(_doc("b")).encode("utf-8"))
+        corpus = load_corpus(d)
+        assert list(corpus) == ["b"]
+        assert [i.source for i in corpus.load_report] == ["a.json"]
+        assert corpus.load_report[0].message.startswith("unreadable document:")
 
     def test_missing_directory_is_fatal(self, tmp_path):
         with pytest.raises(DataError):
@@ -143,6 +156,45 @@ class TestCorpusMapping:
         corpus = Corpus({"a": record}, load_report=issues)
         assert corpus["a"] is record
         assert corpus.load_report == issues
+
+
+class TestBodies:
+    def test_loaded_records_hold_no_body(self, demo_dataset):
+        corpus = load_corpus(demo_dataset[0])
+        assert len(corpus) == 12
+        assert all(record.body is None for record in corpus.values())
+
+    def test_with_body_reads_the_file_again(self, tmp_path, file_reads):
+        _write_docs(tmp_path / "c", [_doc("a", body="Body of a."), _doc("b")])
+        corpus = load_corpus(tmp_path / "c")
+        assert file_reads() == ["doc0.json", "doc1.json"]
+        record = corpus.with_body("a")
+        assert file_reads()[2:] == ["doc0.json"]
+        assert record == replace(corpus["a"], body="Body of a.")
+        assert corpus["a"].body is None  # the corpus still holds no body
+
+    def test_record_built_in_memory_is_returned_as_it_is(self):
+        record = make_paper("a", body="Body text.")
+        assert make_corpus(record).with_body("a") is record
+
+    @pytest.mark.parametrize(
+        "how, detail",
+        [
+            ("deleted", "No such file"),
+            ("truncated", "(char "),  # a JSON error and where it is
+            ("touched", "its size or modification time differs"),
+            ("rewritten", "its metadata differs"),
+        ],
+    )
+    def test_file_changed_since_loading_is_a_data_error_naming_it(self, tmp_path, how, detail):
+        _write_docs(tmp_path / "c", [_doc("a", body="A body of some length.")])
+        corpus = load_corpus(tmp_path / "c")
+        path = tmp_path / "c" / "doc0.json"
+        change_file(path, how)
+        with pytest.raises(DataError) as raised:
+            corpus.with_body("a")
+        assert str(raised.value).startswith(f"corpus file changed since it was loaded: {path}: ")
+        assert detail in str(raised.value)
 
 
 class TestPaperNormalization:

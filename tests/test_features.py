@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import random
+import re
 import time
 
 import pytest
@@ -10,8 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from citegauge import citeparse, features as features_mod
 from citegauge.citeparse import analyze_citations
-from citegauge.corpus import CitationPair, has_abstract
-from citegauge.errors import ConfigurationError
+from citegauge.corpus import (
+    CitationPair,
+    filter_valid_pairs,
+    has_abstract,
+    load_corpus,
+    load_pairs,
+)
+from citegauge.errors import ConfigurationError, DataError
 from citegauge.textnorm import fold, normalize_author, surname_key
 from citegauge.features import (
     FeatureVector,
@@ -24,7 +31,7 @@ from citegauge.features import (
     vectorize,
 )
 
-from conftest import make_corpus, make_paper
+from conftest import change_file, make_corpus, make_paper
 from oracles import oracle_author_jaccard, oracle_fold, oracle_tfidf_vector
 from fixture_corpus import EXPECTED_TARGET_COUNTS, all_papers, PAIR_ROWS, TARGET_ID
 
@@ -465,6 +472,46 @@ class TestStreamedFeatureMatrix:
             assert sorted(keyed) == sorted(cited)
             assert sorted(tokenized) == sorted(abstracts)
             assert sorted(built) == sorted(cited | {p.citing_id for p in pairs})
+
+
+def _loaded(corpus_dir, pairs_file):
+    """A loaded corpus and its valid pairs."""
+    corpus = load_corpus(corpus_dir)
+    pairs, stats, _ = load_pairs(pairs_file, corpus)
+    return corpus, filter_valid_pairs(pairs, corpus, stats)
+
+
+class TestBodiesFromFiles:
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_citing_file_read_once_after_loading(self, demo_dataset, file_reads, workers):
+        corpus_dir, pairs_file = demo_dataset
+        corpus, valid = _loaded(corpus_dir, pairs_file)
+        loaded = file_reads()
+        assert loaded == sorted(path.name for path in corpus_dir.glob("*.json"))
+        compute_feature_matrix(corpus, valid, workers=workers)
+        # In first-pair order; the cited-only p-target and p-aux are not read.
+        citing = dict.fromkeys(pair.citing_id for pair in valid)
+        assert file_reads()[len(loaded) :] == [f"{paper_id}.json" for paper_id in citing]
+
+    @pytest.mark.usefixtures("two_cpus")
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("how", ["deleted", "truncated", "rewritten"])
+    def test_citing_file_changed_since_loading_is_a_data_error(self, demo_dataset, how, workers):
+        corpus_dir, pairs_file = demo_dataset
+        corpus, valid = _loaded(corpus_dir, pairs_file)
+        path = corpus_dir / "c03.json"
+        change_file(path, how)
+        with pytest.raises(DataError, match=f"changed since it was loaded: {re.escape(str(path))}"):
+            compute_feature_matrix(corpus, valid, workers=workers)
+
+    def test_rows_and_warnings_equal_those_of_records_in_memory(self, demo_dataset):
+        corpus, valid = _loaded(*demo_dataset)
+        in_memory = make_corpus(*map(corpus.with_body, corpus))
+        assert all(record.body for record in in_memory.values())
+        rows, warnings = compute_feature_matrix(corpus, valid)
+        assert (rows, warnings) == compute_feature_matrix(in_memory, valid)
+        assert len(rows) == len(valid) and warnings
 
 
 class TestForkedMetadataFeatures:
