@@ -55,18 +55,19 @@ _MORE_YEARS = rf"(?:\s*,\s*{_MARKER_YEAR}|(?<=[a-z])\s*,\s*[a-z])"
 # "Smith, 2010", "Smith and Lee, 2011", "Smith et al., 2012", "see Smith 2013".
 # The gap before "and" is a comma in optional whitespace or whitespace alone,
 # so a whitespace run can be read one way only and a long one costs linear time.
-# A segment may end in a year list ("Smith, 2010, 2012").
+# A segment may end in a year list ("Smith, 2010, 2012") and then one page or
+# chapter locator (", p. 4", ", pp. 4-5"), which the lookahead leaves out of the
+# match; as "$" does, it lets one "\n" end the years. A segment may also be a
+# year list alone ("2012" in "(Smith, 2010; 2012)"); then the names are None.
 _PAREN_RE = re.compile(r"\(([^()]{1,300})\)", re.DOTALL)
 _PAREN_SEG_RE = re.compile(
-    rf"^(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
+    rf"^(?:(?:(?:see|cf|e\.g|i\.e)\.?,?\s+)?"
     rf"({_NAME})(?:(?:\s*,\s*|\s+)(?:and|&)\s+({_NAME}))?"
-    rf"(?:,?\s+et\s+al\.?)?"
-    rf",?\s+({_MARKER_YEAR}{_MORE_YEARS}*)$",
+    rf"(?:,?\s+et\s+al\.?)?,?\s+)?"
+    rf"({_MARKER_YEAR}{_MORE_YEARS}*)"
+    r"(?=\n?,\s*(?:pp?|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?\Z|$)",
     re.DOTALL,
 )
-# One trailing page or chapter locator, as in "Smith, 2013, p. 4" or ", pp. 4-5".
-# A segment is matched without it, and its marker leaves it out.
-_LOCATOR_RE = re.compile(r",\s*(?:pp?|ch)\.\s*\d+(?:\s*[-–]\s*\d+)?\Z")
 
 # Narrative author-year: "Smith (2010)", "Smith and Lee (2011)", "Smith et al. (2012)",
 # "Smith (2010, 2012)". The names contain no parenthesis, so a marker ends at
@@ -382,16 +383,6 @@ def narrative_markers(text: str) -> list[tuple[int, str, str, str | None, str]]:
     return markers
 
 
-def _paren_segment(seg: str) -> re.Match | None:
-    """``_PAREN_SEG_RE``'s match of a parenthetical segment less its trailing
-    locator (``_LOCATOR_RE``), if it has one. A segment that matches whole
-    ends in a year, so it has no locator and is searched for none."""
-    match = _PAREN_SEG_RE.match(seg)
-    if match is None and (locator := _LOCATOR_RE.search(seg)):
-        match = _PAREN_SEG_RE.match(seg, 0, locator.start())
-    return match
-
-
 def find_in_text_citations(
     main_text: str, entries: list[BibliographyEntry]
 ) -> tuple[list[InTextCitation], list[UnresolvedMarker]]:
@@ -410,7 +401,10 @@ def find_in_text_citations(
     A marker may give a list of years after its names ("Smith (2010, 2012)"):
     each year links, or is reported, as a one-year marker's would. After a
     suffixed year, a lone suffix letter is that year with the letter
-    ("2010a, b" lists 2010a and 2010b).
+    ("2010a, b" lists 2010a and 2010b). Within one parenthetical group, a
+    segment that is a year list alone takes the names and "et al." of the
+    segment before it, if that one is a marker or takes them in turn ("2012"
+    in "(Smith, 2010; 2012)" is Smith's); it keeps its own offset and marker.
     Citation-shaped spans that link to nothing are reported as unresolved.
     """
     citations: list[InTextCitation] = []
@@ -439,10 +433,11 @@ def find_in_text_citations(
             by_year.setdefault(entry.year, []).append(entry)
     links: dict[tuple[str, str | None, str, bool], BibliographyEntry | None] = {}
 
-    def handle_author_year(offset: int, marker: str, name1: str, name2: str | None, years: str):
+    def handle_author_year(
+        offset: int, marker: str, name1: str, name2: str | None, et_al: bool, years: str
+    ):
         if not name1[0].isupper() or (name2 and not name2[0].isupper()):
             return
-        et_al = bool(_ET_AL_RE.search(marker))
         missing, year = [], ""
         for item in map(str.strip, years.split(",")):  # one link per year of a year list
             year = item if len(item) > 1 else year[:4] + item  # "2010a, b": b is 2010b
@@ -463,15 +458,15 @@ def find_in_text_citations(
             )
 
     for paren in _PAREN_RE.finditer(main_text):
-        inner = paren.group(1)
-        seg_start = 0
-        for segment in inner.split(";"):
-            seg = segment.strip()
-            seg_match = _paren_segment(seg)
-            if seg_match:
-                offset = paren.start(1) + seg_start + segment.index(seg[0])
-                handle_author_year(offset, seg_match.group(0), *seg_match.group(1, 2, 3))
-            seg_start += len(segment) + 1
+        offset, names = paren.start(1), None
+        for segment in paren.group(1).split(";"):
+            match = _PAREN_SEG_RE.match(segment.strip())
+            if match is None or match.group(1):  # a year list alone keeps the names
+                names = match and (*match.group(1, 2), bool(_ET_AL_RE.search(match.group(0))))
+            if names:
+                lead = len(segment) - len(segment.lstrip())
+                handle_author_year(offset + lead, match.group(0), *names, match.group(3))
+            offset += len(segment) + 1
 
     for offset, marker, name1, name2, year in narrative_markers(main_text):
         if name2 and not name1[0].isupper():
@@ -481,7 +476,7 @@ def find_in_text_citations(
             # occurrence is its own (a lowercase one is dropped all the same).
             cut = marker.rindex(name2)
             offset, marker, name1, name2 = offset + cut, marker[cut:], name2, None
-        handle_author_year(offset, marker, name1, name2, year)
+        handle_author_year(offset, marker, name1, name2, bool(_ET_AL_RE.search(marker)), year)
 
     citations.sort(key=lambda c: (c.offset, c.entry_index))
     unresolved.sort(key=lambda u: (u.offset, u.marker))

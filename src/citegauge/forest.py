@@ -87,20 +87,14 @@ _LOW = 20
 _POSITIVES = (1 << _LOW) - 1
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def derive_seed(master: int, index: int) -> int:
     """Deterministic per-stream seed from a master seed and a stream index."""
-    return _mix64((master + (index + 1) * _GOLDEN) & _MASK64)
+    return int(_mix64_array(np.array([(master + (index + 1) * _GOLDEN) & _MASK64], np.uint64))[0])
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``_mix64`` over a uint64 array. Every operand is an explicit ``np.uint64``,
-    so the bits do not depend on numpy's integer promotion rules."""
+    """splitmix64's output mix over a uint64 array. Every operand is an explicit
+    ``np.uint64``, so the bits do not depend on numpy's integer promotion rules."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
@@ -462,7 +456,7 @@ def train(X: np.ndarray, y: np.ndarray, trees: int, seed: int, pool=None) -> For
     if len(set(y.tolist())) < 2:
         raise TrainingError("training data contains a single class")
 
-    args = (X, y, [derive_seed(seed, i) for i in range(trees)])
+    args = (X, y, _streams(np.array([seed & _MASK64], np.uint64), trees)[0])
     return pool.submit(_grow_trees, *args).result() if pool else _grow_trees(*args)
 
 

@@ -196,7 +196,12 @@ def oracle_paren_segment(segment):
     segment that is no one-year marker may be one whose year is followed by
     comma-separated years, or by lone suffix letters where the item before
     ends in a letter; then the span ends where "$" would end it, and the last
-    group holds every year and the gaps between them."""
+    group holds every year and the gaps between them. A segment that starts
+    with a digit can only be a year list alone: it is read after a stand-in
+    name, and its names are None."""
+    if re.match(r"\d", segment):
+        found = oracle_paren_segment("Name " + segment)
+        return found and ((0, found[0][1] - len("Name ")), (None, None, found[1][2]))
     head, comma, tail = segment.rpartition(",")
     if comma and _LOCATOR_RE.fullmatch(tail.lstrip()):
         segment = head
@@ -218,6 +223,37 @@ def oracle_paren_segment(segment):
         if not _YEAR_ITEM.fullmatch(pieces[i - 1].strip()):
             return None
     return None
+
+
+def oracle_paren_markers(text):
+    """(offset, marker, name1, name2, et_al, years) of every parenthetical
+    author-year segment that has names, by a scan of the text. A group is a "("
+    and the first ")" after it, with no "(" between and 1 to 300 characters
+    inside; it splits on ";" into segments, each read with leading and trailing
+    whitespace cut. A segment that is a year list alone has the names and
+    et_al of the segment before it, if that one has any; a segment that is no
+    marker has none. et_al is whether the named marker holds the word "et"."""
+    markers, start = [], text.find("(")
+    while start >= 0:
+        closing, opening = text.find(")", start + 1), text.find("(", start + 1)
+        if closing < 0 or 0 <= opening < closing or not 1 <= closing - start - 1 <= 300:
+            start = opening
+            continue
+        names, at = None, start + 1
+        for segment in text[start + 1 : closing].split(";"):
+            found = oracle_paren_segment(segment.strip())
+            if found is None:
+                names = None
+            elif found[1][0] is not None:
+                marker = segment.strip()[found[0][0] : found[0][1]]
+                et_al = "et" in marker.replace(",", " ").split()
+                names = (*found[1][:2], et_al)
+            if found and names:
+                offset = at + re.search(r"\S", segment).start()
+                markers.append((offset, text[offset : offset + found[0][1]], *names, found[1][2]))
+            at += len(segment) + 1
+        start = text.find("(", closing + 1)
+    return markers
 
 
 # The reference-heading pattern the package used before its search started at

@@ -24,6 +24,7 @@ from oracles import (
     oracle_entry_scores,
     oracle_link_author_year,
     oracle_narrative_markers,
+    oracle_paren_markers,
     oracle_paren_segment,
     oracle_reference_split,
     oracle_year_list,
@@ -351,6 +352,48 @@ class TestCandidateEntries:
         assert scored == [i for i, score in scores.items() if score > 0.0]
 
 
+# Bibliographies of up to six author-year entries: up to three surnames and a
+# year, with or without a suffix.
+_bibliography = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["Smith", "Lee", "Wong", "Zoë", "Ab"]), max_size=3),
+        st.sampled_from(["2010", "2010a", "2010b", "2011", "2011a", "2012"]),
+    ),
+    max_size=6,
+)
+
+
+def _scan_links(entries, markers):
+    """(citations, unresolved reports) of author-year markers, given as
+    (offset, marker, name1, name2, et_al, years), by a scan of every entry."""
+    cites, unresolved = [], []
+    for offset, marker, name1, name2, et_al, years in markers:
+        if not name1[0].isupper() or (name2 and not name2[0].isupper()):
+            continue
+        missing = []
+        for year in oracle_year_list(years):  # each year of a year list
+            entry = oracle_link_author_year(entries, name1, name2, int(year[:4]), et_al, year[4:])
+            if entry is None:
+                missing.append(year)
+            else:
+                cites.append((offset, marker, entry.index))
+        if missing:  # one report per marker
+            unresolved.append((offset, marker, f"no entry for {name1} {', '.join(missing)}"))
+    return cites, unresolved
+
+
+# Segments of a parenthetical group: named markers, year lists alone (with a
+# locator, suffix shorthand or a line break around them) and segments that are
+# no marker.
+_PAREN_SEGMENTS = (
+    "Smith, 2010", " Lee and Wong 2011a", "see Smith et al., 2012", "smith, 2010",
+    "Wong, 2010a, b, p. 4", "Zoë 2011", " 2012", "2011a, b", "\n2010, 2012 ", "2012, p. 3",
+    "2010b", "2013", "in press", "x", "", "see 2012", "2010 x",
+)  # fmt: skip
+# Text between groups: none, a space, parentheses or a narrative marker.
+_PAREN_GROUP_PIECES = (" ", "", "(", ")", "Smith (2010)", "x")
+
+
 def _entries(*raws):
     return [parse_bib_entry(raw, i) for i, raw in enumerate(raws, start=1)]
 
@@ -405,6 +448,7 @@ class TestFindInTextCitations:
             ("(Smith et al. 2013, pp. 4-5)", "Smith et al. 2013"),
             ("(see Smith et al., 2013,pp.12 – 14)", "see Smith et al., 2013"),
             ("(Lee, 2010; Smith et al., 2013, ch. 3)", "Smith et al., 2013"),
+            ("(Lee, 2010;\n\t\u00a0\u2003Smith et al., 2013, ch. 3)", "Smith et al., 2013"),
         ],
     )
     def test_page_or_chapter_locator_is_stripped(self, text, marker):
@@ -474,8 +518,8 @@ class TestFindInTextCitations:
             "".join,
             st.tuples(
                 st.sampled_from(["", "see ", "cf., "]),
-                st.sampled_from(["Smith", "Smith and Lee", "Smith et al.", "x"]),
-                st.sampled_from([" ", ", ", ",", "\n"]),
+                st.sampled_from(["Smith", "Smith and Lee", "Smith et al.", "x", ""]),
+                st.sampled_from([" ", ", ", ",", "\n", ""]),
                 st.sampled_from(["2010", "1999b", "x"]),
                 st.lists(
                     st.tuples(
@@ -489,9 +533,9 @@ class TestFindInTextCitations:
         )
     )
     def test_year_list_segments_match_the_oracle(self, segment):
-        # Year lists, one-year markers and locators, beside the one-year sweep
-        # in test_fuzz.py.
-        match = citeparse._paren_segment(segment)
+        # Year lists after names or alone, one-year markers and locators,
+        # beside the one-year sweep in test_fuzz.py.
+        match = citeparse._PAREN_SEG_RE.match(segment)
         assert (match and (match.span(), match.groups())) == oracle_paren_segment(segment)
 
     def test_year_list_keeps_suffixes_and_the_implied_author_count(self):
@@ -548,6 +592,94 @@ class TestFindInTextCitations:
     def test_suffix_letter_needs_a_suffixed_year_before_it(self, text):
         # A lone letter after a bare year, a word or a capital is no year.
         assert find_in_text_citations(text, self.SUFFIXED) == ([], [])
+
+    # Smith and Smith et al. in 2010 and 2012, Lee in 2011 and 2012, and Smith's
+    # two suffixed entries of 2013.
+    SEMICOLON = _entries(
+        "Smith, J. 2010. One.",
+        "Smith, J., Lee, K., Wu, T. 2010. Two.",
+        "Smith, J. 2012. Three.",
+        "Smith, J., Lee, K., Wu, T. 2012. Four.",
+        "Lee, K. 2011. Five.",
+        "Lee, K. 2012. Six.",
+        "Smith, J. 2013a. Seven.",
+        "Smith, J. 2013b. Eight.",
+    )
+
+    @pytest.mark.parametrize(
+        "text, markers",
+        [
+            ("(Smith, 2010; 2012)", [("Smith, 2010", 1), ("2012", 3)]),
+            # "et al." implies three or more authors for the year after it too.
+            ("(Smith et al., 2010; 2012)", [("Smith et al., 2010", 2), ("2012", 4)]),
+            ("(Smith, 2010; Lee, 2011; 2012)", [("Smith, 2010", 1), ("Lee, 2011", 5), ("2012", 6)]),
+            ("(Smith, 2010; 2013a, b)", [("Smith, 2010", 1), ("2013a, b", 7), ("2013a, b", 8)]),
+            ("(Smith, 2010; 2012; 2013b, p. 4)", [("Smith, 2010", 1), ("2012", 3), ("2013b", 8)]),
+            ("(see Smith 2010;\n 2010, 2012)", [("see Smith 2010", 1), ("2010, 2012", 1), ("2010, 2012", 3)]),
+        ],
+    )  # fmt: skip
+    def test_year_after_a_semicolon_takes_the_names_before_it(self, text, markers):
+        # Each segment keeps its own marker and offset.
+        cites, unresolved = find_in_text_citations(text, self.SEMICOLON)
+        assert [(c.offset, c.marker, c.entry_index) for c in cites] == [
+            (text.rindex(marker), marker, index) for marker, index in markers
+        ]
+        assert unresolved == []
+
+    def test_year_after_a_semicolon_without_an_entry_is_reported_once(self):
+        entries = _entries("Lee, K. 2010. A paper.", "Smith, J. 2010. One.")
+        text = "(Smith, 2010; 2012)"
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert [(c.marker, c.entry_index) for c in cites] == [("Smith, 2010", 2)]
+        assert [(u.offset, u.marker, u.detail) for u in unresolved] == [
+            (14, "2012", "no entry for Smith 2012")
+        ]
+
+    @pytest.mark.parametrize(
+        "text, linked",
+        [
+            # No segment before the year: it names no one, as before.
+            ("(2012; Smith, 2010)", [("Smith, 2010", 2)]),
+            # A segment that is no marker names no one either, and the names
+            # do not cross it or a group's end.
+            ("(Smith, 2010; Lee, in press; 2012)", [("Smith, 2010", 2)]),
+            ("(Smith, 2010) (2012)", [("Smith, 2010", 2)]),
+            ("(Smith, 2010; see 2012)", [("Smith, 2010", 2)]),
+            # A year after a lowercase name is dropped, as that name is.
+            ("(smith, 2010; 2012)", []),
+        ],
+    )
+    def test_year_after_a_semicolon_needs_a_marker_before_it(self, text, linked):
+        cites, unresolved = find_in_text_citations(text, self.SMITH)
+        assert [(c.marker, c.entry_index) for c in cites] == linked
+        assert unresolved == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _bibliography,
+        st.lists(
+            st.sampled_from(_PAREN_GROUP_PIECES)
+            | st.lists(st.sampled_from(_PAREN_SEGMENTS), min_size=1, max_size=4).map(
+                lambda segments: "(" + ";".join(segments) + ")"
+            ),
+            max_size=6,
+        ).map("".join),
+    )
+    def test_parenthetical_links_match_a_scan_of_every_entry(self, bib, text):
+        # Named segments, year lists alone and other segments, in groups.
+        entries = [
+            parse_bib_entry(f"{', '.join(names)}. {year}. Work.", i)
+            for i, (names, year) in enumerate(bib, start=1)
+        ]
+        expected_cites, expected_unresolved = _scan_links(entries, oracle_paren_markers(text))
+        # Narrative markers end in ")"; parenthetical ones do not.
+        cites, unresolved = find_in_text_citations(text, entries)
+        assert [
+            (c.offset, c.marker, c.entry_index) for c in cites if not c.marker.endswith(")")
+        ] == sorted(expected_cites, key=lambda c: (c[0], c[2]))
+        assert [
+            (u.offset, u.marker, u.detail) for u in unresolved if not u.marker.endswith(")")
+        ] == expected_unresolved
 
     def test_no_markers(self):
         cites, unresolved = find_in_text_citations("Plain text, notably without brackets.", FIVE)
@@ -838,24 +970,14 @@ class TestNarrativeScan:
         assert unresolved == []
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.lists(st.sampled_from(["Smith", "Lee", "Wong", "Zoë", "Ab"]), max_size=3),
-                st.sampled_from(["2010", "2010a", "2010b", "2011", "2011a", "2012"]),
-            ),
-            max_size=6,
-        ),
-        st.randoms(use_true_random=False),
-        _narrative_text,
-    )
+    @given(_bibliography, st.randoms(use_true_random=False), _narrative_text)
     def test_links_match_a_scan_of_every_entry(self, bib, rng, text):
         entries = [
             parse_bib_entry(f"{', '.join(names)}. {year}. Work.", i)
             for i, (names, year) in enumerate(bib, start=1)
         ]
         rng.shuffle(entries)  # the tie-break is the lowest index, not list order
-        expected_cites, expected_unresolved = [], []
+        markers = []
         for offset, marker, name1, name2, year in oracle_narrative_markers(text):
             if name2 and not name1[0].isupper():
                 # A lowercase word before "and" is no name: the marker is the first
@@ -863,22 +985,9 @@ class TestNarrativeScan:
                 cut = offset + len(name1)
                 offset, marker, name1, name2, year = oracle_narrative_markers(text[cut:])[0]
                 offset += cut
-            if not name1[0].isupper() or (name2 and not name2[0].isupper()):
-                continue
             et_al = "et" in marker.replace(",", " ").split()  # a name is capitalized
-            missing = []
-            for year in oracle_year_list(year):  # each year of a year list
-                entry = oracle_link_author_year(
-                    entries, name1, name2, int(year[:4]), et_al, year[4:]
-                )
-                if entry is None:
-                    missing.append(year)
-                else:
-                    expected_cites.append((offset, marker, entry.index))
-            if missing:  # one report per marker
-                expected_unresolved.append(
-                    (offset, marker, f"no entry for {name1} {', '.join(missing)}")
-                )
+            markers.append((offset, marker, name1, name2, et_al, year))
+        expected_cites, expected_unresolved = _scan_links(entries, markers)
         # Only narrative markers end in ")"; numeric and parenthetical ones do not.
         cites, unresolved = find_in_text_citations(text, entries)
         narrative = [(c.offset, c.marker, c.entry_index) for c in cites if c.marker.endswith(")")]
@@ -950,10 +1059,18 @@ class TestLinearTime:
         )
 
     def test_parenthetical_whitespace_runs(self):
-        # 282 KB of "(Smith", 280 spaces, "x)": no segment matches, and the
-        # whitespace before a possible "and" must be read one way only.
-        text = ("(Smith" + " " * 280 + "x) ") * 1_000
-        assert _best_seconds(lambda t: find_in_text_citations(t, FIVE), text) < 0.25
+        # About 290 KB each: 1 000 groups.
+        groups = [
+            # "(Smith", 280 spaces, "x)": no segment matches, and the whitespace
+            # before a possible "and" must be read one way only.
+            "(Smith" + " " * 280 + "x) ",
+            # A 40-year list, then a locator cut short by 40 spaces: at each
+            # year the list might end, the locator lookahead fails at once.
+            "(Smith, " + ", ".join(["2010"] * 40) + ", p." + " " * 40 + "x) ",
+        ]
+        for group in groups:
+            text = group * 1_000
+            assert _best_seconds(lambda t: find_in_text_citations(t, FIVE), text) < 0.25
 
     def test_blank_lines_after_heading(self):
         _assert_linear(

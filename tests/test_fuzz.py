@@ -195,7 +195,7 @@ _segment = st.lists(st.sampled_from(_SEGMENT_PIECES) | st.text(max_size=3), max_
 @settings(max_examples=500, deadline=None)
 @given(_segment)
 def test_parenthetical_segment_pattern_matches_oracle(segment):
-    match = citeparse._paren_segment(segment)
+    match = citeparse._PAREN_SEG_RE.match(segment)
     assert (match and (match.span(), match.groups())) == oracle_paren_segment(segment)
 
 
